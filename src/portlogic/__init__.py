@@ -11,6 +11,7 @@ from .graphs import (
     Matching,
     PortNumbering,
     PortedGraph,
+    PortlogicError,
     bipartite_double_cover,
     consistent_port_numbering,
     cycle,

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import Graph, PortNumbering, PortedGraph
+from .graphs import Graph, PortNumbering, PortedGraph, PortlogicError
 from .logic import KripkeModel, kripke_model
 
 __all__ = [
@@ -46,11 +46,11 @@ __all__ = [
 CLASS_VARIANTS = {"vv": "++", "vb": "+-", "sb": "--"}
 
 
-class NonEquivalenceError(ValueError):
+class NonEquivalenceError(PortlogicError, ValueError):
     """Graded verification needs (a restriction of) an equivalence."""
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(PortlogicError, RuntimeError):
     """Solution enumeration would exceed the configured budget."""
 
 
@@ -324,7 +324,9 @@ def impossibility_check(
 
     Builds the Kripke variant the class can observe, tests the X nodes
     mutually bisimilar via refinement, and audits by exhaustive enumeration
-    that every valid solution assigns X at least two values.  Returns a
+    that every valid solution assigns X at least two values.  Whether the
+    problem applies to ``g`` is decided once; where it does not, every
+    candidate is valid and the verifier is never called.  Returns a
     ``Refutation`` certificate or an ``Inconclusive`` with the failing
     hypothesis.
     """
@@ -344,10 +346,11 @@ def impossibility_check(
         raise EnumerationBudgetError(
             f"{total} candidate solutions exceed the budget {budget}"
         )
+    applies = problem.applies(g)
     audited = 0
     for values in itertools.product(outputs, repeat=g.n):
         solution = dict(enumerate(values))
-        if not problem.verifier(g, solution):
+        if applies and not problem.verifier(g, solution):
             continue
         audited += 1
         if len({solution[v] for v in xs}) == 1:

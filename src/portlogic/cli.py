@@ -13,14 +13,19 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import bisim as bisim_mod
 from . import compiler as compiler_mod
 from . import problems as problems_mod
 from . import simulate as simulate_mod
 from .graphs import (
+    Graph,
     GraphError,
     PortedGraph,
+    PortNumbering,
+    PortlogicError,
     consistent_port_numbering,
     cycle,
     format_graph,
@@ -34,13 +39,12 @@ from .graphs import (
     validate_port_numbering,
 )
 from .logic import (
+    VARIANTS,
     Signature,
-    SignatureMismatchError,
     eval_formula,
     format_formula,
     kripke_model,
     parse,
-    validate_signature,
 )
 from .machines import run as run_machine
 from .machines import check_class_conformance, trace_to_json
@@ -55,14 +59,11 @@ WRAPPERS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+class CliError(PortlogicError):
+    """Invalid command-line input."""
 
 
-def _load_ported(args) -> PortedGraph:
-    name = args.graph
+def _load_ported(name: str, args) -> PortedGraph:
     try:
         if name.endswith(".pn"):
             return load_ported(name)
@@ -75,6 +76,13 @@ def _load_ported(args) -> PortedGraph:
     return PortedGraph(g, random_port_numbering(g, seed))
 
 
+def _signature(delta: int, variant: str) -> Signature:
+    try:
+        return Signature(delta, variant)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _machine_for(args, delta: int):
     names = []
     if getattr(args, "machine", None):
@@ -84,12 +92,8 @@ def _machine_for(args, delta: int):
     if len(names) != 1:
         raise CliError("give exactly one of --machine or --formula")
     if getattr(args, "formula", None):
-        try:
-            formula = parse(args.formula)
-            sig = Signature(args.delta or delta, args.variant or "--")
-            return compiler_mod.compile_formula(formula, sig)
-        except (ValueError, compiler_mod.CompileError) as exc:
-            raise CliError(str(exc)) from exc
+        sig = _signature(args.delta or delta, args.variant or "--")
+        return compiler_mod.compile_formula(parse(args.formula), sig)
     name = args.machine
     base = name
     wrapper = None
@@ -105,10 +109,7 @@ def _machine_for(args, delta: int):
         )
     machine = problems_mod.MACHINES[base](args.delta or delta)
     if wrapper is not None:
-        try:
-            machine = wrapper(machine)
-        except simulate_mod.WrapperError as exc:
-            raise CliError(str(exc)) from exc
+        machine = wrapper(machine)
     return machine
 
 
@@ -126,7 +127,7 @@ def _report(args, doc: dict) -> int:
 
 def cmd_run(args) -> int:
     started = time.perf_counter()
-    pg = _load_ported(args)
+    pg = _load_ported(args.graph, args)
     delta = max(1, pg.graph.max_degree())
     machine = _machine_for(args, delta)
     result = run_machine(machine, pg, args.max_rounds, record_messages=args.trace)
@@ -151,18 +152,10 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    pg = _load_ported(args)
-    try:
-        formula = parse(args.formula)
-        delta = args.delta or max(1, pg.graph.max_degree())
-        sig = Signature(delta, args.variant)
-        problems = validate_signature(formula, sig)
-        if problems:
-            raise CliError("; ".join(problems))
-        model = kripke_model(pg, args.variant, delta)
-        worlds = eval_formula(model, formula)
-    except SignatureMismatchError as exc:
-        raise CliError(str(exc)) from exc
+    pg = _load_ported(args.graph, args)
+    formula = parse(args.formula)
+    delta = args.delta or max(1, pg.graph.max_degree())
+    worlds = eval_formula(kripke_model(pg, args.variant, delta), formula)
     return _report(
         args,
         {
@@ -175,12 +168,8 @@ def cmd_check(args) -> int:
 
 def cmd_compile(args) -> int:
     started = time.perf_counter()
-    try:
-        formula = parse(args.formula)
-        sig = Signature(args.delta, args.variant)
-        machine = compiler_mod.compile_formula(formula, sig)
-    except (ValueError, compiler_mod.CompileError) as exc:
-        raise CliError(str(exc)) from exc
+    formula = parse(args.formula)
+    machine = compiler_mod.compile_formula(formula, _signature(args.delta, args.variant))
     report = check_class_conformance(machine, samples=100, seed=args.seed)
     return _report(
         args,
@@ -200,16 +189,13 @@ def cmd_decompile(args) -> int:
     started = time.perf_counter()
     delta = args.delta
     machine = _machine_for(args, delta)
-    try:
-        result = compiler_mod.decompile_details(
-            machine,
-            delta,
-            args.horizon,
-            args.variant,
-            node_bound=args.node_bound,
-        )
-    except compiler_mod.DecompileError as exc:
-        raise CliError(str(exc)) from exc
+    result = compiler_mod.decompile_details(
+        machine,
+        delta,
+        args.horizon,
+        args.variant,
+        node_bound=args.node_bound,
+    )
     return _report(
         args,
         {
@@ -228,19 +214,7 @@ def cmd_decompile(args) -> int:
 
 def cmd_bisim(args) -> int:
     started = time.perf_counter()
-    graphs = []
-    for name in args.graph:
-        try:
-            if name.endswith(".pn"):
-                pg = load_ported(name)
-            else:
-                g = load_graph(name)
-                pg = PortedGraph(g, random_port_numbering(g, args.seed))
-        except (OSError, GraphError) as exc:
-            raise CliError(f"cannot load graph: {exc}") from exc
-        graphs.append(pg)
-    if not graphs:
-        raise CliError("need at least one graph")
+    graphs = [_load_ported(name, args) for name in args.graph]
     delta = max(1, max(pg.graph.max_degree() for pg in graphs))
     models = [kripke_model(pg, args.variant, delta) for pg in graphs]
     model = models[0]
@@ -263,88 +237,80 @@ def cmd_bisim(args) -> int:
     )
 
 
-def _separation_star(seed: int) -> dict:
-    g = star(3)
-    machine = problems_mod.leaf_election_machine(3)
-    problem = problems_mod.leaf_election()
-    audit = []
-    for k in range(5):
-        pg = PortedGraph(g, random_port_numbering(g, seed + k))
-        result = run_machine(machine, pg, 8)
-        audit.append(result.stopped and problem.check(g, result.outputs))
-    refutation = bisim_mod.impossibility_check(
-        g, range(1, 4), problem, "vb", consistent_port_numbering(g, seed)
-    )
-    return {
-        "demo": "star",
-        "solved_in": machine.tag.code,
-        "refuted_class": "vb",
-        "positive_runs_valid": all(audit),
-        "certificate": refutation,
-    }
+@dataclass(frozen=True)
+class Separation:
+    """A problem solved on one graph by a machine and refuted in a weaker class.
+
+    ``machine`` keys ``problems.MACHINES`` and ``problem`` names a factory in
+    ``portlogic.problems``; both are looked up when the demo runs.
+    """
+
+    instance: Callable[[], tuple]  # (graph, *X)
+    machine: str
+    problem: str
+    numbering: Callable[[Graph, int], PortNumbering]  # positive run k uses seed + k
+    runs: int
+    refuted_class: str
+    refuting_numbering: Callable[[Graph, int], PortNumbering]
 
 
-def _separation_parity(seed: int) -> dict:
-    union, u, w = problems_mod.parity_union()
-    machine = problems_mod.odd_odd_machine(3)
-    problem = problems_mod.odd_odd()
-    audit = []
-    for k in range(5):
-        pg = PortedGraph(union, random_port_numbering(union, seed + k))
-        result = run_machine(machine, pg, 8)
-        audit.append(result.stopped and problem.check(union, result.outputs))
-    refutation = bisim_mod.impossibility_check(
-        union, (u, w), problem, "sb", consistent_port_numbering(union, seed)
-    )
-    return {
-        "demo": "parity",
-        "solved_in": machine.tag.code,
-        "refuted_class": "sb",
-        "positive_runs_valid": all(audit),
-        "certificate": refutation,
-    }
-
-
-def _separation_regular(seed: int) -> dict:
+def _cubic_instance():
     g = no_one_factor_cubic()
-    machine = problems_mod.symmetry_break_machine(3)
-    problem = problems_mod.nonconstant_on_unmatchable()
+    return (g, *range(g.n))
+
+
+SEPARATIONS = {
+    "star": Separation(
+        lambda: (star(3), 1, 2, 3), "leaf_election", "leaf_election",
+        random_port_numbering, 5, "vb", consistent_port_numbering,
+    ),
+    "parity": Separation(
+        problems_mod.parity_union, "odd_odd", "odd_odd",
+        random_port_numbering, 5, "sb", consistent_port_numbering,
+    ),
+    "regular": Separation(
+        _cubic_instance, "symmetry_break", "nonconstant_on_unmatchable",
+        consistent_port_numbering, 3, "vv", lambda g, seed: symmetric_port_numbering(g),
+    ),
+}
+
+
+def separation(demo: str, seed: int) -> dict:
+    """Run one demo of ``SEPARATIONS``; the certificate stays a library object."""
+    spec = SEPARATIONS[demo]
+    g, *x_nodes = spec.instance()
+    machine = problems_mod.MACHINES[spec.machine](g.max_degree())
+    problem = getattr(problems_mod, spec.problem)()
     audit = []
-    for k in range(3):
-        pg = PortedGraph(g, consistent_port_numbering(g, seed + k))
-        result = run_machine(machine, pg, 8)
+    for k in range(spec.runs):
+        result = run_machine(machine, PortedGraph(g, spec.numbering(g, seed + k)), 8)
         audit.append(result.stopped and problem.check(g, result.outputs))
-    refutation = bisim_mod.impossibility_check(
-        g, range(g.n), problem, "vv", symmetric_port_numbering(g)
+    certificate = bisim_mod.impossibility_check(
+        g, x_nodes, problem, spec.refuted_class, spec.refuting_numbering(g, seed)
     )
+    consistent = spec.numbering is consistent_port_numbering
     return {
-        "demo": "regular",
-        "solved_in": machine.tag.code + " (assuming consistency)",
-        "refuted_class": "vv",
+        "demo": demo,
+        "solved_in": machine.tag.code + (" (assuming consistency)" if consistent else ""),
+        "refuted_class": spec.refuted_class,
         "positive_runs_valid": all(audit),
-        "certificate": refutation,
+        "certificate": certificate,
     }
 
 
 def cmd_separate(args) -> int:
     started = time.perf_counter()
-    builders = {
-        "star": _separation_star,
-        "parity": _separation_parity,
-        "regular": _separation_regular,
-    }
-    doc = builders[args.demo](args.seed)
+    doc = separation(args.demo, args.seed)
     certificate = doc["certificate"]
+    doc["certificate"] = certificate.to_json()
     ok = doc["positive_runs_valid"]
     if isinstance(certificate, bisim_mod.Refutation):
         recheck = bisim_mod.verify_bisimulation(
             certificate.model, None, certificate.partition.as_pairs()
         )
-        doc["certificate"] = certificate.to_json()
         doc["certificate"]["reverified"] = bool(recheck)
         ok = ok and bool(recheck)
     else:
-        doc["certificate"] = certificate.to_json()
         ok = False
     doc["ok"] = ok
     doc["timing"] = round(time.perf_counter() - started, 6)
@@ -464,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("separate", help="run a separation demo and emit its certificate")
-    p.add_argument("demo", choices=["star", "parity", "regular"])
+    p.add_argument("demo", choices=list(SEPARATIONS))
     common(p)
     p.set_defaults(func=cmd_separate)
 
@@ -491,9 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     return parser
-
-
-VARIANT_CODES = ("++", "-+", "+-", "--")
 
 
 def _extract_variant(argv: list[str]) -> tuple[list[str], str | None]:
@@ -526,27 +489,20 @@ def main(argv=None) -> int:
     rest, variant = _extract_variant(list(argv))
     args = parser.parse_args(rest)
     if variant is not None:
-        if variant not in VARIANT_CODES:
+        if variant not in VARIANTS:
             print(
-                f"error: --variant must be one of {', '.join(VARIANT_CODES)}",
+                f"error: --variant must be one of {', '.join(VARIANTS)}",
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
         args.variant = variant
-    if getattr(args, "variant", None) is None and args.command in (
-        "check",
-        "compile",
-        "decompile",
-        "bisim",
-    ):
+    # the commands whose parser defaults --variant to None require it
+    if "variant" in vars(args) and args.variant is None:
         print("error: --variant is required", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except bisim_mod.EnumerationBudgetError as exc:
+    except PortlogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,21 +1,29 @@
 """Compilation between modal formulas and local algorithms.
 
-Forward direction: a formula over one of the four signature variants becomes
-a machine whose states are truth assignments over the subformula closure,
-three-valued with U for "not yet determined".  A subformula of modal depth d
-becomes determined exactly after round d, messages carry the assignment
-restricted to the subformulas the receiving side's diamonds need (tagged with
-the outgoing port for the variants that see it), and the machine stops at
-round md+1 with the root's truth value as output.
+Both directions branch only on the variant's two visibility bits
+(``logic.Variant``).  A visible incoming port means a positional (vector)
+inbox, a hidden one a counted (multiset or set) inbox.  A visible outgoing
+port means messages tagged with their port (vector outbox), a hidden one
+broadcast messages.
+
+Forward direction: a formula becomes a machine whose states are truth
+assignments over the subformula closure, three-valued with U for "not yet
+determined".  A subformula of modal depth d becomes determined exactly after
+round d, messages carry the assignment restricted to the subformulas the
+receiving side's diamonds need (tagged with the outgoing port when it is
+visible), and the machine stops at round md+1 with the root's truth value as
+output.
 
 Reverse direction: a finite-horizon binary-output machine becomes a formula
 built from three families per round: state formulas ("the node is in state z
 after round t"), send formulas ("the node sends message m in round t"), and
 receive formulas (diamonds over send formulas).  State formulas are canonical
 DNF over the previous level: one term per (state, inbox) pair, the inbox
-pinned positionwise for vector variants and by exact per-message counts for
-multiset variants, with the null-message positions expressed negatively so
-padding and explicit nulls coincide.
+pinned positionwise when the incoming port is visible and by exact
+per-message counts when it is hidden, with the null-message positions
+expressed negatively so padding and explicit nulls coincide.  The senders of
+a message are grouped by outgoing port when it is visible and all together
+(under "*") when it is hidden.
 
 The reverse direction is evaluated against a fixed suite of ported-graph
 models.  Formulas are deduplicated semantically (truth table over the suite,
@@ -31,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import PortedGraph, consistent_port_numbering, random_port_numbering
+from .graphs import PortedGraph, PortlogicError, consistent_port_numbering, random_port_numbering
 from .logic import (
     STAR,
     And,
@@ -44,12 +52,12 @@ from .logic import (
     conj_all,
     dia,
     disj_all,
-    false_,
     kripke_model,
     neg,
     prop,
     subformulas,
     validate_signature,
+    variant_of,
 )
 from .machines import (
     BROADCAST,
@@ -79,11 +87,11 @@ __all__ = [
 U = 2
 
 
-class CompileError(ValueError):
+class CompileError(PortlogicError, ValueError):
     pass
 
 
-class DecompileError(ValueError):
+class DecompileError(PortlogicError, ValueError):
     pass
 
 
@@ -171,15 +179,16 @@ class CompiledMachine(Machine):
         order = self.closure.formulas
         self._index = {id(f): k for k, f in enumerate(order)}
         self._root = self._index[id(formula)]
-        if sig.variant in ("++", "-+"):
+        kind = variant_of(sig.variant)
+        self.kind = kind
+        if kind.out_visible:
             self._domains = [
                 tuple(self._index[id(f)] for f in targets)
                 for targets in self.closure.by_port
             ]
-        elif sig.variant == "+-":
-            self._shared = tuple(self._index[id(f)] for f in self.closure.incoming_only)
         else:
-            self._shared = tuple(self._index[id(f)] for f in self.closure.unindexed)
+            shared = self.closure.incoming_only if kind.in_visible else self.closure.unindexed
+            self._shared = tuple(self._index[id(f)] for f in shared)
         self._nodes = []
         for f in order:
             if isinstance(f, Prop):
@@ -190,21 +199,13 @@ class CompiledMachine(Machine):
                 self._nodes.append(("!", self._index[id(f.sub)]))
             else:
                 sub = self._index[id(f.sub)]
-                if sig.variant in ("++", "-+"):
-                    pos = self._domains[f.alpha[1]].index(sub)
-                else:
-                    pos = self._shared.index(sub)
-                self._nodes.append(("<>", f.alpha, f.grade, sub, pos))
+                domain = self._domains[f.alpha[1]] if kind.out_visible else self._shared
+                self._nodes.append(("<>", f.alpha, f.grade, sub, domain.index(sub)))
         graded = any(isinstance(f, Dia) and f.grade > 1 for f in order)
-        if sig.variant == "++":
-            tag = ClassTag(VECTOR, VECTOR)
-        elif sig.variant == "-+":
-            tag = ClassTag(MULTISET if graded else SET, VECTOR)
-        elif sig.variant == "+-":
-            tag = ClassTag(VECTOR, BROADCAST)
-        else:
-            tag = ClassTag(MULTISET if graded else SET, BROADCAST)
-        self.tag = tag
+        self.tag = ClassTag(
+            VECTOR if kind.in_visible else (MULTISET if graded else SET),
+            VECTOR if kind.out_visible else BROADCAST,
+        )
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
 
@@ -223,9 +224,8 @@ class CompiledMachine(Machine):
         return tuple(g)
 
     def emit(self, state, port: int):
-        if self.sig.variant in ("++", "-+"):
-            dom = self._domains[port]
-            return ("f", port, tuple(state[k] for k in dom))
+        if self.kind.out_visible:
+            return ("f", port, tuple(state[k] for k in self._domains[port]))
         return ("f", tuple(state[k] for k in self._shared))
 
     def transition(self, state, inbox: tuple):
@@ -233,7 +233,7 @@ class CompiledMachine(Machine):
             return state[self._root]
         g = list(state)
         null = self.null_message
-        variant = self.sig.variant
+        in_visible, out_visible = self.kind.in_visible, self.kind.out_visible
         for k, node in enumerate(self._nodes):
             if g[k] != U:
                 continue
@@ -245,30 +245,18 @@ class CompiledMachine(Machine):
                 a = g[node[1]]
                 g[k] = U if a == U else 1 - a
             else:
-                _, alpha, grade, sub, pos = node
+                _, (i, j), grade, sub, pos = node
                 if state[sub] == U:
                     continue
-                if variant == "++":
-                    i, j = alpha
-                    m = inbox[i - 1]
-                    hit = m != null and m[1] == j and m[2][pos] == 1
-                    g[k] = 1 if hit else 0
-                elif variant == "-+":
-                    j = alpha[1]
-                    hits = sum(
-                        1
-                        for m in inbox
-                        if m != null and m[1] == j and m[2][pos] == 1
-                    )
-                    g[k] = 1 if hits >= grade else 0
-                elif variant == "+-":
-                    m = inbox[alpha[0] - 1]
-                    g[k] = 1 if m != null and m[1][pos] == 1 else 0
-                else:
-                    hits = sum(
-                        1 for m in inbox if m != null and m[1][pos] == 1
-                    )
-                    g[k] = 1 if hits >= grade else 0
+                # The payload is a message's last field.  A visible outgoing
+                # port rides in front of it as the port tag, and the tag
+                # must match before pos indexes that port's payload.
+                hits = sum(
+                    1
+                    for m in ((inbox[i - 1],) if in_visible else inbox)
+                    if m != null and (not out_visible or m[1] == j) and m[-1][pos] == 1
+                )
+                g[k] = 1 if hits >= grade else 0
         return tuple(g)
 
     def is_output(self, state) -> bool:
@@ -402,6 +390,14 @@ def _state_key(machine: Machine, state) -> tuple:
     return (machine.is_output(state), machine.encode_state(state))
 
 
+def _disjoin(pairs: list[tuple[Formula, int]]) -> tuple[Formula, int]:
+    """Disjunction of (formula, table) pairs, with the union of their tables."""
+    table = 0
+    for _, mask in pairs:
+        table |= mask
+    return disj_all([f for f, _ in pairs]), table
+
+
 class _Decompiler:
     def __init__(
         self,
@@ -417,7 +413,7 @@ class _Decompiler:
         self.machine = machine
         self.delta = delta
         self.horizon = horizon
-        self.variant = variant
+        self.kind = variant_of(variant)
         self.suite = suite
         self.max_states = max_states
         self.max_messages = max_messages
@@ -434,32 +430,24 @@ class _Decompiler:
             )
 
     def _initial_level(self) -> dict:
-        machine = self.machine
-        level: dict = {}
+        accumulator: dict = {}
         for d in range(self.delta + 1):
-            state = machine.init_state(d)
-            key = _state_key(machine, state)
             if d == 0:
                 degree_formula = conj_all([neg(prop(i)) for i in range(1, self.delta + 1)])
             else:
                 degree_formula = prop(d)
-            table = self.suite.degree_mask(d)
-            entry = level.get(key)
-            if entry is None:
-                level[key] = {"state": state, "parts": [degree_formula], "table": table}
-            else:
-                entry["parts"].append(degree_formula)
-                entry["table"] |= table
-        out: dict = {}
-        for key, entry in level.items():
-            formula, table = self.interner.intern(
-                disj_all(entry["parts"]), entry["table"]
+            self._record(
+                self.machine.init_state(d), [degree_formula], self.suite.degree_mask(d), accumulator
             )
-            out[key] = {"state": entry["state"], "formula": formula, "table": table}
-        return out
+        return self._intern_level(accumulator)
 
-    def _emit(self, state, port: int):
-        return self.machine.emit_absorbing(state, port)
+    def _intern_level(self, accumulator: dict) -> dict:
+        """One entry per state: the disjunction of its terms, interned."""
+        out: dict = {}
+        for key, slot in accumulator.items():
+            formula, table = self.interner.intern(disj_all(slot["parts"]), slot["table"])
+            out[key] = {"state": slot["state"], "formula": formula, "table": table}
+        return out
 
     def _messages(self, live: list[dict]) -> dict[bytes, dict]:
         """Distinct non-null messages sent from live states, with senders."""
@@ -469,7 +457,7 @@ class _Decompiler:
         pool: dict[bytes, dict] = {}
         for entry in live:
             for j in ports:
-                m = self._emit(entry["state"], j)
+                m = machine.emit_absorbing(entry["state"], j)
                 code = machine.encode_message(m)
                 if code == null_code:
                     continue
@@ -482,10 +470,7 @@ class _Decompiler:
         return pool
 
     def _theta(self, senders: list[dict]) -> tuple[Formula, int]:
-        table = 0
-        for entry in senders:
-            table |= entry["table"]
-        return self.interner.intern(disj_all([e["formula"] for e in senders]), table)
+        return self.interner.intern(*_disjoin([(e["formula"], e["table"]) for e in senders]))
 
     def _chi(self, alpha: tuple, grade: int, theta: tuple[Formula, int]) -> tuple[Formula, int]:
         formula, table = theta
@@ -493,22 +478,18 @@ class _Decompiler:
         return self.interner.intern(dia(alpha, formula, grade), mask)
 
     def _level_step(self, previous: dict, t: int) -> dict:
-        machine = self.machine
         live = [e for e in previous.values() if e["table"]]
         pool = self._messages(live)
-        if self.variant in ("++", "-+"):
-            pins = self._port_tagged_pins(pool)
-        else:
-            pins = self._broadcast_pins(pool)
         accumulator: dict = {}
-        for entry in live:
-            self._enumerate(entry, pins, pool, accumulator)
-        out: dict = {}
-        for key, slot in accumulator.items():
-            formula, table = self.interner.intern(
-                disj_all(slot["parts"]), slot["table"]
-            )
-            out[key] = {"state": slot["state"], "formula": formula, "table": table}
+        if self.kind.in_visible:
+            pins = self._positional_pins(pool)
+            for entry in live:
+                self._enumerate_vector(entry, pins, pool, accumulator)
+        else:
+            counters = self._counted_pins(pool)
+            for entry in live:
+                self._enumerate_counts(entry, counters, pool, accumulator)
+        out = self._intern_level(accumulator)
         if len(out) > self.max_states:
             raise DecompileBudgetError(
                 f"{len(out)} states at round {t} exceed the budget {self.max_states}"
@@ -517,89 +498,45 @@ class _Decompiler:
 
     # -- pin construction -------------------------------------------------
 
-    def _port_tagged_pins(self, pool: dict):
-        """Receive formulas for the variants whose messages carry a port tag.
+    def _sender_groups(self, slot: dict) -> list[tuple]:
+        """(hidden-or-visible outgoing port, senders) pairs of one message."""
+        if self.kind.out_visible:
+            return sorted(slot["senders"].items())
+        senders = [e for lst in slot["senders"].values() for e in lst]
+        unique = {id(e["formula"]): e for e in senders}
+        return [(STAR, list(unique.values()))]
 
-        For "++": pin[i][code] holds position i's content; for "-+": exact
-        per-(message, port) counts assembled from graded diamonds.
-        """
-        if self.variant == "++":
-            pins = []
-            for i in range(1, self.delta + 1):
-                row: dict[bytes | None, tuple[Formula, int]] = {}
-                negatives: list[tuple[Formula, int]] = []
-                for code, slot in pool.items():
-                    options = []
-                    for j in range(1, self.delta + 1):
-                        senders = slot["senders"].get(j)
-                        if not senders:
-                            continue
-                        theta = self._theta(senders)
-                        options.append(self._chi((i, j), 1, theta))
-                    if options:
-                        formula = disj_all([f for f, _ in options])
-                        table = 0
-                        for _, mask in options:
-                            table |= mask
-                        row[code] = self.interner.intern(formula, table)
-                        negatives.append(row[code])
-                    else:
-                        row[code] = (false_(), 0)
-                        negatives.append(row[code])
-                null_formula = conj_all([neg(f) for f, _ in negatives])
-                null_table = self.suite.full_mask
-                for _, mask in negatives:
-                    null_table &= self.suite.full_mask & ~mask
-                row[None] = self.interner.intern(null_formula, null_table)
-                pins.append(row)
-            return pins
-        counters: dict[tuple[bytes, int], list[tuple[Formula, int]]] = {}
+    def _positional_pins(self, pool: dict) -> list[dict]:
+        """pin[i][code]: port i receives that message; pin[i][None]: null."""
+        pins = []
+        for i in range(1, self.delta + 1):
+            row: dict[bytes | None, tuple[Formula, int]] = {}
+            for code, slot in pool.items():
+                options = [
+                    self._chi((i, j), 1, self._theta(senders))
+                    for j, senders in self._sender_groups(slot)
+                ]
+                row[code] = self.interner.intern(*_disjoin(options))
+            null_table = self.suite.full_mask
+            for _, mask in row.values():
+                null_table &= self.suite.full_mask & ~mask
+            null_formula = conj_all([neg(f) for f, _ in row.values()])
+            row[None] = self.interner.intern(null_formula, null_table)
+            pins.append(row)
+        return pins
+
+    def _counted_pins(self, pool: dict) -> dict[tuple, list[tuple[Formula, int]]]:
+        """Graded at-least diamonds per (message code, outgoing index)."""
+        counters = {}
         for code, slot in pool.items():
-            for j in range(1, self.delta + 1):
-                senders = slot["senders"].get(j)
-                if not senders:
-                    continue
+            for j, senders in self._sender_groups(slot):
                 theta = self._theta(senders)
-                grades = [self._chi((STAR, j), k, theta) for k in range(1, self.delta + 1)]
-                counters[(code, j)] = grades
-        return counters
-
-    def _broadcast_pins(self, pool: dict):
-        if self.variant == "+-":
-            pins = []
-            for i in range(1, self.delta + 1):
-                row: dict[bytes | None, tuple[Formula, int]] = {}
-                entries = []
-                for code, slot in pool.items():
-                    senders = [e for lst in slot["senders"].values() for e in lst]
-                    unique = {id(e["formula"]): e for e in senders}
-                    theta = self._theta(list(unique.values()))
-                    row[code] = self._chi((i, STAR), 1, theta)
-                    entries.append(row[code])
-                null_formula = conj_all([neg(f) for f, _ in entries])
-                null_table = self.suite.full_mask
-                for _, mask in entries:
-                    null_table &= self.suite.full_mask & ~mask
-                row[None] = self.interner.intern(null_formula, null_table)
-                pins.append(row)
-            return pins
-        counters: dict[bytes, list[tuple[Formula, int]]] = {}
-        for code, slot in pool.items():
-            senders = [e for lst in slot["senders"].values() for e in lst]
-            unique = {id(e["formula"]): e for e in senders}
-            theta = self._theta(list(unique.values()))
-            counters[code] = [
-                self._chi((STAR, STAR), k, theta) for k in range(1, self.delta + 1)
-            ]
+                counters[(code, j)] = [
+                    self._chi((STAR, j), k, theta) for k in range(1, self.delta + 1)
+                ]
         return counters
 
     # -- transition enumeration -------------------------------------------
-
-    def _enumerate(self, entry: dict, pins, pool: dict, accumulator: dict):
-        if self.variant in ("++", "+-"):
-            self._enumerate_vector(entry, pins, pool, accumulator)
-        else:
-            self._enumerate_counts(entry, pins, pool, accumulator)
 
     def _record(self, state, parts: list[Formula], table: int, accumulator: dict):
         machine = self.machine
@@ -662,8 +599,7 @@ class _Decompiler:
             self._charge()
             if idx == len(slots):
                 messages = []
-                for slot, count in zip(slots, chosen):
-                    code = slot if isinstance(slot, bytes) else slot[0]
+                for (code, _), count in zip(slots, chosen):
                     messages.extend([pool[code]["message"]] * count)
                 messages.extend(
                     [machine.null_message] * (self.delta - len(messages))
@@ -707,13 +643,7 @@ class _Decompiler:
                 raise DecompileError("decompilation needs a binary-output machine")
             if value == 1:
                 positive.append((entry["formula"], entry["table"]))
-        if positive:
-            formula = disj_all([f for f, _ in positive])
-            table = 0
-            for _, mask in positive:
-                table |= mask
-        else:
-            formula, table = false_(), 0
+        formula, table = _disjoin(positive)
         return DecompileResult(
             formula=formula,
             table=table,
@@ -724,11 +654,12 @@ class _Decompiler:
 
 
 def _check_variant_fit(machine: Machine, variant: str):
-    if variant in ("-+", "--") and machine.tag.inbox == VECTOR:
+    kind = variant_of(variant)
+    if not kind.in_visible and machine.tag.inbox == VECTOR:
         raise DecompileError(
             "count-based decompilation needs a multiset- or set-invariant machine"
         )
-    if variant in ("+-", "--") and machine.tag.outbox != BROADCAST:
+    if not kind.out_visible and machine.tag.outbox != BROADCAST:
         raise DecompileError("variants hiding the outgoing port need a broadcast machine")
 
 

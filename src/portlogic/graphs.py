@@ -23,6 +23,7 @@ __all__ = [
     "PortedGraph",
     "Matching",
     "PortValidation",
+    "PortlogicError",
     "GraphError",
     "GraphFormatError",
     "PortNumberingError",
@@ -53,7 +54,11 @@ __all__ = [
 ]
 
 
-class GraphError(ValueError):
+class PortlogicError(Exception):
+    """Base of the library's errors: invalid input or an exceeded budget."""
+
+
+class GraphError(PortlogicError, ValueError):
     """Invalid graph construction or operation precondition."""
 
 

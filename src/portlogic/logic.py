@@ -1,12 +1,14 @@
 """Modal formulas, their concrete syntax, and Kripke models of ported graphs.
 
 Formulas range over degree propositions q1..qD and diamonds indexed by port
-pairs.  An index pair may fix the incoming port, the outgoing port, both, or
-neither; the four shapes give four signature variants, written with the codes
-"++", "-+", "+-", "--".  A diamond may carry a grade k >= 1 (count at least k
-successors); grade 1 is the plain diamond, and grades above 1 are only legal
-in the two variants whose relations can have several successors per world
-("-+" and "--").
+pairs.  A signature variant is two visibility bits (``Variant``): does a
+diamond index see the incoming port, and does it see the outgoing port?
+``Variant.project`` maps a port pair to the index the variant sees, writing
+"*" for a hidden port.  The public API names the variants by the codes "++",
+"-+", "+-", "--" (incoming bit first); ``variant_of`` looks a code up.  A
+diamond may carry a grade k >= 1 (count at least k successors); grade 1 is
+the plain diamond, and grades above 1 are only legal when the incoming port
+is hidden, since a visible one pins down at most one successor.
 
 Concrete grammar (whitespace insignificant)::
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import PortedGraph
+from .graphs import PortedGraph, PortlogicError
 
 __all__ = [
     "Formula",
@@ -54,6 +56,8 @@ __all__ = [
     "SignatureMismatchError",
     "validate_signature",
     "VARIANTS",
+    "Variant",
+    "variant_of",
     "alphas_for",
     "KripkeModel",
     "kripke_model",
@@ -65,13 +69,36 @@ STAR = "*"
 VARIANTS = ("++", "-+", "+-", "--")
 
 
-class FormulaSyntaxError(ValueError):
+@dataclass(frozen=True)
+class Variant:
+    """Which ports a diamond index sees: the incoming one, the outgoing one."""
+
+    in_visible: bool
+    out_visible: bool
+
+    def project(self, i, j) -> tuple:
+        """Index under which this variant sees the port pair (i, j)."""
+        return (i if self.in_visible else STAR, j if self.out_visible else STAR)
+
+
+_BY_CODE = {code: Variant(code[0] == "+", code[1] == "+") for code in VARIANTS}
+
+
+def variant_of(code: str) -> Variant:
+    """The ``Variant`` written as ``code``, one of ``VARIANTS``."""
+    variant = _BY_CODE.get(code)
+    if variant is None:
+        raise ValueError(f"unknown variant {code!r}")
+    return variant
+
+
+class FormulaSyntaxError(PortlogicError, ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class SignatureMismatchError(ValueError):
+class SignatureMismatchError(PortlogicError, ValueError):
     pass
 
 
@@ -371,8 +398,7 @@ class Signature:
     variant: str
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        variant_of(self.variant)
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
 
@@ -380,18 +406,17 @@ class Signature:
     def allows_grading(self) -> bool:
         # Fixing the incoming port pins down at most one successor, so graded
         # diamonds only make sense when the incoming index is unconstrained.
-        return self.variant in ("-+", "--")
+        return not variant_of(self.variant).in_visible
 
 
 def alphas_for(variant: str, delta: int) -> list[tuple]:
-    rng = range(1, delta + 1)
-    if variant == "++":
-        return [(i, j) for i in rng for j in rng]
-    if variant == "-+":
-        return [(STAR, j) for j in rng]
-    if variant == "+-":
-        return [(i, STAR) for i in rng]
-    return [(STAR, STAR)]
+    kind = variant_of(variant)
+    ports = range(1, delta + 1)
+    return [
+        (i, j)
+        for i in (ports if kind.in_visible else (STAR,))
+        for j in (ports if kind.out_visible else (STAR,))
+    ]
 
 
 def validate_signature(formula: Formula, sig: Signature) -> list[str]:
@@ -475,27 +500,15 @@ def kripke_model(pg: PortedGraph, variant: str, delta: int | None = None) -> Kri
     port i; variants with a star take unions over the hidden index.  The
     valuation marks node degrees.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    kind = variant_of(variant)
     g = pg.graph
     if delta is None:
         delta = max(1, g.max_degree())
     if g.max_degree() > delta:
         raise SignatureMismatchError("graph degree exceeds requested delta")
-    base: dict[tuple, set] = {}
-    for (v, j), (u, i) in pg.numbering.items():
-        base.setdefault((i, j), set()).add((u, v))
     relations: dict[tuple, set] = {alpha: set() for alpha in alphas_for(variant, delta)}
-    for (i, j), pairs in base.items():
-        if variant == "++":
-            key = (i, j)
-        elif variant == "-+":
-            key = (STAR, j)
-        elif variant == "+-":
-            key = (i, STAR)
-        else:
-            key = (STAR, STAR)
-        relations[key] |= pairs
+    for (v, j), (u, i) in pg.numbering.items():
+        relations[kind.project(i, j)].add((u, v))
     valuation = {
         i: frozenset(v for v in range(g.n) if g.degree(v) == i)
         for i in range(1, delta + 1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .encoding import canon
-from .graphs import Graph, PortedGraph, star, cycle, path, complete
+from .graphs import Graph, PortedGraph, PortlogicError, star, cycle, path, complete
 from . import smallgraphs
 
 __all__ = [
@@ -63,7 +63,7 @@ _INBOX_KINDS = (VECTOR, MULTISET, SET)
 _OUTBOX_KINDS = (VECTOR, BROADCAST)
 
 
-class ExecutionError(RuntimeError):
+class ExecutionError(PortlogicError, RuntimeError):
     """Executor-level failure (not a timeout; timeouts are results)."""
 
 

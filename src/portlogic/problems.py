@@ -1,12 +1,16 @@
 """Graph problems as verifiers, and the machines that solve them.
 
-A problem is a name, a finite output alphabet and a total verifier over
-(graph, solution map); verifiers are the testable surface because solution
-sets grow exponentially.  The three problems here power the class
-separations: electing a leaf in a star (solvable with incoming sets only),
-counting odd-degree neighbours mod 2 (needs multiplicities), and producing a
-non-constant labelling on connected odd-regular graphs without a perfect
-matching (needs a consistent numbering).
+A problem is a name, a finite output alphabet, a graph-level ``applies(g)``
+and a ``verifier(g, solution)`` that judges only graphs the problem applies
+to.  ``check`` is the total verifier: every solution is valid on a graph the
+problem does not apply to.  Verifiers are the testable surface because
+solution sets grow exponentially, and keeping ``applies`` apart lets an
+audit over many candidate solutions decide it once per graph.  The three
+problems here power the class separations: electing a leaf in a star
+(solvable with incoming sets only), counting odd-degree neighbours mod 2
+(needs multiplicities), and producing a non-constant labelling on connected
+odd-regular graphs without a perfect matching (needs a consistent
+numbering).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "symmetry_break_machine",
     "nonconstant_on_unmatchable",
     "is_unmatchable_odd_regular",
-    "PROBLEMS",
     "MACHINES",
 ]
 
@@ -51,10 +54,11 @@ __all__ = [
 class GraphProblem:
     name: str
     outputs: tuple
+    applies: Callable[[Graph], bool]
     verifier: Callable[[Graph, Mapping[int, object]], bool]
 
     def check(self, g: Graph, solution: Mapping[int, object]) -> bool:
-        return self.verifier(g, solution)
+        return not self.applies(g) or self.verifier(g, solution)
 
 
 def _star_center(g: Graph) -> int | None:
@@ -72,17 +76,18 @@ def _star_center(g: Graph) -> int | None:
 def leaf_election() -> GraphProblem:
     """Exactly one leaf of a star outputs 1; non-stars are unconstrained."""
 
+    def applies(g: Graph) -> bool:
+        return _star_center(g) is not None
+
     def verifier(g: Graph, solution: Mapping[int, object]) -> bool:
         center = _star_center(g)
-        if center is None:
-            return True
         if solution[center] != 0:
             return False
         ones = [v for v in range(g.n) if v != center and solution[v] == 1]
         zeros = [v for v in range(g.n) if v != center and solution[v] == 0]
         return len(ones) == 1 and len(ones) + len(zeros) == g.n - 1
 
-    return GraphProblem("leaf_election", (0, 1), verifier)
+    return GraphProblem("leaf_election", (0, 1), applies, verifier)
 
 
 class _LeafElectionMachine(Machine):
@@ -134,7 +139,7 @@ def odd_odd() -> GraphProblem:
                 return False
         return True
 
-    return GraphProblem("odd_odd", (0, 1), verifier)
+    return GraphProblem("odd_odd", (0, 1), lambda g: True, verifier)
 
 
 class _OddOddMachine(Machine):
@@ -261,19 +266,14 @@ def is_unmatchable_odd_regular(g: Graph, node_cap: int = 24) -> bool:
 def nonconstant_on_unmatchable(node_cap: int = 24) -> GraphProblem:
     """Non-constant output required exactly on unmatchable odd-regular graphs."""
 
+    def applies(g: Graph) -> bool:
+        return is_unmatchable_odd_regular(g, node_cap)
+
     def verifier(g: Graph, solution: Mapping[int, object]) -> bool:
-        if not is_unmatchable_odd_regular(g, node_cap):
-            return True
         return len({solution[v] for v in range(g.n)}) > 1
 
-    return GraphProblem("nonconstant", (0, 1), verifier)
+    return GraphProblem("nonconstant", (0, 1), applies, verifier)
 
-
-PROBLEMS: dict[str, Callable[[], GraphProblem]] = {
-    "leaf_election": leaf_election,
-    "odd_odd": odd_odd,
-    "nonconstant": nonconstant_on_unmatchable,
-}
 
 MACHINES: dict[str, Callable[[int], Machine]] = {
     "leaf_election": leaf_election_machine,

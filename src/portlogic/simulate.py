@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .encoding import canon, digest
-from .graphs import PortedGraph
+from .graphs import PortedGraph, PortlogicError
 from .machines import (
     BROADCAST,
     MULTISET,
@@ -54,11 +54,11 @@ __all__ = [
 _EMPTY = digest(("cert", "empty"))
 
 
-class WrapperError(ValueError):
+class WrapperError(PortlogicError, ValueError):
     """Wrapped machine does not satisfy the transformer's precondition."""
 
 
-class HistoryBudgetError(RuntimeError):
+class HistoryBudgetError(PortlogicError, RuntimeError):
     """A history-augmented message outgrew the configured byte budget."""
 
 

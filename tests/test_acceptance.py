@@ -18,7 +18,7 @@ from portlogic.bisim import (
     coarsest_graded_bisimulation,
     verify_bisimulation,
 )
-from portlogic.cli import _separation_parity, _separation_regular, _separation_star
+from portlogic.cli import separation
 from portlogic.compiler import ModelSuite, compile_formula, decompile_details
 from portlogic.graphs import (
     PortedGraph,
@@ -261,15 +261,15 @@ def test_criterion_4_multiset_from_vector_collapse():
 
 
 @pytest.mark.parametrize(
-    "builder,expected_class",
+    "demo,expected_class",
     [
-        (_separation_star, "vb"),
-        (_separation_parity, "sb"),
-        (_separation_regular, "vv"),
+        ("star", "vb"),
+        ("parity", "sb"),
+        ("regular", "vv"),
     ],
 )
-def test_criterion_5_separation_certificates(builder, expected_class):
-    doc = builder(SUITE_SEED)
+def test_criterion_5_separation_certificates(demo, expected_class):
+    doc = separation(demo, SUITE_SEED)
     assert doc["positive_runs_valid"] is True
     certificate = doc["certificate"]
     assert isinstance(certificate, Refutation)

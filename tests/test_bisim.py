@@ -1,5 +1,6 @@
 """Refinement, direct verification, and the impossibility checker."""
 
+import dataclasses
 import random
 
 import pytest
@@ -231,6 +232,25 @@ def test_impossibility_inconclusive_when_solution_constant_on_x():
     )
     assert isinstance(result, Inconclusive)
     assert result.witness is not None
+
+
+def test_impossibility_decides_applies_once():
+    calls = {"applies": 0, "verifier": 0}
+    problem = leaf_election()
+
+    def applies(g):
+        calls["applies"] += 1
+        return problem.applies(g)
+
+    def verifier(g, solution):
+        calls["verifier"] += 1
+        return problem.verifier(g, solution)
+
+    spy = dataclasses.replace(problem, applies=applies, verifier=verifier)
+    g = cycle(4)  # not a star: every candidate is valid, the first constant on X
+    result = impossibility_check(g, [0, 1], spy, "sb", consistent_port_numbering(g, 0))
+    assert result == Inconclusive("a valid solution is constant on X", {0: 0, 1: 0})
+    assert calls == {"applies": 1, "verifier": 0}
 
 
 def test_impossibility_budget():

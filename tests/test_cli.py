@@ -164,7 +164,7 @@ def test_verify_machine_conformance(star3_pn, capsys):
     assert doc["conformance"]["ok"] is True
 
 
-@pytest.mark.parametrize("demo", ["star", "parity"])
+@pytest.mark.parametrize("demo", ["star", "parity", "regular"])
 def test_separate_demos(demo, capsys):
     code, out = run_cli(["separate", demo, "--json"], capsys)
     assert code == 0
@@ -177,6 +177,24 @@ def test_separate_demos(demo, capsys):
 def test_missing_variant_is_reported(star3_pn, capsys):
     code = main(["check", "--graph", star3_pn, "--formula", "q1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--graph", "{g}", "--formula", "<1,1", "--variant", "++"],
+        ["gen", "--family", "star", "--k", "0"],
+        ["gen", "--family", "star", "--numbering", "symmetric"],
+        ["run", "--graph", "{g}", "--machine", "odd_odd", "--delta", "1"],
+    ],
+    ids=["formula-syntax", "graph", "matching", "degree"],
+)
+def test_library_errors_exit_2_with_one_line(argv, star3_g, capsys):
+    code = main([arg.replace("{g}", star3_g) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_unknown_machine(star3_g, capsys):

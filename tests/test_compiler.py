@@ -205,6 +205,9 @@ def test_decompile_refuses_vector_machine_for_count_variants():
         decompile(machine, 2, 2, "-+", node_bound=2)
     with pytest.raises(DecompileError):
         decompile(machine, 2, 2, "--", node_bound=2)
+    # the outbox side: a vector-outbox machine cannot hide the outgoing port
+    with pytest.raises(DecompileError):
+        decompile(machine, 2, 2, "+-", node_bound=2)
 
 
 def test_decompile_refuses_budget_overrun():
