@@ -76,13 +76,6 @@ def _load_ported(name: str, args) -> PortedGraph:
     return PortedGraph(g, random_port_numbering(g, seed))
 
 
-def _signature(delta: int, variant: str) -> Signature:
-    try:
-        return Signature(delta, variant)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _machine_for(args, delta: int):
     names = []
     if getattr(args, "machine", None):
@@ -92,7 +85,7 @@ def _machine_for(args, delta: int):
     if len(names) != 1:
         raise CliError("give exactly one of --machine or --formula")
     if getattr(args, "formula", None):
-        sig = _signature(args.delta or delta, args.variant or "--")
+        sig = Signature(args.delta or delta, args.variant or "--")
         return compiler_mod.compile_formula(parse(args.formula), sig)
     name = args.machine
     base = name
@@ -169,7 +162,7 @@ def cmd_check(args) -> int:
 def cmd_compile(args) -> int:
     started = time.perf_counter()
     formula = parse(args.formula)
-    machine = compiler_mod.compile_formula(formula, _signature(args.delta, args.variant))
+    machine = compiler_mod.compile_formula(formula, Signature(args.delta, args.variant))
     report = check_class_conformance(machine, samples=100, seed=args.seed)
     return _report(
         args,

@@ -675,6 +675,8 @@ def decompile_details(
     max_visits: int = 2_000_000,
 ) -> DecompileResult:
     """Reverse compilation with full diagnostics (families and tables)."""
+    if delta < 1:
+        raise DecompileError("delta must be at least 1")
     if delta > machine.delta_max:
         raise DecompileError("delta exceeds the machine's declared bound")
     _check_variant_fit(machine, variant)

@@ -54,6 +54,7 @@ __all__ = [
     "FormulaSyntaxError",
     "Signature",
     "SignatureMismatchError",
+    "SignatureError",
     "validate_signature",
     "VARIANTS",
     "Variant",
@@ -88,7 +89,7 @@ def variant_of(code: str) -> Variant:
     """The ``Variant`` written as ``code``, one of ``VARIANTS``."""
     variant = _BY_CODE.get(code)
     if variant is None:
-        raise ValueError(f"unknown variant {code!r}")
+        raise SignatureError(f"unknown variant {code!r}")
     return variant
 
 
@@ -100,6 +101,10 @@ class FormulaSyntaxError(PortlogicError, ValueError):
 
 class SignatureMismatchError(PortlogicError, ValueError):
     pass
+
+
+class SignatureError(PortlogicError, ValueError):
+    """A signature with an unknown variant code or a delta below 1."""
 
 
 class Formula:
@@ -400,7 +405,7 @@ class Signature:
     def __post_init__(self):
         variant_of(self.variant)
         if self.delta < 1:
-            raise ValueError("delta must be at least 1")
+            raise SignatureError("delta must be at least 1")
 
     @property
     def allows_grading(self) -> bool:

@@ -5,6 +5,10 @@ every graph up to a node bound, under every numbering when that is feasible
 and under a seeded sample otherwise.  The number of numberings of a graph is
 the product of deg(v)!^2 over its nodes, so exhaustion is capped and sampling
 takes over beyond the cap.
+
+Each isomorphism class on n nodes is its least edge mask, bit k standing for
+pair k of ``itertools.combinations(range(n), 2)``; flagging each new mask's
+orbit costs n! images per class plus 2^(n(n-1)/2) flag checks, hence a 7-node cap.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
+from operator import or_
 from typing import Iterator
 
 from .graphs import (
     Graph,
     GraphError,
     PortNumbering,
+    SearchBoundError,
     consistent_port_numbering,
     random_port_numbering,
 )
@@ -31,6 +37,7 @@ __all__ = [
 ]
 
 ISO_NODE_CAP = 8
+MAX_NODES = 7
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -49,69 +56,61 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     }
     order = sorted(range(g1.n), key=lambda v: len(candidates[v]))
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
     def extend(idx: int) -> bool:
         if idx == len(order):
             return True
         v = order[idx]
         for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if g1.has_edge(v, u) != g2.has_edge(w, x):
-                    ok = False
-                    break
-            if ok:
+            if w not in mapping.values() and all(
+                g1.has_edge(v, u) == g2.has_edge(w, x) for u, x in mapping.items()
+            ):
                 mapping[v] = w
-                used.add(w)
                 if extend(idx + 1):
                     return True
                 del mapping[v]
-                used.discard(w)
         return False
 
     return extend(0)
 
 
-def _graphs_on(n: int, max_degree: int | None) -> list[Graph]:
+def _graphs_on(n: int) -> Iterator[Graph]:
+    """Each isomorphism class on n nodes once, as its least edge mask."""
     pairs = list(itertools.combinations(range(n), 2))
-    found: dict[tuple, list[Graph]] = {}
-    out: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        degs = [0] * n
-        for u, v in edges:
-            degs[u] += 1
-            degs[v] += 1
-        if max_degree is not None and max(degs, default=0) > max_degree:
-            continue
-        g = Graph.from_edges(n, edges)
-        key = (
-            tuple(sorted(degs)),
-            tuple(sorted(tuple(sorted(g.degree(u) for u in g.adjacency[v])) for v in range(n))),
-        )
-        bucket = found.setdefault(key, [])
-        if any(are_isomorphic(g, h) for h in bucket):
-            continue
-        bucket.append(g)
-        out.append(g)
-    return out
+    index = {pair: k for k, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    # images[k][p]: the bit of pair k's image under the p-th vertex permutation
+    images = [[1 << index[min(p[u], p[v]), max(p[u], p[v])] for p in perms] for u, v in pairs]
+    seen = bytearray(1 << len(pairs))
+    mask = 0
+    while mask >= 0:
+        bits = [k for k in range(len(pairs)) if mask >> k & 1]
+        orbit = [0] * len(perms)
+        for k in bits:
+            orbit = list(map(or_, orbit, images[k]))
+        for image in orbit:
+            seen[image] = 1
+        yield Graph.from_edges(n, [pairs[k] for k in bits])
+        mask = seen.find(0, mask + 1)
 
 
 @lru_cache(maxsize=None)
 def all_graphs(
     max_nodes: int, max_degree: int | None = None, connected: bool = False
 ) -> tuple[Graph, ...]:
-    """All non-isomorphic graphs with 1..max_nodes nodes (cached)."""
-    result: list[Graph] = []
-    for n in range(1, max_nodes + 1):
-        for g in _graphs_on(n, max_degree):
-            if connected and not g.is_connected():
-                continue
-            result.append(g)
-    return tuple(result)
+    """All non-isomorphic graphs with 1..max_nodes nodes (cached).
+
+    Each class once, as its least edge mask, by node count and then by mask;
+    the filters only drop classes.  Costs n! images per class plus
+    2^(n(n-1)/2) flag checks per n; above 7 nodes raises ``SearchBoundError``.
+    """
+    if max_nodes > MAX_NODES:
+        raise SearchBoundError(f"graph enumeration capped at {MAX_NODES} nodes")
+    graphs = (g for n in range(1, max_nodes + 1) for g in _graphs_on(n))
+    return tuple(
+        g for g in graphs
+        if (max_degree is None or g.max_degree() <= max_degree) and (not connected or g.is_connected())
+    )
 
 
 def count_port_numberings(g: Graph) -> int:

@@ -186,8 +186,16 @@ def test_missing_variant_is_reported(star3_pn, capsys):
         ["gen", "--family", "star", "--k", "0"],
         ["gen", "--family", "star", "--numbering", "symmetric"],
         ["run", "--graph", "{g}", "--machine", "odd_odd", "--delta", "1"],
+        ["compile", "--formula", "q1", "--variant", "--", "--delta", "0"],
+        ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
+         "--delta", "0", "--node-bound", "2"],
+        ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
+         "--delta", "-1", "--node-bound", "2"],
+        ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
+         "--delta", "2", "--node-bound", "8"],
     ],
-    ids=["formula-syntax", "graph", "matching", "degree"],
+    ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
+         "decompile-delta-0", "decompile-delta-negative", "node-cap"],
 )
 def test_library_errors_exit_2_with_one_line(argv, star3_g, capsys):
     code = main([arg.replace("{g}", star3_g) for arg in argv])

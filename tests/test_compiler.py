@@ -210,6 +210,12 @@ def test_decompile_refuses_vector_machine_for_count_variants():
         decompile(machine, 2, 2, "+-", node_bound=2)
 
 
+@pytest.mark.parametrize("delta", [0, -1])
+def test_decompile_refuses_delta_below_one(delta):
+    with pytest.raises(DecompileError):
+        decompile_details(odd_odd_machine(2), delta, 2, "--", node_bound=2)
+
+
 def test_decompile_refuses_budget_overrun():
     machine = odd_odd_machine(2)
     with pytest.raises(DecompileBudgetError):

@@ -1,5 +1,8 @@
 """Graphs, numberings, factorizations, generators, file formats."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,7 @@ from portlogic.graphs import (
     PortNumbering,
     PortNumberingError,
     PortedGraph,
+    PortlogicError,
     SearchBoundError,
     bipartite_double_cover,
     bipartition,
@@ -283,10 +287,62 @@ def test_numbering_enumeration_count():
 
 
 def test_all_graphs_enumeration_counts():
-    # non-isomorphic graph counts on 1..4 nodes: 1, 2, 4, 11
-    per_size = {}
-    for g in all_graphs(4):
-        per_size[g.n] = per_size.get(g.n, 0) + 1
-    assert per_size == {1: 1, 2: 2, 3: 4, 4: 11}
-    connected = [g for g in all_graphs(4, connected=True)]
-    assert sum(1 for g in connected if g.n == 4) == 6
+    # non-isomorphic graph counts on 1..6 nodes (OEIS A000088 and A001349)
+    assert Counter(g.n for g in all_graphs(6)) == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+    connected = Counter(g.n for g in all_graphs(6, connected=True))
+    assert connected == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
+def _edge_mask(g: Graph, relabel=None) -> int:
+    pairs = list(itertools.combinations(range(g.n), 2))
+    relabel = relabel or range(g.n)
+    return sum(
+        1 << pairs.index(tuple(sorted((relabel[u], relabel[v])))) for u, v in g.edges()
+    )
+
+
+def test_all_graphs_lists_least_mask_of_each_orbit_in_order():
+    graphs = all_graphs(6)
+    for g in graphs:
+        mask = _edge_mask(g)
+        assert mask == min(_edge_mask(g, p) for p in itertools.permutations(range(g.n)))
+    keys = [(g.n, _edge_mask(g)) for g in graphs]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("max_degree", [None, 1, 2, 3])
+@pytest.mark.parametrize("max_nodes", range(1, 7))
+def test_all_graphs_filters_the_unfiltered_enumeration(max_nodes, max_degree, connected):
+    expected = tuple(
+        g
+        for g in all_graphs(max_nodes)
+        if (max_degree is None or g.max_degree() <= max_degree)
+        and (not connected or g.is_connected())
+    )
+    assert all_graphs(max_nodes, max_degree=max_degree, connected=connected) == expected
+
+
+def _first_of_class(n: int, max_degree: int | None) -> list[Graph]:
+    """Reference: keep each mask unless are_isomorphic matches an earlier one."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out: list[Graph] = []
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+        if max_degree is not None and g.max_degree() > max_degree:
+            continue
+        if not any(are_isomorphic(g, h) for h in out):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("max_degree", [None, 2, 3])
+def test_all_graphs_matches_first_of_class_reference(max_degree):
+    expected = tuple(g for n in range(1, 6) for g in _first_of_class(n, max_degree))
+    assert all_graphs(5, max_degree=max_degree) == expected
+
+
+def test_all_graphs_refuses_more_than_seven_nodes():
+    with pytest.raises(SearchBoundError) as caught:
+        all_graphs(8)
+    assert isinstance(caught.value, PortlogicError)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import cached_model, naive_holds, random_formula, sweep
 from portlogic.graphs import (
     PortNumbering,
+    PortlogicError,
     PortedGraph,
     consistent_port_numbering,
     cycle,
@@ -23,6 +24,7 @@ from portlogic.logic import (
     KripkeModel,
     Not,
     Signature,
+    SignatureError,
     SignatureMismatchError,
     STAR,
     conj,
@@ -37,6 +39,7 @@ from portlogic.logic import (
     prop,
     true_,
     validate_signature,
+    variant_of,
 )
 
 
@@ -95,6 +98,14 @@ def test_signature_validation():
     assert not validate_signature(parse("<*,*;2>q1"), Signature(3, "--"))
     with pytest.raises(ValueError):
         Signature(3, "+*")
+
+
+@pytest.mark.parametrize("build", [lambda: Signature(0, "--"), lambda: variant_of("+*")])
+def test_signature_errors_share_the_library_base(build):
+    with pytest.raises(SignatureError) as caught:
+        build()
+    assert isinstance(caught.value, PortlogicError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_kripke_model_star_variant_is_edge_relation():
