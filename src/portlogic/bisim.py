@@ -40,6 +40,7 @@ __all__ = [
     "Inconclusive",
     "impossibility_check",
     "EnumerationBudgetError",
+    "ImpossibilityInputError",
     "CLASS_VARIANTS",
 ]
 
@@ -52,6 +53,10 @@ class NonEquivalenceError(PortlogicError, ValueError):
 
 class EnumerationBudgetError(PortlogicError, RuntimeError):
     """Solution enumeration would exceed the configured budget."""
+
+
+class ImpossibilityInputError(PortlogicError, ValueError):
+    """Unknown machine class, or X not a nonempty set of graph nodes."""
 
 
 @dataclass(frozen=True)
@@ -331,10 +336,10 @@ def impossibility_check(
     hypothesis.
     """
     if machine_class not in CLASS_VARIANTS:
-        raise ValueError(f"machine class must be one of {sorted(CLASS_VARIANTS)}")
+        raise ImpossibilityInputError(f"machine class must be one of {sorted(CLASS_VARIANTS)}")
     xs = tuple(sorted(set(x_nodes)))
     if not xs or any(not 0 <= v < g.n for v in xs):
-        raise ValueError("X must be a nonempty set of graph nodes")
+        raise ImpossibilityInputError("X must be a nonempty set of graph nodes")
     variant = CLASS_VARIANTS[machine_class]
     model = kripke_model(PortedGraph(g, p), variant)
     partition = coarsest_bisimulation(model)

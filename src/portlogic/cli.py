@@ -76,6 +76,15 @@ def _load_ported(name: str, args) -> PortedGraph:
     return PortedGraph(g, random_port_numbering(g, seed))
 
 
+def _delta(args, pg: PortedGraph) -> int:
+    """``--delta`` when given, else the graph's maximum degree (at least 1)."""
+    if args.delta is None:
+        return max(1, pg.graph.max_degree())
+    if args.delta < 1:
+        raise CliError("--delta must be at least 1")
+    return args.delta
+
+
 def _machine_for(args, delta: int):
     names = []
     if getattr(args, "machine", None):
@@ -85,7 +94,7 @@ def _machine_for(args, delta: int):
     if len(names) != 1:
         raise CliError("give exactly one of --machine or --formula")
     if getattr(args, "formula", None):
-        sig = Signature(args.delta or delta, args.variant or "--")
+        sig = Signature(delta, args.variant or "--")
         return compiler_mod.compile_formula(parse(args.formula), sig)
     name = args.machine
     base = name
@@ -100,7 +109,7 @@ def _machine_for(args, delta: int):
         raise CliError(
             f"unknown machine {base!r}; available: {', '.join(sorted(problems_mod.MACHINES))}"
         )
-    machine = problems_mod.MACHINES[base](args.delta or delta)
+    machine = problems_mod.MACHINES[base](delta)
     if wrapper is not None:
         machine = wrapper(machine)
     return machine
@@ -120,9 +129,10 @@ def _report(args, doc: dict) -> int:
 
 def cmd_run(args) -> int:
     started = time.perf_counter()
+    if args.max_rounds < 0:
+        raise CliError("--max-rounds must be at least 0")
     pg = _load_ported(args.graph, args)
-    delta = max(1, pg.graph.max_degree())
-    machine = _machine_for(args, delta)
+    machine = _machine_for(args, _delta(args, pg))
     result = run_machine(machine, pg, args.max_rounds, record_messages=args.trace)
     doc = {
         "inputs": {"graph": args.graph, "nodes": pg.graph.n, "seed": getattr(args, "seed", 0)},
@@ -147,8 +157,7 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     pg = _load_ported(args.graph, args)
     formula = parse(args.formula)
-    delta = args.delta or max(1, pg.graph.max_degree())
-    worlds = eval_formula(kripke_model(pg, args.variant, delta), formula)
+    worlds = eval_formula(kripke_model(pg, args.variant, _delta(args, pg)), formula)
     return _report(
         args,
         {
@@ -332,8 +341,11 @@ def cmd_gen(args) -> int:
             p = symmetric_port_numbering(g)
         text = format_ported(PortedGraph(g, p))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write graph: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -348,8 +360,10 @@ def cmd_verify(args) -> int:
         raise CliError(f"invalid ported graph: {exc}") from exc
     check = validate_port_numbering(pg.graph, pg.numbering)
     doc["port_numbering"] = {"ok": check.ok, "violation": check.violation}
-    if args.machine:
-        machine = _machine_for(args, max(1, pg.graph.max_degree()))
+    delta = _delta(args, pg)
+    report = None
+    if args.machine or args.formula:
+        machine = _machine_for(args, delta)
         report = check_class_conformance(machine, samples=args.samples, seed=args.seed)
         doc["conformance"] = {
             "machine": machine.name,
@@ -362,7 +376,7 @@ def cmd_verify(args) -> int:
             doc["first_violation"] = repr(report.violations[0])
     doc["timing"] = round(time.perf_counter() - started, 6)
     code = _report(args, doc)
-    if not check.ok or (args.machine and not report.ok):
+    if not check.ok or (report is not None and not report.ok):
         return EXIT_VALIDATION
     return code
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .encoding import canon
 from .graphs import PortedGraph, PortlogicError, consistent_port_numbering, random_port_numbering
 from .logic import (
     STAR,
@@ -62,10 +63,12 @@ from .logic import (
 from .machines import (
     BROADCAST,
     MULTISET,
+    NO_MESSAGE,
     SET,
     VECTOR,
     ClassTag,
     Machine,
+    canonical_inbox,
 )
 from .smallgraphs import all_graphs
 
@@ -232,7 +235,6 @@ class CompiledMachine(Machine):
         if state[self._root] != U:
             return state[self._root]
         g = list(state)
-        null = self.null_message
         in_visible, out_visible = self.kind.in_visible, self.kind.out_visible
         for k, node in enumerate(self._nodes):
             if g[k] != U:
@@ -254,7 +256,7 @@ class CompiledMachine(Machine):
                 hits = sum(
                     1
                     for m in ((inbox[i - 1],) if in_visible else inbox)
-                    if m != null and (not out_visible or m[1] == j) and m[-1][pos] == 1
+                    if m != NO_MESSAGE and (not out_visible or m[1] == j) and m[-1][pos] == 1
                 )
                 g[k] = 1 if hits >= grade else 0
         return tuple(g)
@@ -387,7 +389,7 @@ class _Interner:
 
 
 def _state_key(machine: Machine, state) -> tuple:
-    return (machine.is_output(state), machine.encode_state(state))
+    return (machine.is_output(state), canon(state))
 
 
 def _disjoin(pairs: list[tuple[Formula, int]]) -> tuple[Formula, int]:
@@ -453,14 +455,13 @@ class _Decompiler:
         """Distinct non-null messages sent from live states, with senders."""
         machine = self.machine
         ports = range(1, self.delta + 1)
-        null_code = machine.encode_message(machine.null_message)
         pool: dict[bytes, dict] = {}
         for entry in live:
             for j in ports:
                 m = machine.emit_absorbing(entry["state"], j)
-                code = machine.encode_message(m)
-                if code == null_code:
+                if m == NO_MESSAGE:
                     continue
+                code = canon(m)
                 slot = pool.setdefault(code, {"message": m, "senders": {}})
                 slot["senders"].setdefault(j, []).append(entry)
         if len(pool) > self.max_messages:
@@ -553,15 +554,18 @@ class _Decompiler:
         machine = self.machine
         codes = [None] + sorted(pool)
         chosen: list[bytes | None] = []
+        padding = (NO_MESSAGE,) * (machine.delta_max - self.delta)
 
         def recurse(position: int, table: int, parts: list[Formula]):
             self._charge()
             if position == self.delta:
                 inbox = tuple(
-                    pool[c]["message"] if c is not None else machine.null_message
+                    pool[c]["message"] if c is not None else NO_MESSAGE
                     for c in chosen
+                ) + padding
+                state = machine.transition_absorbing(
+                    entry["state"], canonical_inbox(machine.tag.inbox, inbox)
                 )
-                state = machine.transition_absorbing(entry["state"], inbox)
                 self._record(state, parts, table, accumulator)
                 return
             row = pins[position]
@@ -601,11 +605,10 @@ class _Decompiler:
                 messages = []
                 for (code, _), count in zip(slots, chosen):
                     messages.extend([pool[code]["message"]] * count)
-                messages.extend(
-                    [machine.null_message] * (self.delta - len(messages))
+                messages.extend([NO_MESSAGE] * (machine.delta_max - len(messages)))
+                state = machine.transition_absorbing(
+                    entry["state"], canonical_inbox(machine.tag.inbox, tuple(messages))
                 )
-                messages.sort(key=machine.encode_message)
-                state = machine.transition_absorbing(entry["state"], tuple(messages))
                 self._record(state, parts, table, accumulator)
                 return
             grades = counters[slots[idx]]

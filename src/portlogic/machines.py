@@ -1,10 +1,11 @@
 """Distributed state machines and their round-synchronous executor.
 
-A machine supplies init/emit/transition as code together with canonical
-encoders for its states and messages; the executor only ever materialises
-states that are actually reached, so infinite state or message spaces are
-fine.  Each machine carries a class tag declaring its inbox discipline
-(vector / multiset / set) and outbox discipline (vector / broadcast).
+A machine supplies init/emit/transition as code; states and messages are
+encoded by ``encoding.canon`` and nothing else.  The executor only ever
+materialises states that are actually reached, so infinite state or message
+spaces are fine.  Each machine carries a class tag declaring its inbox
+discipline (vector / multiset / set) and outbox discipline (vector /
+broadcast).
 
 Execution follows the synchronous recursion: the message arriving at port
 (u, i) in round t+1 is emit(x_t(v), j) where (v, j) is the port wired to
@@ -42,6 +43,7 @@ __all__ = [
     "SimpleMachine",
     "ExecutionError",
     "DegreeError",
+    "ClassTagError",
     "inbox_view",
     "canonical_inbox",
     "run",
@@ -71,6 +73,10 @@ class DegreeError(ExecutionError):
     """Graph maximum degree exceeds the machine's declared delta."""
 
 
+class ClassTagError(PortlogicError, ValueError):
+    """Unknown inbox or outbox discipline."""
+
+
 @dataclass(frozen=True)
 class ClassTag:
     """Inbox/outbox discipline of a machine.
@@ -85,9 +91,9 @@ class ClassTag:
 
     def __post_init__(self):
         if self.inbox not in _INBOX_KINDS:
-            raise ValueError(f"unknown inbox discipline {self.inbox!r}")
+            raise ClassTagError(f"unknown inbox discipline {self.inbox!r}")
         if self.outbox not in _OUTBOX_KINDS:
-            raise ValueError(f"unknown outbox discipline {self.outbox!r}")
+            raise ClassTagError(f"unknown outbox discipline {self.outbox!r}")
 
     @property
     def code(self) -> str:
@@ -101,14 +107,14 @@ class Machine:
 
     Subclasses define ``delta_max``, ``tag``, ``init_state``, ``emit``,
     ``transition`` and ``is_output``.  States and messages must be hashable
-    and canonically encodable (the defaults below use the structural
-    encoder).  ``output_value`` maps a stopping state to the reported output;
-    wrappers override it to unwrap their own markers.
+    and encodable by ``encoding.canon``, the one encoding the executor,
+    traces, conformance probes and the decompiler use; ``NO_MESSAGE`` is the
+    one null message.  ``output_value`` maps a stopping state to the
+    reported output; wrappers override it to unwrap their own markers.
     """
 
     delta_max: int
     tag: ClassTag
-    null_message = NO_MESSAGE
     outputs: frozenset | None = None
     name: str = ""
 
@@ -127,17 +133,11 @@ class Machine:
     def output_value(self, state):
         return state
 
-    def encode_state(self, state) -> bytes:
-        return canon(state)
-
-    def encode_message(self, message) -> bytes:
-        return canon(message)
-
     # Absorption wrappers: a stopped node sends nothing and never moves.
 
     def emit_absorbing(self, state, port: int):
         if self.is_output(state):
-            return self.null_message
+            return NO_MESSAGE
         return self.emit(state, port)
 
     def transition_absorbing(self, state, inbox: tuple):
@@ -182,7 +182,7 @@ class SimpleMachine(Machine):
         return self._is_output(state)
 
 
-def inbox_view(tag, inbox: tuple, encode: Callable[[object], bytes] = canon):
+def inbox_view(tag, inbox: tuple):
     """The view a machine class sees of a padded inbox.
 
     Vector view is the inbox itself; the multiset view maps messages to
@@ -196,31 +196,32 @@ def inbox_view(tag, inbox: tuple, encode: Callable[[object], bytes] = canon):
     if kind == MULTISET:
         counts: dict[bytes, list] = {}
         for m in inbox:
-            slot = counts.setdefault(encode(m), [m, 0])
+            slot = counts.setdefault(canon(m), [m, 0])
             slot[1] += 1
         return tuple((m, c) for _, (m, c) in sorted(counts.items()))
     if kind == SET:
         seen: dict[bytes, object] = {}
         for m in inbox:
-            seen.setdefault(encode(m), m)
+            seen.setdefault(canon(m), m)
         return tuple(m for _, m in sorted(seen.items()))
-    raise ValueError(f"unknown inbox discipline {kind!r}")
+    raise ClassTagError(f"unknown inbox discipline {kind!r}")
 
 
-def canonical_inbox(machine: Machine, inbox: tuple) -> tuple:
-    """Fixed-length realisation of the machine's view of the inbox.
+def canonical_inbox(kind: str, inbox: tuple) -> tuple:
+    """Fixed-length realisation of inbox discipline ``kind``'s view.
 
+    This is the one realisation every transition receives, from the
+    executor, the class-collapsing wrappers and the decompiler alike.
     Multiset: the inbox sorted by message encoding.  Set: distinct messages
     sorted, padded back to full length by repeating the last one (this keeps
     the set of entries unchanged).  Vector: untouched.
     """
-    kind = machine.tag.inbox
     if kind == VECTOR:
         return inbox
     if kind == MULTISET:
-        return tuple(sorted(inbox, key=machine.encode_message))
-    distinct = inbox_view(SET, inbox, machine.encode_message)
-    return distinct + (distinct[-1],) * (len(inbox) - len(distinct))
+        return tuple(sorted(inbox, key=canon))
+    distinct = inbox_view(SET, inbox)
+    return distinct + distinct[-1:] * (len(inbox) - len(distinct))
 
 
 @dataclass
@@ -264,7 +265,7 @@ def run(
         )
     p = ported.numbering
     delta = machine.delta_max
-    null = machine.null_message
+    kind = machine.tag.inbox
     incoming = [
         [p.source(u, i) for i in range(1, g.degree(u) + 1)] for u in range(g.n)
     ]
@@ -280,7 +281,7 @@ def run(
             inbox = [
                 machine.emit_absorbing(states[v], j) for (v, j) in incoming[u]
             ]
-            inbox += [null] * (delta - len(inbox))
+            inbox += [NO_MESSAGE] * (delta - len(inbox))
             inboxes.append(tuple(inbox))
         if record_messages:
             trace.messages.append(tuple(inboxes))
@@ -290,7 +291,7 @@ def run(
                 new_states.append(states[u])
             else:
                 new_states.append(
-                    machine.transition(states[u], canonical_inbox(machine, inboxes[u]))
+                    machine.transition(states[u], canonical_inbox(kind, inboxes[u]))
                 )
         states = new_states
         stopped = [machine.is_output(s) for s in states]
@@ -310,13 +311,13 @@ def trace_to_json(machine: Machine, result: RunResult) -> dict:
         "stopped": result.stopped,
         "rounds": result.rounds,
         "states": [
-            [machine.encode_state(s).hex() for s in snapshot]
+            [canon(s).hex() for s in snapshot]
             for snapshot in result.trace.states
         ],
     }
     if result.trace.messages is not None:
         doc["messages"] = [
-            [[machine.encode_message(m).hex() for m in inbox] for inbox in round_msgs]
+            [[canon(m).hex() for m in inbox] for inbox in round_msgs]
             for round_msgs in result.trace.messages
         ]
     return doc
@@ -384,14 +385,14 @@ def check_class_conformance(
                     state = snapshot[u]
                     if not machine.is_output(state):
                         observations.append((state, inbox))
-                        live_states.setdefault(machine.encode_state(state), state)
+                        live_states.setdefault(canon(state), state)
 
     report = ConformanceReport(ok=True, probes=0)
     if machine.tag.outbox == BROADCAST:
         for state in live_states.values():
             report.probes += 1
             msgs = [machine.emit(state, i) for i in range(1, machine.delta_max + 1)]
-            codes = {machine.encode_message(m) for m in msgs}
+            codes = {canon(m) for m in msgs}
             if len(codes) > 1:
                 report.ok = False
                 report.violations.append(
@@ -407,7 +408,7 @@ def check_class_conformance(
             rng.shuffle(shuffled)
             variants.append(tuple(shuffled))
             if machine.tag.inbox == SET:
-                distinct = list(inbox_view(SET, inbox, machine.encode_message))
+                distinct = list(inbox_view(SET, inbox))
                 extra = len(inbox) - len(distinct)
                 redistributed = distinct + [
                     distinct[rng.randrange(len(distinct))] for _ in range(extra)
@@ -417,7 +418,7 @@ def check_class_conformance(
             report.probes += 1
             for alt in variants:
                 other = machine.transition(state, alt)
-                if machine.encode_state(base) != machine.encode_state(other):
+                if canon(base) != canon(other):
                     report.ok = False
                     report.violations.append(
                         ConformanceViolation(

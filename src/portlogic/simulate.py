@@ -22,7 +22,10 @@ machine of a weaker class with local overhead only:
 
 Certificates are hash-consed: a certificate is represented by a structural
 digest, so equality tests are exact while messages stay small.  Histories are
-kept verbatim (no compression) behind a configurable byte budget.
+kept verbatim (no compression) behind a configurable byte budget on the
+``canon`` encoding of each history message.  Wrappers hand their base machine
+the inbox ``machines.canonical_inbox`` realises for the base's discipline, as
+the executor would.
 """
 
 from __future__ import annotations
@@ -35,10 +38,12 @@ from .graphs import PortedGraph, PortlogicError
 from .machines import (
     BROADCAST,
     MULTISET,
+    NO_MESSAGE,
     SET,
     VECTOR,
     ClassTag,
     Machine,
+    canonical_inbox,
 )
 
 __all__ = [
@@ -64,6 +69,9 @@ class HistoryBudgetError(PortlogicError, RuntimeError):
 
 def _next_cert(cert: bytes, received: frozenset) -> bytes:
     return digest(("cert", cert, received))
+
+
+_FIRST = _next_cert(_EMPTY, frozenset())
 
 
 @dataclass(frozen=True)
@@ -126,76 +134,69 @@ def indistinguishability_preprocess(pg: PortedGraph, delta: int) -> SymmetryTrac
     return SymmetryTrace(delta, tuple(beta), tuple(received))
 
 
-class _SetFromMultiset(Machine):
-    """Preamble then simulation with triple-tagged payloads (set inbox)."""
+class _Simulation(Machine):
+    """A machine of a weaker class that simulates ``base``.
 
-    def __init__(self, base: Machine):
-        if base.tag.inbox not in (MULTISET, SET):
-            raise WrapperError("set_from_multiset needs a multiset-invariant machine")
+    A stopped base state s becomes the wrapper's stopping state ("out", s);
+    every other wrapper state is ("sim", s, ...) or a preamble state.
+    """
+
+    def __init__(self, base: Machine, tag: ClassTag, kind: str):
         self.base = base
         self.delta_max = base.delta_max
-        self.tag = ClassTag(SET, VECTOR)
         self.outputs = base.outputs
-        self.name = f"set_from_multiset({base.name})"
-        self._preamble = 2 * base.delta_max
+        self.name = f"{kind}({base.name})"
+        self.tag = tag
 
-    def init_state(self, degree: int):
-        if self._preamble == 0:
-            return self._enter_simulation(_EMPTY, degree)
-        return ("pre", 0, _EMPTY, frozenset(), degree)
-
-    def _enter_simulation(self, cert: bytes, degree: int):
-        sim = self.base.init_state(degree)
+    def _simulating(self, sim, *fields):
         if self.base.is_output(sim):
             return ("out", sim)
-        return ("sim", cert, degree, sim)
-
-    def emit(self, state, port: int):
-        if state[0] == "pre":
-            _, _, cert, received, degree = state
-            return ("pre", _next_cert(cert, received), degree, port)
-        _, cert, degree, sim = state
-        return ("pay", cert, degree, port, self.base.emit(sim, port))
-
-    def transition(self, state, inbox: tuple):
-        if state[0] == "pre":
-            _, t, cert, received, degree = state
-            new_cert = _next_cert(cert, received)
-            triples = frozenset(
-                (m[1], m[2], m[3]) for m in inbox if m != self.null_message
-            )
-            if t + 1 < self._preamble:
-                return ("pre", t + 1, new_cert, triples, degree)
-            return self._enter_simulation(new_cert, degree)
-        _, cert, degree, sim = state
-        payloads = [m[4] for m in set(inbox) if m != self.null_message]
-        realised = payloads + [self.base.null_message] * (self.delta_max - len(payloads))
-        realised.sort(key=self.base.encode_message)
-        new_sim = self.base.transition(sim, tuple(realised))
-        if self.base.is_output(new_sim):
-            return ("out", new_sim)
-        return ("sim", cert, degree, new_sim)
+        return ("sim", sim, *fields)
 
     def is_output(self, state) -> bool:
-        return isinstance(state, tuple) and state[0] == "out"
+        return state[0] == "out"
 
     def output_value(self, state):
         return self.base.output_value(state[1])
 
-    def encode_state(self, state) -> bytes:
-        if self.is_output(state):
-            return canon(("out", self.base.encode_state(state[1])))
-        if state[0] == "sim":
-            return canon(("sim", state[1], state[2], self.base.encode_state(state[3])))
-        return canon(state)
 
-    def encode_message(self, message) -> bytes:
-        if isinstance(message, tuple) and message and message[0] == "pay":
-            return canon(
-                ("pay", message[1], message[2], message[3],
-                 self.base.encode_message(message[4]))
-            )
-        return canon(message)
+class _SetFromMultiset(_Simulation):
+    """Preamble then simulation with triple-tagged payloads (set inbox).
+
+    A preamble state ("pre", t, cert, degree) holds the certificate the node
+    sends in round t+1, so emit only reads it and each round hashes once.
+    """
+
+    def __init__(self, base: Machine):
+        if base.tag.inbox not in (MULTISET, SET):
+            raise WrapperError("set_from_multiset needs a multiset-invariant machine")
+        super().__init__(base, ClassTag(SET, VECTOR), "set_from_multiset")
+        self._preamble = 2 * base.delta_max
+
+    def init_state(self, degree: int):
+        if self._preamble == 0:
+            return self._simulating(self.base.init_state(degree), _EMPTY, degree)
+        return ("pre", 0, _FIRST, degree)
+
+    def emit(self, state, port: int):
+        if state[0] == "pre":
+            _, _, cert, degree = state
+            return ("pre", cert, degree, port)
+        _, sim, cert, degree = state
+        return ("pay", cert, degree, port, self.base.emit(sim, port))
+
+    def transition(self, state, inbox: tuple):
+        if state[0] == "pre":
+            _, t, cert, degree = state
+            if t + 1 == self._preamble:
+                return self._simulating(self.base.init_state(degree), cert, degree)
+            triples = frozenset(m[1:] for m in inbox if m != NO_MESSAGE)
+            return ("pre", t + 1, _next_cert(cert, triples), degree)
+        _, sim, cert, degree = state
+        payloads = tuple(m[4] for m in set(inbox) if m != NO_MESSAGE)
+        padded = payloads + (NO_MESSAGE,) * (self.delta_max - len(payloads))
+        realised = canonical_inbox(self.base.tag.inbox, padded)
+        return self._simulating(self.base.transition(sim, realised), cert, degree)
 
 
 def set_from_multiset(base: Machine) -> Machine:
@@ -207,14 +208,11 @@ def set_from_multiset(base: Machine) -> Machine:
     return _SetFromMultiset(base)
 
 
-def _history_key(encode):
-    def key(history: tuple) -> tuple:
-        return tuple(encode(m) for m in history)
-
-    return key
+def _history_key(history: tuple) -> tuple:
+    return tuple(canon(m) for m in history)
 
 
-class _HistoryWrapper(Machine):
+class _HistoryWrapper(_Simulation):
     """Shared machinery for the two history-based reconstructions.
 
     State per node: the simulated base state, the per-port send histories,
@@ -224,22 +222,15 @@ class _HistoryWrapper(Machine):
     """
 
     def __init__(self, base: Machine, broadcast: bool, byte_budget: int):
-        self.base = base
+        kind = "bcast_multiset_from_broadcast" if broadcast else "multiset_from_vector"
+        super().__init__(base, ClassTag(MULTISET, BROADCAST if broadcast else VECTOR), kind)
         self.broadcast = broadcast
         self.byte_budget = byte_budget
-        self.delta_max = base.delta_max
-        self.tag = ClassTag(MULTISET, BROADCAST if broadcast else VECTOR)
-        self.outputs = base.outputs
-        kind = "bcast_multiset_from_broadcast" if broadcast else "multiset_from_vector"
-        self.name = f"{kind}({base.name})"
 
     def init_state(self, degree: int):
-        sim = self.base.init_state(degree)
-        if self.base.is_output(sim):
-            return ("out", sim)
         histories = ((),) if self.broadcast else tuple(() for _ in range(degree))
         previous = tuple(() for _ in range(degree))
-        return ("sim", sim, histories, (), previous, degree)
+        return self._simulating(self.base.init_state(degree), histories, (), previous, degree)
 
     def _sent(self, sim, histories, port: int) -> tuple:
         if self.broadcast:
@@ -248,9 +239,8 @@ class _HistoryWrapper(Machine):
 
     def emit(self, state, port: int):
         _, sim, histories, _, _, _ = state
-        history = self._sent(sim, histories, port)
-        message = ("hist", history)
-        if len(self.encode_message(message)) > self.byte_budget:
+        message = ("hist", self._sent(sim, histories, port))
+        if len(canon(message)) > self.byte_budget:
             raise HistoryBudgetError(
                 f"history message exceeds {self.byte_budget} bytes"
             )
@@ -258,71 +248,32 @@ class _HistoryWrapper(Machine):
 
     def transition(self, state, inbox: tuple):
         _, sim, histories, frozen, previous, degree = state
-        key = _history_key(self.base.encode_message)
         received = sorted(
-            (m[1] for m in inbox if m != self.null_message), key=key
+            (m[1] for m in inbox if m != NO_MESSAGE), key=_history_key
         )
         prefix_counts = Counter(h[:-1] for h in received)
         newly_frozen = Counter(previous)
         newly_frozen.subtract(prefix_counts)
-        null = self.base.null_message
-        extended = [f + (null,) for f in frozen]
+        extended = [f + (NO_MESSAGE,) for f in frozen]
         for hist, count in newly_frozen.items():
-            extended.extend([hist + (null,)] * count)
+            extended.extend([hist + (NO_MESSAGE,)] * count)
         full = received + extended
         if len(full) != degree:
             raise WrapperError(
                 "history reconstruction lost track of a neighbour"
             )
-        full.sort(key=key)
+        full.sort(key=_history_key)
         virtual = tuple(h[-1] for h in full)
-        virtual += (null,) * (self.delta_max - len(virtual))
-        new_sim = self.base.transition(sim, virtual)
-        if self.base.is_output(new_sim):
-            return ("out", new_sim)
-        if self.broadcast:
-            new_histories = (self._sent(sim, histories, 1),)
-        else:
-            new_histories = tuple(
-                self._sent(sim, histories, i) for i in range(1, degree + 1)
-            )
-        return (
-            "sim",
+        virtual += (NO_MESSAGE,) * (self.delta_max - len(virtual))
+        new_sim = self.base.transition(sim, canonical_inbox(self.base.tag.inbox, virtual))
+        ports = (1,) if self.broadcast else range(1, degree + 1)
+        return self._simulating(
             new_sim,
-            new_histories,
-            tuple(sorted(extended, key=key)),
-            tuple(sorted(received, key=key)),
+            tuple(self._sent(sim, histories, i) for i in ports),
+            tuple(sorted(extended, key=_history_key)),
+            tuple(received),
             degree,
         )
-
-    def is_output(self, state) -> bool:
-        return isinstance(state, tuple) and state[0] == "out"
-
-    def output_value(self, state):
-        return self.base.output_value(state[1])
-
-    def encode_state(self, state) -> bytes:
-        if self.is_output(state):
-            return canon(("out", self.base.encode_state(state[1])))
-        _, sim, histories, frozen, previous, degree = state
-        enc = self.base.encode_message
-        return canon(
-            (
-                "sim",
-                self.base.encode_state(sim),
-                tuple(tuple(enc(m) for m in h) for h in histories),
-                tuple(tuple(enc(m) for m in h) for h in frozen),
-                tuple(tuple(enc(m) for m in h) for h in previous),
-                degree,
-            )
-        )
-
-    def encode_message(self, message) -> bytes:
-        if isinstance(message, tuple) and message and message[0] == "hist":
-            return canon(
-                ("hist", tuple(self.base.encode_message(m) for m in message[1]))
-            )
-        return canon(message)
 
 
 def multiset_from_vector(base: Machine, byte_budget: int = 1 << 16) -> Machine:

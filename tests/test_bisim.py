@@ -8,6 +8,7 @@ import pytest
 from conftest import cached_model, random_formula, sweep
 from portlogic.bisim import (
     EnumerationBudgetError,
+    ImpossibilityInputError,
     Inconclusive,
     NonEquivalenceError,
     Partition,
@@ -19,6 +20,7 @@ from portlogic.bisim import (
 )
 from portlogic.graphs import (
     PortedGraph,
+    PortlogicError,
     complete,
     consistent_port_numbering,
     cycle,
@@ -268,5 +270,13 @@ def test_impossibility_budget():
 
 def test_impossibility_rejects_unknown_class():
     g = star(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ImpossibilityInputError) as caught:
         impossibility_check(g, [1], leaf_election(), "mv", consistent_port_numbering(g, 0))
+    assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
+
+
+def test_impossibility_rejects_empty_x():
+    g = star(2)
+    with pytest.raises(ImpossibilityInputError) as caught:
+        impossibility_check(g, [], leaf_election(), "vb", consistent_port_numbering(g, 0))
+    assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)

@@ -164,6 +164,17 @@ def test_verify_machine_conformance(star3_pn, capsys):
     assert doc["conformance"]["ok"] is True
 
 
+def test_verify_probes_a_compiled_formula(star3_pn, capsys):
+    code, out = run_cli(
+        ["verify", "--graph", star3_pn, "--formula", "<*,*>q1", "--samples", "60", "--json"],
+        capsys,
+    )
+    assert code == 0
+    doc = parse_json(out)
+    assert doc["conformance"]["machine"] == "compiled[--]"
+    assert doc["conformance"]["ok"] is True
+
+
 @pytest.mark.parametrize("demo", ["star", "parity", "regular"])
 def test_separate_demos(demo, capsys):
     code, out = run_cli(["separate", demo, "--json"], capsys)
@@ -193,12 +204,18 @@ def test_missing_variant_is_reported(star3_pn, capsys):
          "--delta", "-1", "--node-bound", "2"],
         ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
          "--delta", "2", "--node-bound", "8"],
+        ["gen", "--family", "star", "--out", "/no/such/dir/x.g"],
+        ["run", "--graph", "{g}", "--machine", "odd_odd", "--max-rounds", "-1"],
+        ["run", "--graph", "{g}", "--machine", "odd_odd", "--delta", "0"],
+        ["check", "--graph", "{g}", "--formula", "q1", "--variant", "--", "--delta", "0"],
+        ["verify", "--graph", "{pn}", "--delta", "0"],
     ],
     ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
-         "decompile-delta-0", "decompile-delta-negative", "node-cap"],
+         "decompile-delta-0", "decompile-delta-negative", "node-cap", "gen-out",
+         "run-max-rounds-negative", "run-delta-0", "check-delta-0", "verify-delta-0"],
 )
-def test_library_errors_exit_2_with_one_line(argv, star3_g, capsys):
-    code = main([arg.replace("{g}", star3_g) for arg in argv])
+def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, capsys):
+    code = main([arg.replace("{g}", star3_g).replace("{pn}", star3_pn) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import cached_model, random_formula, sweep
+from conftest import cached_model, random_formula, random_multiset_machine, sweep
 from portlogic.compiler import (
     CompileError,
     DecompileBudgetError,
@@ -16,11 +16,20 @@ from portlogic.compiler import (
     decompile_details,
     default_decompile_suite,
 )
-from portlogic.graphs import PortedGraph, consistent_port_numbering, cycle, path, star
+from portlogic.graphs import (
+    Graph,
+    PortedGraph,
+    consistent_port_numbering,
+    cycle,
+    path,
+    random_port_numbering,
+    star,
+)
 from portlogic.logic import (
     Signature,
     VARIANTS,
     eval_formula,
+    kripke_model,
     modal_depth,
     parse,
     prop,
@@ -30,6 +39,8 @@ from portlogic.machines import (
     MULTISET,
     SET,
     VECTOR,
+    ClassTag,
+    SimpleMachine,
     check_class_conformance,
     run,
 )
@@ -190,6 +201,40 @@ def test_decompile_matches_machine_runs():
         got = run(machine, pg, 4).outputs
         worlds = eval_formula(model, result.formula)
         assert {v for v, x in got.items() if x == 1} == set(worlds)
+
+
+def _ones(result) -> set:
+    return {v for v, x in result.outputs.items() if x == 1}
+
+
+def test_decompile_gives_set_machines_their_set_view():
+    # the transition counts entries, which a set view makes meaningless; run
+    # hands it the set view, so the decompiled formula must see that view too
+    machine = SimpleMachine(
+        3,
+        ClassTag(SET, BROADCAST),
+        init=lambda d: ("s", d),
+        emit=lambda s, i: "a" if s[1] == 1 else "b",
+        transition=lambda s, inbox: int(inbox.count("a") >= 2),
+        is_output=lambda s: isinstance(s, int),
+        outputs=frozenset({0, 1}),
+    )
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    pg = PortedGraph(g, random_port_numbering(g, 0))
+    formula = decompile(machine, 3, 1, "--", suite=[pg])
+    assert set(eval_formula(kripke_model(pg, "--", 3), formula)) == _ones(run(machine, pg, 4))
+
+
+@pytest.mark.parametrize("variant", ["--", "++"])
+def test_decompile_below_machine_delta_pads_like_run(variant):
+    # run pads every inbox to the machine's delta, and these machines count
+    # the null messages, so the decompiler must pad to that delta as well
+    suite = ModelSuite(default_decompile_suite(2, node_bound=3), variant, 2)
+    for seed in (0, 1):
+        machine = random_multiset_machine(3, seed, broadcast=variant == "--")
+        result = decompile_details(machine, 2, 3, variant, suite=suite)
+        for pg, model in zip(suite.ported, suite.models):
+            assert set(eval_formula(model, result.formula)) == _ones(run(machine, pg, 4))
 
 
 def test_decompile_depth_matches_horizon():

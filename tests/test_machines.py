@@ -11,7 +11,15 @@ from conftest import (
     random_multiset_machine,
     sweep,
 )
-from portlogic.graphs import PortedGraph, consistent_port_numbering, cycle, path, star
+from portlogic.graphs import (
+    Graph,
+    PortedGraph,
+    PortlogicError,
+    consistent_port_numbering,
+    cycle,
+    path,
+    star,
+)
 from portlogic.machines import (
     BROADCAST,
     MULTISET,
@@ -19,6 +27,7 @@ from portlogic.machines import (
     SET,
     VECTOR,
     ClassTag,
+    ClassTagError,
     DegreeError,
     SimpleMachine,
     check_class_conformance,
@@ -66,6 +75,21 @@ def test_immediate_stop_runs_zero_rounds():
     assert result.outputs == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
+@pytest.mark.parametrize("kind", [VECTOR, MULTISET, SET])
+def test_delta_zero_machine_gets_an_empty_inbox(kind):
+    machine = SimpleMachine(
+        0,
+        ClassTag(kind, VECTOR),
+        init=lambda d: ("s", d),
+        emit=lambda s, i: "x",
+        transition=lambda s, inbox: len(inbox),
+        is_output=lambda s: isinstance(s, int),
+    )
+    g = Graph.from_edges(1, [])
+    result = run(machine, PortedGraph(g, consistent_port_numbering(g, 0)), 3)
+    assert result.stopped and result.rounds == 1 and result.outputs == {0: 0}
+
+
 def test_non_stopping_machine_times_out():
     spinner = SimpleMachine(
         2,
@@ -81,6 +105,13 @@ def test_non_stopping_machine_times_out():
     assert result.timed_out and not result.stopped
     assert result.outputs is None
     assert result.rounds == 10
+
+
+@pytest.mark.parametrize("inbox,outbox", [("x", BROADCAST), (VECTOR, "y")])
+def test_unknown_discipline_is_a_library_error(inbox, outbox):
+    with pytest.raises(ClassTagError) as caught:
+        ClassTag(inbox, outbox)
+    assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
 
 
 def test_degree_error():

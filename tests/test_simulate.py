@@ -114,6 +114,20 @@ def test_set_from_multiset_equivalence_and_rounds():
             assert r1.rounds == 2 * 2 + r0.rounds
 
 
+def test_preamble_state_holds_the_next_certificate():
+    # the certificate a preamble state holds is the one sent next round
+    for g in all_graphs(4):
+        delta = max(1, g.max_degree())
+        wrapped = set_from_multiset(odd_odd_machine(delta))
+        for p in sweep(g, cap=8, samples=2, seed=4):
+            pg = PortedGraph(g, p)
+            states = run(wrapped, pg, 4 * delta).trace.states
+            beta = indistinguishability_preprocess(pg, delta).beta
+            for t in range(2 * delta):
+                assert [s[0] for s in states[t]] == ["pre"] * g.n
+                assert [s[2] for s in states[t]] == list(beta[t + 1])
+
+
 def test_set_from_multiset_random_machines():
     for seed in range(6):
         base = random_multiset_machine(3, seed=seed)
