@@ -129,8 +129,6 @@ def _report(args, doc: dict) -> int:
 
 def cmd_run(args) -> int:
     started = time.perf_counter()
-    if args.max_rounds < 0:
-        raise CliError("--max-rounds must be at least 0")
     pg = _load_ported(args.graph, args)
     machine = _machine_for(args, _delta(args, pg))
     result = run_machine(machine, pg, args.max_rounds, record_messages=args.trace)

@@ -68,6 +68,7 @@ from .machines import (
     VECTOR,
     ClassTag,
     Machine,
+    Memo,
     canonical_inbox,
 )
 from .smallgraphs import all_graphs
@@ -423,6 +424,8 @@ class _Decompiler:
         self.visits = 0
         self.interner = _Interner()
         self.level_states: list[dict] = []
+        # message encodings, for this call only
+        self.code = Memo(canon)
 
     def _charge(self, amount: int = 1):
         self.visits += amount
@@ -461,7 +464,7 @@ class _Decompiler:
                 m = machine.emit_absorbing(entry["state"], j)
                 if m == NO_MESSAGE:
                     continue
-                code = canon(m)
+                code = self.code[m]
                 slot = pool.setdefault(code, {"message": m, "senders": {}})
                 slot["senders"].setdefault(j, []).append(entry)
         if len(pool) > self.max_messages:
@@ -550,6 +553,11 @@ class _Decompiler:
             slot["parts"].append(term)
             slot["table"] |= table
 
+    def _step(self, state, inbox: tuple):
+        """Next state on ``inbox``, realised for the machine's discipline."""
+        realised = canonical_inbox(self.machine.tag.inbox, inbox, self.code.__getitem__)
+        return self.machine.transition_absorbing(state, realised)
+
     def _enumerate_vector(self, entry: dict, pins, pool: dict, accumulator: dict):
         machine = self.machine
         codes = [None] + sorted(pool)
@@ -563,10 +571,7 @@ class _Decompiler:
                     pool[c]["message"] if c is not None else NO_MESSAGE
                     for c in chosen
                 ) + padding
-                state = machine.transition_absorbing(
-                    entry["state"], canonical_inbox(machine.tag.inbox, inbox)
-                )
-                self._record(state, parts, table, accumulator)
+                self._record(self._step(entry["state"], inbox), parts, table, accumulator)
                 return
             row = pins[position]
             for code in codes:
@@ -606,10 +611,7 @@ class _Decompiler:
                 for (code, _), count in zip(slots, chosen):
                     messages.extend([pool[code]["message"]] * count)
                 messages.extend([NO_MESSAGE] * (machine.delta_max - len(messages)))
-                state = machine.transition_absorbing(
-                    entry["state"], canonical_inbox(machine.tag.inbox, tuple(messages))
-                )
-                self._record(state, parts, table, accumulator)
+                self._record(self._step(entry["state"], tuple(messages)), parts, table, accumulator)
                 return
             grades = counters[slots[idx]]
             for count in range(0, self.delta - used + 1):

@@ -21,6 +21,15 @@ deterministic and respect the discipline.  Whether a machine's *transition
 function* genuinely has the declared invariance is checked separately by
 randomised probing (``check_class_conformance``), which feeds raw permuted
 and reduplicated inboxes to the transition function directly.
+
+``emit``, ``transition`` and ``is_output`` must be pure, and states (or
+messages) equal under ``==`` must have equal ``canon`` encodings: within one
+run the executor computes ``init_state`` once per degree, ``emit_absorbing``
+once per (state, port), ``is_output`` once per state, ``transition`` once per
+(state, realised inbox) and each message's encoding once, and reuses the
+results.  ``1 == True`` while their encodings differ, so a machine that tells
+them apart breaks this; the conformance probe reports such pairs.  Nothing
+is cached across runs.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ __all__ = [
     "ExecutionError",
     "DegreeError",
     "ClassTagError",
+    "MaxRoundsError",
+    "Memo",
     "inbox_view",
     "canonical_inbox",
     "run",
@@ -75,6 +86,10 @@ class DegreeError(ExecutionError):
 
 class ClassTagError(PortlogicError, ValueError):
     """Unknown inbox or outbox discipline."""
+
+
+class MaxRoundsError(PortlogicError, ValueError):
+    """A negative round budget."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +124,11 @@ class Machine:
     ``transition`` and ``is_output``.  States and messages must be hashable
     and encodable by ``encoding.canon``, the one encoding the executor,
     traces, conformance probes and the decompiler use; ``NO_MESSAGE`` is the
-    one null message.  ``output_value`` maps a stopping state to the
-    reported output; wrappers override it to unwrap their own markers.
+    one null message.  ``emit``, ``transition`` and ``is_output`` must be
+    pure, and equal states (or messages) must have equal encodings, because
+    the executor memoises them within a run.  ``output_value`` maps a
+    stopping state to the reported output; wrappers override it to unwrap
+    their own markers.
     """
 
     delta_max: int
@@ -207,21 +225,54 @@ def inbox_view(tag, inbox: tuple):
     raise ClassTagError(f"unknown inbox discipline {kind!r}")
 
 
-def canonical_inbox(kind: str, inbox: tuple) -> tuple:
+def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = canon) -> tuple:
     """Fixed-length realisation of inbox discipline ``kind``'s view.
 
     This is the one realisation every transition receives, from the
     executor, the class-collapsing wrappers and the decompiler alike.
     Multiset: the inbox sorted by message encoding.  Set: distinct messages
     sorted, padded back to full length by repeating the last one (this keeps
-    the set of entries unchanged).  Vector: untouched.
+    the set of entries unchanged).  Vector: untouched.  ``key`` is the
+    message encoding; callers that encode the same messages again and again
+    pass a ``Memo(canon)``'s ``__getitem__``.
     """
     if kind == VECTOR:
         return inbox
     if kind == MULTISET:
-        return tuple(sorted(inbox, key=canon))
-    distinct = inbox_view(SET, inbox)
+        return tuple(sorted(inbox, key=key))
+    seen: dict[bytes, object] = {}
+    for m in inbox:
+        seen.setdefault(key(m), m)
+    distinct = tuple(seen[code] for code in sorted(seen))
     return distinct + distinct[-1:] * (len(inbox) - len(distinct))
+
+
+class Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup and then kept.
+
+    The executor and the decompiler build one per call and drop it when the
+    call returns; there is no cache across calls.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, arg):
+        value = self[arg] = self.fn(arg)
+        return value
+
+
+class _ArgsMemo(Memo):
+    """``memo[a, b]`` is ``fn(a, b)``, computed once."""
+
+    __slots__ = ()
+
+    def __missing__(self, args):
+        value = self[args] = self.fn(*args)
+        return value
 
 
 @dataclass
@@ -257,48 +308,48 @@ def run(
 
     Returns the outputs and the stopping round on success; a timeout is a
     first-class result (``stopped=False``, outputs ``None``), not an error.
+    Within the run, ``init_state``, ``emit_absorbing``, ``is_output``,
+    ``transition`` and the message encoding are each computed once per
+    distinct argument (see the module docstring).
     """
+    if max_rounds < 0:
+        raise MaxRoundsError(f"max_rounds must be at least 0, got {max_rounds}")
     g = ported.graph
     if g.max_degree() > machine.delta_max:
         raise DegreeError(
             f"graph degree {g.max_degree()} exceeds machine delta {machine.delta_max}"
         )
     p = ported.numbering
-    delta = machine.delta_max
     kind = machine.tag.inbox
     incoming = [
         [p.source(u, i) for i in range(1, g.degree(u) + 1)] for u in range(g.n)
     ]
-    states = [machine.init_state(g.degree(v)) for v in range(g.n)]
-    stopped = [machine.is_output(s) for s in states]
+    padding = [(NO_MESSAGE,) * (machine.delta_max - g.degree(u)) for u in range(g.n)]
+    init = Memo(machine.init_state)
+    emit = _ArgsMemo(machine.emit_absorbing)
+    is_output = Memo(machine.is_output)
+    step = _ArgsMemo(machine.transition)
+    key = Memo(canon).__getitem__
+    states = [init[g.degree(v)] for v in range(g.n)]
+    stopped = [is_output[s] for s in states]
     trace = Trace(states=[tuple(states)], messages=[] if record_messages else None)
     rounds = 0
     for t in range(1, max_rounds + 1):
         if all(stopped):
             break
-        inboxes = []
-        for u in range(g.n):
-            inbox = [
-                machine.emit_absorbing(states[v], j) for (v, j) in incoming[u]
-            ]
-            inbox += [NO_MESSAGE] * (delta - len(inbox))
-            inboxes.append(tuple(inbox))
+        inboxes = [
+            tuple([emit[states[v], j] for v, j in incoming[u]]) + padding[u]
+            for u in range(g.n)
+        ]
         if record_messages:
             trace.messages.append(tuple(inboxes))
-        new_states = []
-        for u in range(g.n):
-            if stopped[u]:
-                new_states.append(states[u])
-            else:
-                new_states.append(
-                    machine.transition(states[u], canonical_inbox(kind, inboxes[u]))
-                )
-        states = new_states
-        stopped = [machine.is_output(s) for s in states]
+        states = [
+            s if done else step[s, canonical_inbox(kind, inbox, key)]
+            for s, done, inbox in zip(states, stopped, inboxes)
+        ]
+        stopped = [is_output[s] for s in states]
         trace.states.append(tuple(states))
         rounds = t
-        if all(stopped):
-            break
     if not all(stopped):
         return RunResult(False, max_rounds, None, trace)
     outputs = {v: machine.output_value(states[v]) for v in range(g.n)}
@@ -366,7 +417,10 @@ def check_class_conformance(
     Observations are gathered by running the machine on a pool of small
     ported graphs; probes then permute (multiset) or reduplicate (set) the
     observed raw inboxes and compare transition results, and check
-    port-independence of emit for broadcast machines.  Reports every
+    port-independence of emit for broadcast machines.  Every observed state
+    and message is also checked against the executor's memo contract: two
+    values equal under ``==`` must have the same ``canon`` encoding
+    (``1 == True`` but they encode differently).  Reports every
     counterexample found.
     """
     import random as _random
@@ -375,19 +429,37 @@ def check_class_conformance(
     pool = list(graphs_pool) if graphs_pool is not None else _default_probe_pool(machine.delta_max)
     observations: list[tuple[object, tuple]] = []
     live_states: dict[bytes, object] = {}
+    # per kind, per class of values equal under ==: encoding -> value
+    met: dict[str, dict] = {"states": {}, "messages": {}}
+
+    def meet(kind: str, value):
+        met[kind].setdefault(value, {}).setdefault(canon(value), value)
+
     for gi, g in enumerate(pool):
         for k in range(3):
             pg = PortedGraph(g, smallgraphs.numberings(g, cap=1, samples=1, seed=seed + 31 * gi + k)[0])
             result = run(machine, pg, max_rounds, record_messages=True)
+            for snapshot in result.trace.states:
+                for state in snapshot:
+                    meet("states", state)
             for t, round_msgs in enumerate(result.trace.messages):
                 snapshot = result.trace.states[t]
                 for u, inbox in enumerate(round_msgs):
+                    for m in inbox:
+                        meet("messages", m)
                     state = snapshot[u]
                     if not machine.is_output(state):
                         observations.append((state, inbox))
                         live_states.setdefault(canon(state), state)
 
     report = ConformanceReport(ok=True, probes=0)
+    for kind, classes in met.items():
+        for by_code in classes.values():
+            if len(by_code) > 1:
+                report.ok = False
+                report.violations.append(
+                    ConformanceViolation("encoding", None, {kind: tuple(by_code.values())})
+                )
     if machine.tag.outbox == BROADCAST:
         for state in live_states.values():
             report.probes += 1

@@ -1,6 +1,7 @@
 """Executor semantics: views, padding, absorption, determinism, conformance."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +9,12 @@ from hypothesis import given, strategies as st
 from conftest import (
     incoming_renumberings,
     outgoing_renumberings,
+    random_formula,
     random_multiset_machine,
     sweep,
 )
+from portlogic import machines, problems
+from portlogic.compiler import compile_formula
 from portlogic.graphs import (
     Graph,
     PortedGraph,
@@ -20,6 +24,7 @@ from portlogic.graphs import (
     path,
     star,
 )
+from portlogic.logic import STAR, VARIANTS, Signature, dia, neg, prop
 from portlogic.machines import (
     BROADCAST,
     MULTISET,
@@ -29,12 +34,18 @@ from portlogic.machines import (
     ClassTag,
     ClassTagError,
     DegreeError,
+    MaxRoundsError,
+    RunResult,
     SimpleMachine,
+    Trace,
+    canonical_inbox,
     check_class_conformance,
     inbox_view,
     run,
     trace_to_json,
 )
+from portlogic.simulate import multiset_from_vector, set_from_multiset
+from portlogic.smallgraphs import all_graphs, numberings
 
 
 def test_inbox_views():
@@ -254,3 +265,156 @@ def test_conformance_catches_port_dependent_broadcast():
     report = check_class_conformance(liar, samples=50, seed=0)
     assert not report.ok
     assert any(v.kind == "broadcast" for v in report.violations)
+
+
+def test_conformance_catches_equal_values_with_different_encodings():
+    # 1 == True, so the executor's memo would treat the two messages alike
+    bool_counter = SimpleMachine(
+        2,
+        ClassTag(MULTISET, BROADCAST),
+        init=lambda d: d,
+        emit=lambda s, j: True if s == 1 else 1,
+        transition=lambda s, inbox: ("done", sum(type(x) is bool for x in inbox)),
+        is_output=lambda s: isinstance(s, tuple),
+    )
+    report = check_class_conformance(bool_counter)
+    assert not report.ok
+    assert any(v.kind == "encoding" for v in report.violations)
+
+
+def test_negative_max_rounds_is_a_library_error():
+    g = star(3)
+    pg = PortedGraph(g, consistent_port_numbering(g, 0))
+    with pytest.raises(MaxRoundsError) as caught:
+        run(problems.odd_odd_machine(3), pg, -1)
+    assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
+
+
+def test_run_encodes_each_message_once(monkeypatch):
+    sig = Signature(2, "--")
+    formula = dia((STAR, STAR), neg(dia((STAR, STAR), prop(2), 2)), 2)
+    machine = compile_formula(formula, sig)
+    assert machine.tag.inbox == MULTISET
+    canon = machines.canon
+    calls = []
+
+    def counting_canon(value):
+        calls.append(value)
+        return canon(value)
+
+    monkeypatch.setattr(machines, "canon", counting_canon)
+    g = cycle(5)
+    result = run(machine, PortedGraph(g, consistent_port_numbering(g, 0)), 8, record_messages=True)
+    distinct = {m for round_msgs in result.trace.messages for inbox in round_msgs for m in inbox}
+    assert result.stopped and result.rounds == 3
+    assert 0 < len(calls) <= len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the unmemoised executor
+# ---------------------------------------------------------------------------
+
+
+def reference_run(
+    machine,
+    ported: PortedGraph,
+    max_rounds: int,
+    record_messages: bool = False,
+) -> RunResult:
+    """Execute ``machine`` on ``ported`` until all nodes stop or time runs out.
+
+    Returns the outputs and the stopping round on success; a timeout is a
+    first-class result (``stopped=False``, outputs ``None``), not an error.
+    """
+    g = ported.graph
+    if g.max_degree() > machine.delta_max:
+        raise DegreeError(
+            f"graph degree {g.max_degree()} exceeds machine delta {machine.delta_max}"
+        )
+    p = ported.numbering
+    delta = machine.delta_max
+    kind = machine.tag.inbox
+    incoming = [
+        [p.source(u, i) for i in range(1, g.degree(u) + 1)] for u in range(g.n)
+    ]
+    states = [machine.init_state(g.degree(v)) for v in range(g.n)]
+    stopped = [machine.is_output(s) for s in states]
+    trace = Trace(states=[tuple(states)], messages=[] if record_messages else None)
+    rounds = 0
+    for t in range(1, max_rounds + 1):
+        if all(stopped):
+            break
+        inboxes = []
+        for u in range(g.n):
+            inbox = [
+                machine.emit_absorbing(states[v], j) for (v, j) in incoming[u]
+            ]
+            inbox += [NO_MESSAGE] * (delta - len(inbox))
+            inboxes.append(tuple(inbox))
+        if record_messages:
+            trace.messages.append(tuple(inboxes))
+        new_states = []
+        for u in range(g.n):
+            if stopped[u]:
+                new_states.append(states[u])
+            else:
+                new_states.append(
+                    machine.transition(states[u], canonical_inbox(kind, inboxes[u]))
+                )
+        states = new_states
+        stopped = [machine.is_output(s) for s in states]
+        trace.states.append(tuple(states))
+        rounds = t
+        if all(stopped):
+            break
+    if not all(stopped):
+        return RunResult(False, max_rounds, None, trace)
+    outputs = {v: machine.output_value(states[v]) for v in range(g.n)}
+    return RunResult(True, rounds, outputs, trace)
+
+
+def _compiled_machines():
+    for variant in VARIANTS:
+        for delta in (1, 2, 3):
+            rng = random.Random(f"{variant}/{delta}")
+            sig = Signature(delta, variant)
+            for _ in range(3):
+                yield compile_formula(random_formula(rng, sig, max_depth=3), sig)
+
+
+def _problem_machines():
+    for name in sorted(problems.MACHINES):
+        for delta in (1, 2, 3):
+            yield problems.MACHINES[name](delta)
+
+
+def _wrapped_machines():
+    for delta in (1, 2, 3):
+        yield set_from_multiset(problems.odd_odd_machine(delta))
+        yield set_from_multiset(random_multiset_machine(delta, seed=delta))
+        yield multiset_from_vector(problems.leaf_election_machine(delta))
+        yield multiset_from_vector(problems.symmetry_break_machine(delta))
+
+
+def _random_multiset_machines():
+    for seed in range(4):
+        yield random_multiset_machine(3, seed=seed)
+        yield random_multiset_machine(3, seed=seed, broadcast=True)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [_compiled_machines, _problem_machines, _wrapped_machines, _random_multiset_machines],
+    ids=["compiled", "problems", "wrapped", "random_multiset"],
+)
+def test_run_matches_the_unmemoised_executor(family):
+    graphs = all_graphs(4)
+    for machine in family():
+        for gi, g in enumerate(graphs):
+            if g.max_degree() > machine.delta_max:
+                continue
+            for p in numberings(g, cap=1, samples=2, seed=gi, include_consistent=True):
+                pg = PortedGraph(g, p)
+                expected = trace_to_json(machine, reference_run(machine, pg, 16, record_messages=True))
+                actual = trace_to_json(machine, run(machine, pg, 16, record_messages=True))
+                assert json.dumps(actual) == json.dumps(expected), (machine.name, gi)
