@@ -30,7 +30,6 @@ from .machines import (
     RunResult,
     SimpleMachine,
     check_class_conformance,
-    inbox_view,
     run,
 )
 from .logic import (

@@ -18,26 +18,30 @@ Reverse direction: a finite-horizon binary-output machine becomes a formula
 built from three families per round: state formulas ("the node is in state z
 after round t"), send formulas ("the node sends message m in round t"), and
 receive formulas (diamonds over send formulas).  State formulas are canonical
-DNF over the previous level: one term per (state, inbox) pair, the inbox
-pinned positionwise when the incoming port is visible and by exact
-per-message counts when it is hidden, with the null-message positions
-expressed negatively so padding and explicit nulls coincide.  The senders of
-a message are grouped by outgoing port when it is visible and all together
-(under "*") when it is hidden.
+DNF over the previous level: one term per (state, inbox) pair.  One
+enumerator builds the inboxes, slot by slot.  A slot maps the number of
+messages placed so far to its options, each a pin formula with the messages
+it places.  A visible incoming port is one slot per port, with a null pin
+(expressed negatively, so padding and explicit nulls coincide) and one pin
+per message.  A hidden incoming port is one slot per (message, outgoing
+index), whose options place that message 0..delta-placed times, pinned by
+exact counts.  The senders of a message are grouped by outgoing port when it
+is visible and all together (under "*") when it is hidden.
 
 The reverse direction is evaluated against a fixed suite of ported-graph
 models.  Formulas are deduplicated semantically (truth table over the suite,
 keyed together with modal depth so depth bookkeeping survives), and DNF terms
 that are unsatisfiable on the whole suite are dropped; the resulting formula
 agrees with the machine on every model of the suite, which is the scale this
-toolkit certifies.  State and message enumeration is budgeted, and exceeding
-a budget is an explicit refusal rather than a wrong answer.
+toolkit certifies.  A suite without worlds is refused, since every table on
+it is 0.  State and message enumeration is budgeted, and exceeding a budget
+is an explicit refusal rather than a wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .encoding import canon
 from .graphs import PortedGraph, PortlogicError, consistent_port_numbering, random_port_numbering
@@ -308,9 +312,6 @@ class ModelSuite:
     def degree_mask(self, degree: int) -> int:
         return self._degree_masks.get(degree, 0)
 
-    def prop_mask(self, index: int) -> int:
-        return self.degree_mask(index)
-
     def _successor_masks(self, alpha: tuple) -> list[int]:
         masks = self._succ_masks.get(alpha)
         if masks is None:
@@ -342,7 +343,7 @@ class ModelSuite:
         memo: dict[int, int] = {}
         for node in subformulas(formula):
             if isinstance(node, Prop):
-                mask = self.prop_mask(node.index)
+                mask = self.degree_mask(node.index)
             elif isinstance(node, And):
                 mask = memo[id(node.left)] & memo[id(node.right)]
             elif isinstance(node, Not):
@@ -370,27 +371,15 @@ class DecompileResult:
     formula: Formula
     table: int
     suite: ModelSuite
-    level_states: list[dict]
     horizon: int
 
 
-class _Interner:
-    """Semantic deduplication: one formula per (modal depth, truth table)."""
+class _Entry(NamedTuple):
+    """A state reachable after some round, its state formula and its table."""
 
-    def __init__(self):
-        self._by_key: dict[tuple[int, int], tuple[Formula, int]] = {}
-
-    def intern(self, formula: Formula, table: int) -> tuple[Formula, int]:
-        key = (formula.md, table)
-        hit = self._by_key.get(key)
-        if hit is None:
-            hit = (formula, table)
-            self._by_key[key] = hit
-        return hit
-
-
-def _state_key(machine: Machine, state) -> tuple:
-    return (machine.is_output(state), canon(state))
+    state: object
+    formula: Formula
+    table: int
 
 
 def _disjoin(pairs: list[tuple[Formula, int]]) -> tuple[Formula, int]:
@@ -422,240 +411,182 @@ class _Decompiler:
         self.max_messages = max_messages
         self.max_visits = max_visits
         self.visits = 0
-        self.interner = _Interner()
-        self.level_states: list[dict] = []
+        # (modal depth, suite table) -> the first formula met with both
+        self.interned: dict[tuple[int, int], Formula] = {}
         # message encodings, for this call only
         self.code = Memo(canon)
 
-    def _charge(self, amount: int = 1):
-        self.visits += amount
+    def _charge(self):
+        self.visits += 1
         if self.visits > self.max_visits:
             raise DecompileBudgetError(
                 f"transition enumeration exceeded {self.max_visits} visits"
             )
 
-    def _initial_level(self) -> dict:
-        accumulator: dict = {}
-        for d in range(self.delta + 1):
-            if d == 0:
-                degree_formula = conj_all([neg(prop(i)) for i in range(1, self.delta + 1)])
-            else:
-                degree_formula = prop(d)
-            self._record(
-                self.machine.init_state(d), [degree_formula], self.suite.degree_mask(d), accumulator
-            )
-        return self._intern_level(accumulator)
+    def _intern(self, formula: Formula, table: int) -> tuple[Formula, int]:
+        """Semantic deduplication: one formula per (modal depth, truth table)."""
+        return self.interned.setdefault((formula.md, table), formula), table
 
-    def _intern_level(self, accumulator: dict) -> dict:
-        """One entry per state: the disjunction of its terms, interned."""
-        out: dict = {}
-        for key, slot in accumulator.items():
-            formula, table = self.interner.intern(disj_all(slot["parts"]), slot["table"])
-            out[key] = {"state": slot["state"], "formula": formula, "table": table}
-        return out
+    def _level(self, terms: list[tuple]) -> list[_Entry]:
+        """One entry per state: the disjunction of its (state, term, table)s."""
+        by_state: dict[bytes, list] = {}
+        for state, term, table in terms:
+            group = by_state.setdefault(canon(state), [state, [], 0])
+            group[1].append(term)
+            group[2] |= table
+        return [
+            _Entry(state, *self._intern(disj_all(parts), table))
+            for state, parts, table in by_state.values()
+        ]
 
-    def _messages(self, live: list[dict]) -> dict[bytes, dict]:
-        """Distinct non-null messages sent from live states, with senders."""
-        machine = self.machine
-        ports = range(1, self.delta + 1)
-        pool: dict[bytes, dict] = {}
+    def _initial_level(self) -> list[_Entry]:
+        no_degree = conj_all([neg(prop(i)) for i in range(1, self.delta + 1)])
+        return self._level([
+            (self.machine.init_state(d), prop(d) if d else no_degree, self.suite.degree_mask(d))
+            for d in range(self.delta + 1)
+        ])
+
+    def _messages(self, live: list[_Entry]) -> dict[bytes, tuple]:
+        """Distinct non-null messages sent from live states: code -> (message,
+        senders by outgoing port)."""
+        pool: dict[bytes, tuple] = {}
         for entry in live:
-            for j in ports:
-                m = machine.emit_absorbing(entry["state"], j)
-                if m == NO_MESSAGE:
-                    continue
-                code = self.code[m]
-                slot = pool.setdefault(code, {"message": m, "senders": {}})
-                slot["senders"].setdefault(j, []).append(entry)
+            for j in range(1, self.delta + 1):
+                m = self.machine.emit_absorbing(entry.state, j)
+                if m != NO_MESSAGE:
+                    pool.setdefault(self.code[m], (m, {}))[1].setdefault(j, []).append(entry)
         if len(pool) > self.max_messages:
             raise DecompileBudgetError(
                 f"{len(pool)} distinct messages exceed the budget {self.max_messages}"
             )
         return pool
 
-    def _theta(self, senders: list[dict]) -> tuple[Formula, int]:
-        return self.interner.intern(*_disjoin([(e["formula"], e["table"]) for e in senders]))
+    def _theta(self, senders: list[_Entry]) -> tuple[Formula, int]:
+        return self._intern(*_disjoin([(e.formula, e.table) for e in senders]))
 
     def _chi(self, alpha: tuple, grade: int, theta: tuple[Formula, int]) -> tuple[Formula, int]:
         formula, table = theta
         mask = self.suite.diamond_mask(alpha, grade, table)
-        return self.interner.intern(dia(alpha, formula, grade), mask)
+        return self._intern(dia(alpha, formula, grade), mask)
 
-    def _level_step(self, previous: dict, t: int) -> dict:
-        live = [e for e in previous.values() if e["table"]]
-        pool = self._messages(live)
-        accumulator: dict = {}
-        if self.kind.in_visible:
-            pins = self._positional_pins(pool)
-            for entry in live:
-                self._enumerate_vector(entry, pins, pool, accumulator)
-        else:
-            counters = self._counted_pins(pool)
-            for entry in live:
-                self._enumerate_counts(entry, counters, pool, accumulator)
-        out = self._intern_level(accumulator)
-        if len(out) > self.max_states:
-            raise DecompileBudgetError(
-                f"{len(out)} states at round {t} exceed the budget {self.max_states}"
-            )
-        return out
-
-    # -- pin construction -------------------------------------------------
-
-    def _sender_groups(self, slot: dict) -> list[tuple]:
+    def _sender_groups(self, senders: dict) -> list[tuple]:
         """(hidden-or-visible outgoing port, senders) pairs of one message."""
         if self.kind.out_visible:
-            return sorted(slot["senders"].items())
-        senders = [e for lst in slot["senders"].values() for e in lst]
-        unique = {id(e["formula"]): e for e in senders}
+            return sorted(senders.items())
+        unique = {id(e.formula): e for group in senders.values() for e in group}
         return [(STAR, list(unique.values()))]
 
-    def _positional_pins(self, pool: dict) -> list[dict]:
-        """pin[i][code]: port i receives that message; pin[i][None]: null."""
-        pins = []
-        for i in range(1, self.delta + 1):
-            row: dict[bytes | None, tuple[Formula, int]] = {}
-            for code, slot in pool.items():
-                options = [
-                    self._chi((i, j), 1, self._theta(senders))
-                    for j, senders in self._sender_groups(slot)
-                ]
-                row[code] = self.interner.intern(*_disjoin(options))
-            null_table = self.suite.full_mask
-            for _, mask in row.values():
-                null_table &= self.suite.full_mask & ~mask
-            null_formula = conj_all([neg(f) for f, _ in row.values()])
-            row[None] = self.interner.intern(null_formula, null_table)
-            pins.append(row)
-        return pins
+    # -- inbox slots --------------------------------------------------------
+    # A slot maps the number of messages placed so far to its options:
+    # (pin formula, pin table, messages the option places).
 
-    def _counted_pins(self, pool: dict) -> dict[tuple, list[tuple[Formula, int]]]:
-        """Graded at-least diamonds per (message code, outgoing index)."""
-        counters = {}
-        for code, slot in pool.items():
-            for j, senders in self._sender_groups(slot):
-                theta = self._theta(senders)
-                counters[(code, j)] = [
+    def _slots(self, pool: dict) -> list:
+        if self.kind.in_visible:
+            return [self._port_slot(i, pool) for i in range(1, self.delta + 1)]
+        grades = {}
+        for code, (_, senders) in pool.items():
+            for j, group in self._sender_groups(senders):
+                theta = self._theta(group)
+                grades[code, j] = [
                     self._chi((STAR, j), k, theta) for k in range(1, self.delta + 1)
                 ]
-        return counters
+        return [self._count_slot(pool[code][0], grades[code, j]) for code, j in sorted(grades)]
 
-    # -- transition enumeration -------------------------------------------
+    def _port_slot(self, i: int, pool: dict):
+        """Incoming port i: the null pin, then one pin per message code."""
+        pins = {
+            code: self._intern(*_disjoin([
+                self._chi((i, j), 1, self._theta(group))
+                for j, group in self._sender_groups(senders)
+            ]))
+            for code, (_, senders) in pool.items()
+        }
+        null_table = self.suite.full_mask
+        for _, mask in pins.values():
+            null_table &= ~mask
+        null_formula, _ = self._intern(conj_all([neg(f) for f, _ in pins.values()]), null_table)
+        options = [(null_formula, null_table, (NO_MESSAGE,))] + [
+            (*pins[code], (pool[code][0],)) for code in sorted(pins)
+        ]
+        return lambda placed: options
 
-    def _record(self, state, parts: list[Formula], table: int, accumulator: dict):
+    def _count_slot(self, message, grades: list[tuple[Formula, int]]):
+        """One (message, outgoing index) behind a hidden incoming port: place
+        it 0..(delta - placed) times, pinned exactly by the graded at-least
+        diamonds ``grades``.  The pins are built as the enumeration asks for
+        them: interning keeps the first formula met per table, so this order
+        picks the formulas that get printed."""
+        full = self.suite.full_mask
+
+        def options(placed: int):
+            for count in range(self.delta - placed + 1):
+                if count == 0:
+                    pin = neg(grades[0][0]), full & ~grades[0][1]
+                elif count == self.delta:
+                    pin = grades[-1]
+                else:
+                    (lo, lo_table), (hi, hi_table) = grades[count - 1 : count + 1]
+                    pin = conj(lo, neg(hi)), lo_table & ~hi_table
+                formula, table = self._intern(*pin)
+                yield formula, table, (message,) * count
+
+        return options
+
+    def _enumerate(self, entry: _Entry, slots: list, terms: list):
+        """One (next state, term, table) per inbox the slots leave satisfiable."""
         machine = self.machine
-        term = conj_all(parts)
-        key = _state_key(machine, state)
-        slot = accumulator.get(key)
-        if slot is None:
-            accumulator[key] = {"state": state, "parts": [term], "table": table}
-        else:
-            slot["parts"].append(term)
-            slot["table"] |= table
+        stopped = machine.is_output(entry.state)
 
-    def _step(self, state, inbox: tuple):
-        """Next state on ``inbox``, realised for the machine's discipline."""
-        realised = canonical_inbox(self.machine.tag.inbox, inbox, self.code.__getitem__)
-        return self.machine.transition_absorbing(state, realised)
-
-    def _enumerate_vector(self, entry: dict, pins, pool: dict, accumulator: dict):
-        machine = self.machine
-        codes = [None] + sorted(pool)
-        chosen: list[bytes | None] = []
-        padding = (NO_MESSAGE,) * (machine.delta_max - self.delta)
-
-        def recurse(position: int, table: int, parts: list[Formula]):
-            self._charge()
-            if position == self.delta:
-                inbox = tuple(
-                    pool[c]["message"] if c is not None else NO_MESSAGE
-                    for c in chosen
-                ) + padding
-                self._record(self._step(entry["state"], inbox), parts, table, accumulator)
-                return
-            row = pins[position]
-            for code in codes:
-                pin_formula, pin_table = row[code]
-                narrowed = table & pin_table
-                if not narrowed:
-                    continue
-                chosen.append(code)
-                recurse(position + 1, narrowed, parts + [pin_formula])
-                chosen.pop()
-
-        recurse(0, entry["table"], [entry["formula"]])
-
-    def _count_formula(self, grades: list[tuple[Formula, int]], count: int):
-        """Exactly ``count`` occurrences, from the graded at-least diamonds."""
-        if count == 0:
-            formula = neg(grades[0][0])
-            table = self.suite.full_mask & ~grades[0][1]
-        elif count == self.delta:
-            formula, table = grades[count - 1]
-        else:
-            lo_f, lo_t = grades[count - 1]
-            hi_f, hi_t = grades[count]
-            formula = conj(lo_f, neg(hi_f))
-            table = lo_t & self.suite.full_mask & ~hi_t
-        return self.interner.intern(formula, table)
-
-    def _enumerate_counts(self, entry: dict, counters: dict, pool: dict, accumulator: dict):
-        machine = self.machine
-        slots = sorted(counters)
-        chosen: list[int] = []
-
-        def recurse(idx: int, used: int, table: int, parts: list[Formula]):
+        def recurse(idx: int, table: int, parts: list[Formula], placed: tuple):
             self._charge()
             if idx == len(slots):
-                messages = []
-                for (code, _), count in zip(slots, chosen):
-                    messages.extend([pool[code]["message"]] * count)
-                messages.extend([NO_MESSAGE] * (machine.delta_max - len(messages)))
-                self._record(self._step(entry["state"], tuple(messages)), parts, table, accumulator)
+                state = entry.state
+                if not stopped:
+                    inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
+                    realised = canonical_inbox(machine.tag.inbox, inbox, self.code.__getitem__)
+                    state = machine.transition(state, realised)
+                terms.append((state, conj_all(parts), table))
                 return
-            grades = counters[slots[idx]]
-            for count in range(0, self.delta - used + 1):
-                formula, mask = self._count_formula(grades, count)
-                narrowed = table & mask
-                if not narrowed:
-                    continue
-                chosen.append(count)
-                recurse(idx + 1, used + count, narrowed, parts + [formula])
-                chosen.pop()
+            for formula, pin_table, messages in slots[idx](len(placed)):
+                narrowed = table & pin_table
+                if narrowed:
+                    recurse(idx + 1, narrowed, parts + [formula], placed + messages)
 
-        recurse(0, 0, entry["table"], [entry["formula"]])
+        recurse(0, entry.table, [entry.formula], ())
 
-    # -- driver ------------------------------------------------------------
+    def _level_step(self, previous: list[_Entry], t: int) -> list[_Entry]:
+        live = [e for e in previous if e.table]
+        slots = self._slots(self._messages(live))
+        terms: list[tuple] = []
+        for entry in live:
+            self._enumerate(entry, slots, terms)
+        level = self._level(terms)
+        if len(level) > self.max_states:
+            raise DecompileBudgetError(
+                f"{len(level)} states at round {t} exceed the budget {self.max_states}"
+            )
+        return level
 
     def build(self) -> DecompileResult:
         level = self._initial_level()
-        self.level_states.append(level)
         for t in range(1, self.horizon + 1):
             level = self._level_step(level, t)
-            self.level_states.append(level)
         machine = self.machine
         positive: list[tuple[Formula, int]] = []
-        for entry in level.values():
-            if not entry["table"]:
+        for entry in level:
+            if not entry.table:
                 continue
-            state = entry["state"]
-            if not machine.is_output(state):
+            if not machine.is_output(entry.state):
                 raise DecompileError(
                     f"machine still running after {self.horizon} rounds on the suite"
                 )
-            value = machine.output_value(state)
+            value = machine.output_value(entry.state)
             if value not in (0, 1):
                 raise DecompileError("decompilation needs a binary-output machine")
             if value == 1:
-                positive.append((entry["formula"], entry["table"]))
+                positive.append((entry.formula, entry.table))
         formula, table = _disjoin(positive)
-        return DecompileResult(
-            formula=formula,
-            table=table,
-            suite=self.suite,
-            level_states=self.level_states,
-            horizon=self.horizon,
-        )
+        return DecompileResult(formula, table, self.suite, self.horizon)
 
 
 def _check_variant_fit(machine: Machine, variant: str):
@@ -679,7 +610,7 @@ def decompile_details(
     max_messages: int = 256,
     max_visits: int = 2_000_000,
 ) -> DecompileResult:
-    """Reverse compilation with full diagnostics (families and tables)."""
+    """Reverse compilation, with the formula's table over the suite it was built on."""
     if delta < 1:
         raise DecompileError("delta must be at least 1")
     if delta > machine.delta_max:
@@ -691,6 +622,8 @@ def decompile_details(
         suite = ModelSuite(suite, variant, delta)
     if suite.variant != variant or suite.delta != delta:
         raise DecompileError("suite was built for a different signature")
+    if not suite.total_worlds:
+        raise DecompileError("the decompile suite has no worlds")
     worker = _Decompiler(
         machine, delta, horizon, variant, suite, max_states, max_messages, max_visits
     )

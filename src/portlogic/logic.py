@@ -51,6 +51,7 @@ __all__ = [
     "modal_depth",
     "parse",
     "format_formula",
+    "FormulaError",
     "FormulaSyntaxError",
     "Signature",
     "SignatureMismatchError",
@@ -93,7 +94,11 @@ def variant_of(code: str) -> Variant:
     return variant
 
 
-class FormulaSyntaxError(PortlogicError, ValueError):
+class FormulaError(PortlogicError, ValueError):
+    """A formula node with a bad proposition index, grade or modality index."""
+
+
+class FormulaSyntaxError(FormulaError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -174,7 +179,7 @@ def _intern(key: tuple, build) -> Formula:
 
 def prop(index: int) -> Formula:
     if index < 1:
-        raise ValueError("proposition indices start at 1")
+        raise FormulaError("proposition indices start at 1")
     return _intern(("q", index), lambda: Prop(index))
 
 
@@ -188,9 +193,9 @@ def neg(sub: Formula) -> Formula:
 
 def dia(alpha: tuple, sub: Formula, grade: int = 1) -> Formula:
     if grade < 1:
-        raise ValueError("grades start at 1")
+        raise FormulaError("grades start at 1")
     if len(alpha) != 2 or not all(x == STAR or isinstance(x, int) for x in alpha):
-        raise ValueError(f"bad modality index {alpha!r}")
+        raise FormulaError(f"bad modality index {alpha!r}")
     return _intern(("<>", tuple(alpha), grade, id(sub)), lambda: Dia(tuple(alpha), grade, sub))
 
 
@@ -521,12 +526,11 @@ def kripke_model(pg: PortedGraph, variant: str, delta: int | None = None) -> Kri
     return KripkeModel(g.n, delta, variant, relations, valuation)
 
 
-def eval_formula(model: KripkeModel, formula: Formula, check: bool = True) -> frozenset[int]:
+def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:
     """Worlds satisfying ``formula``, computed bottom-up over the DAG."""
-    if check:
-        problems = validate_signature(formula, model.signature())
-        if problems:
-            raise SignatureMismatchError("; ".join(problems))
+    problems = validate_signature(formula, model.signature())
+    if problems:
+        raise SignatureMismatchError("; ".join(problems))
     memo: dict[int, frozenset[int]] = {}
     for node in subformulas(formula):
         if isinstance(node, Prop):

@@ -55,7 +55,6 @@ __all__ = [
     "ClassTagError",
     "MaxRoundsError",
     "Memo",
-    "inbox_view",
     "canonical_inbox",
     "run",
     "Trace",
@@ -151,17 +150,11 @@ class Machine:
     def output_value(self, state):
         return state
 
-    # Absorption wrappers: a stopped node sends nothing and never moves.
-
     def emit_absorbing(self, state, port: int):
+        """The message sent on ``port``; a stopped node sends nothing."""
         if self.is_output(state):
             return NO_MESSAGE
         return self.emit(state, port)
-
-    def transition_absorbing(self, state, inbox: tuple):
-        if self.is_output(state):
-            return state
-        return self.transition(state, inbox)
 
 
 class SimpleMachine(Machine):
@@ -198,31 +191,6 @@ class SimpleMachine(Machine):
 
     def is_output(self, state) -> bool:
         return self._is_output(state)
-
-
-def inbox_view(tag, inbox: tuple):
-    """The view a machine class sees of a padded inbox.
-
-    Vector view is the inbox itself; the multiset view maps messages to
-    multiplicities (returned as encoding-sorted (message, count) pairs); the
-    set view keeps only distinct messages.  Null-message padding is part of
-    the inbox, so it shows up in multiset and set views.
-    """
-    kind = tag.inbox if isinstance(tag, ClassTag) else tag
-    if kind == VECTOR:
-        return tuple(inbox)
-    if kind == MULTISET:
-        counts: dict[bytes, list] = {}
-        for m in inbox:
-            slot = counts.setdefault(canon(m), [m, 0])
-            slot[1] += 1
-        return tuple((m, c) for _, (m, c) in sorted(counts.items()))
-    if kind == SET:
-        seen: dict[bytes, object] = {}
-        for m in inbox:
-            seen.setdefault(canon(m), m)
-        return tuple(m for _, m in sorted(seen.items()))
-    raise ClassTagError(f"unknown inbox discipline {kind!r}")
 
 
 def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = canon) -> tuple:
@@ -480,7 +448,8 @@ def check_class_conformance(
             rng.shuffle(shuffled)
             variants.append(tuple(shuffled))
             if machine.tag.inbox == SET:
-                distinct = list(inbox_view(SET, inbox))
+                # the realisation's distinct entries come first, in order
+                distinct = list(canonical_inbox(SET, inbox)[: len({canon(m) for m in inbox})])
                 extra = len(inbox) - len(distinct)
                 redistributed = distinct + [
                     distinct[rng.randrange(len(distinct))] for _ in range(extra)

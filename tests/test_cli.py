@@ -204,6 +204,8 @@ def test_missing_variant_is_reported(star3_pn, capsys):
          "--delta", "-1", "--node-bound", "2"],
         ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
          "--delta", "2", "--node-bound", "8"],
+        ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
+         "--delta", "2", "--node-bound", "0"],
         ["gen", "--family", "star", "--out", "/no/such/dir/x.g"],
         ["run", "--graph", "{g}", "--machine", "odd_odd", "--max-rounds", "-1"],
         ["run", "--graph", "{g}", "--machine", "odd_odd", "--delta", "0"],
@@ -211,7 +213,8 @@ def test_missing_variant_is_reported(star3_pn, capsys):
         ["verify", "--graph", "{pn}", "--delta", "0"],
     ],
     ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
-         "decompile-delta-0", "decompile-delta-negative", "node-cap", "gen-out",
+         "decompile-delta-0", "decompile-delta-negative", "node-cap", "decompile-node-bound-0",
+         "gen-out",
          "run-max-rounds-negative", "run-delta-0", "check-delta-0", "verify-delta-0"],
 )
 def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, capsys):

@@ -1,5 +1,6 @@
 """Both compiler directions: closure, staged evaluation, round-trips."""
 
+import hashlib
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from portlogic.logic import (
     Signature,
     VARIANTS,
     eval_formula,
+    format_formula,
     kripke_model,
     modal_depth,
     parse,
@@ -259,6 +261,41 @@ def test_decompile_refuses_vector_machine_for_count_variants():
 def test_decompile_refuses_delta_below_one(delta):
     with pytest.raises(DecompileError):
         decompile_details(odd_odd_machine(2), delta, 2, "--", node_bound=2)
+
+
+@pytest.mark.parametrize("suite", [{"node_bound": 0}, {"node_bound": -2}, {"suite": []}],
+                         ids=["node-bound-0", "node-bound-negative", "no-graphs"])
+def test_decompile_refuses_a_suite_without_worlds(suite):
+    # every table is 0 there, so any formula would pass for the machine
+    with pytest.raises(DecompileError):
+        decompile_details(odd_odd_machine(2), 2, 2, "--", **suite)
+
+
+def test_decompile_output_is_stable():
+    # formulas are kept per (depth, table) in the order the enumeration meets
+    # them; this pins that order on counted and positional slots alike
+    lines = []
+    for variant, broadcast in (("-+", False), ("--", True), ("+-", True)):
+        for seed in range(6):
+            machine = random_multiset_machine(2, seed, broadcast=broadcast)
+            result = decompile_details(machine, 2, 3, variant)
+            lines.append(format_formula(result.formula) + " " + str(result.table))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b3e34500e0a1a745788911e411232a127ac10798174c52098b87ed23df7f2c01"
+
+
+@pytest.mark.parametrize(
+    "machine, variant, visits",
+    [
+        (lambda: random_multiset_machine(2, 1), "-+", 86),
+        (lambda: compile_formula(parse("<1,2>(q1 & <2,1>q2)"), Signature(2, "++")), "++", 74),
+    ],
+    ids=["counted-slots", "positional-slots"],
+)
+def test_decompile_visit_budget_boundary(machine, variant, visits):
+    decompile_details(machine(), 2, 3, variant, node_bound=4, max_visits=visits)
+    with pytest.raises(DecompileBudgetError):
+        decompile_details(machine(), 2, 3, variant, node_bound=4, max_visits=visits - 1)
 
 
 def test_decompile_refuses_budget_overrun():

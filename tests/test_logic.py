@@ -20,6 +20,7 @@ from portlogic.logic import (
     VARIANTS,
     And,
     Dia,
+    FormulaError,
     FormulaSyntaxError,
     KripkeModel,
     Not,
@@ -28,6 +29,7 @@ from portlogic.logic import (
     SignatureMismatchError,
     STAR,
     conj,
+    dia,
     disj,
     eval_formula,
     false_,
@@ -103,6 +105,23 @@ def test_signature_validation():
 @pytest.mark.parametrize("build", [lambda: Signature(0, "--"), lambda: variant_of("+*")])
 def test_signature_errors_share_the_library_base(build):
     with pytest.raises(SignatureError) as caught:
+        build()
+    assert isinstance(caught.value, PortlogicError)
+    assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: prop(0),
+        lambda: dia((1, 2), prop(1), 0),
+        lambda: dia((1, "x"), prop(1)),
+        lambda: parse("<1,1"),
+    ],
+    ids=["prop-0", "grade-0", "bad-index", "syntax"],
+)
+def test_formula_constructor_errors_share_the_library_base(build):
+    with pytest.raises(FormulaError) as caught:
         build()
     assert isinstance(caught.value, PortlogicError)
     assert isinstance(caught.value, ValueError)
