@@ -36,6 +36,7 @@ __all__ = [
     "VerifyResult",
     "verify_bisimulation",
     "NonEquivalenceError",
+    "RelationRangeError",
     "Refutation",
     "Inconclusive",
     "impossibility_check",
@@ -57,6 +58,10 @@ class EnumerationBudgetError(PortlogicError, RuntimeError):
 
 class ImpossibilityInputError(PortlogicError, ValueError):
     """Unknown machine class, or X not a nonempty set of graph nodes."""
+
+
+class RelationRangeError(PortlogicError, ValueError):
+    """A relation pair names a world outside its model."""
 
 
 @dataclass(frozen=True)
@@ -178,9 +183,13 @@ def verify_bisimulation(
     """Check an explicit relation against the bisimulation conditions.
 
     ``relation`` pairs worlds of ``model`` with worlds of ``other`` (or of
-    ``model`` itself when ``other`` is None).  Plain verification checks the
-    valuation clause and both zig-zag clauses pairwise and reports the first
-    violating triple.  Graded verification requires the relation to be the
+    ``model`` itself when ``other`` is None); a pair naming a world outside
+    its model raises ``RelationRangeError``.  Plain verification checks the
+    valuation clause and both zig-zag clauses pair by pair, in sorted pair,
+    sorted index and successor order, and reports the first violating
+    triple; it reads the relation's image and preimage of each world, so
+    the first violation is the same as testing every (s, t) pair directly.
+    Graded verification requires the relation to be the
     cross part of an equivalence on the disjoint union; it then checks
     per-block successor-count equality for the equivalence generated by the
     relation (worlds it does not mention count as singleton blocks), which
@@ -189,24 +198,31 @@ def verify_bisimulation(
     pairs = list(relation)
     if not pairs:
         return VerifyResult(False, "empty", ())
+    second = model if other is None else other
+    for v, w in pairs:
+        if not (0 <= v < model.size and 0 <= w < second.size):
+            raise RelationRangeError(f"pair {(v, w)} names a world outside its model")
     union, lifted = _union_setup(model, other, pairs)
     alphas = sorted(union.relations, key=str)
 
     if not graded:
         zset = set(lifted)
+        image: list[set[int]] = [set() for _ in range(union.size)]
+        preimage: list[set[int]] = [set() for _ in range(union.size)]
+        for v, w in zset:
+            image[v].add(w)
+            preimage[w].add(v)
+        tables = [(alpha, union.successor_table(alpha)) for alpha in alphas]
         for v, w in sorted(zset):
             if union.valuation_profile(v) != union.valuation_profile(w):
                 return VerifyResult(False, "B1", (v, w))
-            for alpha in alphas:
-                for s in union.successors(alpha, v):
-                    if not any(
-                        (s, t) in zset for t in union.successors(alpha, w)
-                    ):
+            for alpha, succ in tables:
+                succ_v, succ_w = succ[v], succ[w]
+                for s in succ_v:
+                    if image[s].isdisjoint(succ_w):
                         return VerifyResult(False, "B2", (v, w, alpha, s))
-                for t in union.successors(alpha, w):
-                    if not any(
-                        (s, t) in zset for s in union.successors(alpha, v)
-                    ):
+                for t in succ_w:
+                    if preimage[t].isdisjoint(succ_v):
                         return VerifyResult(False, "B3", (v, w, alpha, t))
         return VerifyResult(True)
 

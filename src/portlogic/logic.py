@@ -429,24 +429,34 @@ def alphas_for(variant: str, delta: int) -> list[tuple]:
     ]
 
 
+def _node_problems(node: Formula, sig: Signature, legal) -> list[str]:
+    """Signature violations of ``node`` itself, its subformulas aside.
+
+    ``legal`` is the set of modality indices ``sig`` allows.  This is the one
+    place that states the signature rules; ``validate_signature`` and
+    ``eval_formula`` both apply it node by node.
+    """
+    problems: list[str] = []
+    if isinstance(node, Prop):
+        if node.index > sig.delta:
+            problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
+    elif isinstance(node, Dia):
+        if node.alpha not in legal:
+            problems.append(
+                f"modality index {node.alpha} not legal for variant {sig.variant}"
+                f" with delta {sig.delta}"
+            )
+        if node.grade > 1 and not sig.allows_grading:
+            problems.append(f"grade {node.grade} requires a graded variant (-+ or --)")
+    return problems
+
+
 def validate_signature(formula: Formula, sig: Signature) -> list[str]:
     """All signature violations of ``formula`` (empty list means ok)."""
-    problems: list[str] = []
     legal = set(alphas_for(sig.variant, sig.delta))
-    for node in subformulas(formula):
-        if isinstance(node, Prop) and node.index > sig.delta:
-            problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
-        elif isinstance(node, Dia):
-            if node.alpha not in legal:
-                problems.append(
-                    f"modality index {node.alpha} not legal for variant {sig.variant}"
-                    f" with delta {sig.delta}"
-                )
-            if node.grade > 1 and not sig.allows_grading:
-                problems.append(
-                    f"grade {node.grade} requires a graded variant (-+ or --)"
-                )
-    return problems
+    return [
+        problem for node in subformulas(formula) for problem in _node_problems(node, sig, legal)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +467,20 @@ def validate_signature(formula: Formula, sig: Signature) -> list[str]:
 class KripkeModel:
     """Worlds with indexed accessibility relations and a degree valuation.
 
-    ``relations`` maps each signature index to a sorted tuple of (v, w)
-    pairs, w being an alpha-successor of v.  Immutable by convention.
+    ``relations`` maps each signature index to a sorted tuple of distinct
+    (v, w) pairs, w being an alpha-successor of v; every index legal for
+    (variant, delta) has an entry, empty when no pair carries it.  Each
+    world's valuation profile is computed once, here.  Immutable by
+    convention.
     """
 
     def __init__(self, size: int, delta: int, variant: str, relations: dict, valuation: dict):
         self.size = size
         self.delta = delta
         self.variant = variant
-        self.relations = {alpha: tuple(sorted(pairs)) for alpha, pairs in relations.items()}
+        self.relations = {alpha: () for alpha in alphas_for(variant, delta)}
+        for alpha, pairs in relations.items():
+            self.relations[alpha] = tuple(sorted(set(pairs)))
         self.valuation = {i: frozenset(ws) for i, ws in valuation.items()}
         self._succ: dict[tuple, tuple] = {}
         for alpha, pairs in self.relations.items():
@@ -473,9 +488,17 @@ class KripkeModel:
             for v, w in pairs:
                 lists[v].append(w)
             self._succ[alpha] = tuple(tuple(ws) for ws in lists)
+        self._profiles = tuple(
+            frozenset(i for i, ws in self.valuation.items() if world in ws)
+            for world in range(size)
+        )
 
     def successors(self, alpha: tuple, world: int) -> tuple[int, ...]:
         return self._succ[alpha][world]
+
+    def successor_table(self, alpha: tuple) -> tuple[tuple[int, ...], ...]:
+        """The alpha-successors of every world, indexed by world."""
+        return self._succ[alpha]
 
     def sat_prop(self, index: int) -> frozenset[int]:
         return self.valuation.get(index, frozenset())
@@ -484,7 +507,8 @@ class KripkeModel:
         return Signature(self.delta, self.variant)
 
     def valuation_profile(self, world: int) -> frozenset[int]:
-        return frozenset(i for i, ws in self.valuation.items() if world in ws)
+        """Indices of the propositions true at ``world`` (0 <= world < size)."""
+        return self._profiles[world]
 
     def disjoint_union(self, other: "KripkeModel") -> tuple["KripkeModel", int]:
         if (self.delta, self.variant) != (other.delta, other.variant):
@@ -527,34 +551,56 @@ def kripke_model(pg: PortedGraph, variant: str, delta: int | None = None) -> Kri
 
 
 def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:
-    """Worlds satisfying ``formula``, computed bottom-up over the DAG."""
-    problems = validate_signature(formula, model.signature())
-    if problems:
-        raise SignatureMismatchError("; ".join(problems))
-    memo: dict[int, frozenset[int]] = {}
-    for node in subformulas(formula):
-        if isinstance(node, Prop):
-            result = model.sat_prop(node.index)
-        elif isinstance(node, And):
-            result = memo[id(node.left)] & memo[id(node.right)]
-        elif isinstance(node, Not):
-            result = frozenset(range(model.size)) - memo[id(node.sub)]
+    """Worlds satisfying ``formula``, computed bottom-up over the DAG.
+
+    One postorder walk checks each distinct node against the model's
+    signature and evaluates it.  Once a node breaks the signature, the walk
+    only collects problems; ``SignatureMismatchError`` lists them all, in
+    the order ``validate_signature`` gives.
+    """
+    sig = model.signature()
+    legal = set(alphas_for(sig.variant, sig.delta))
+    worlds = frozenset(range(model.size))
+    problems: list[str] = []
+    # memo doubles as the walk's "seen" set; once a problem is found the
+    # walk stores None instead of evaluating
+    memo: dict[int, frozenset[int] | None] = {}
+    stack: list[tuple[Formula, bool]] = [(formula, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if key in memo:
+            continue
+        kind = type(node)
+        if not expanded:
+            stack.append((node, True))
+            if kind is And:
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            elif kind is not Prop:
+                stack.append((node.sub, False))
+            continue
+        if kind is Prop or kind is Dia:
+            problems += _node_problems(node, sig, legal)
+        if problems:
+            memo[key] = None
+        elif kind is Prop:
+            memo[key] = model.sat_prop(node.index)
+        elif kind is And:
+            memo[key] = memo[id(node.left)] & memo[id(node.right)]
+        elif kind is Not:
+            memo[key] = worlds - memo[id(node.sub)]
         else:
             target = memo[id(node.sub)]
+            table = model.successor_table(node.alpha)
             if node.grade == 1:
-                result = frozenset(
-                    v
-                    for v in range(model.size)
-                    if any(w in target for w in model.successors(node.alpha, v))
-                )
+                memo[key] = frozenset(v for v in worlds if not target.isdisjoint(table[v]))
             else:
-                result = frozenset(
-                    v
-                    for v in range(model.size)
-                    if sum(1 for w in model.successors(node.alpha, v) if w in target)
-                    >= node.grade
+                memo[key] = frozenset(
+                    v for v in worlds if sum(w in target for w in table[v]) >= node.grade
                 )
-        memo[id(node)] = result
+    if problems:
+        raise SignatureMismatchError("; ".join(problems))
     return memo[id(formula)]
 
 

@@ -13,6 +13,8 @@ from portlogic.bisim import (
     NonEquivalenceError,
     Partition,
     Refutation,
+    RelationRangeError,
+    VerifyResult,
     coarsest_bisimulation,
     coarsest_graded_bisimulation,
     impossibility_check,
@@ -120,6 +122,29 @@ def test_verify_cross_model():
     # against the star centre the valuations agree but the zig clause fails
     res = verify_bisimulation(m1, m3, [(0, 0)])
     assert not res.ok and res.clause == "B2"
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
+def test_verify_rejects_worlds_outside_the_models(graded):
+    c3 = cycle(3)
+    m3 = cached_model(PortedGraph(c3, consistent_port_numbering(c3, 0)), "--", 2)
+    c4 = cycle(4)
+    m4 = cached_model(PortedGraph(c4, consistent_port_numbering(c4, 0)), "--", 2)
+    bad = [
+        (m3, m3, [(0, -3), (1, -2), (2, -1)]),  # negative worlds of the second model
+        (m4, None, [(0, 9)]),
+        (m4, None, [(-1, 0)]),
+        (m4, m3, [(0, 3)]),
+        (m4, m3, [(4, 0)]),
+    ]
+    for model, other, relation in bad:
+        with pytest.raises(RelationRangeError) as caught:
+            verify_bisimulation(model, other, relation, graded=graded)
+        assert isinstance(caught.value, PortlogicError)
+        assert isinstance(caught.value, ValueError)
+    # worlds up to the last of each model are fine: 2-regular cycles are bisimilar
+    full = [(v, w) for v in range(4) for w in range(3)]
+    assert verify_bisimulation(m4, m3, full, graded=graded)
 
 
 def test_verify_graded_requires_equivalence():
@@ -280,3 +305,72 @@ def test_impossibility_rejects_empty_x():
     with pytest.raises(ImpossibilityInputError) as caught:
         impossibility_check(g, [], leaf_election(), "vb", consistent_port_numbering(g, 0))
     assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# Differential guard: the plain verifier against the pairwise one it replaced,
+# copied here verbatim (an any(...) over successors for each zig-zag clause)
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_verify(model, other, relation):
+    pairs = list(relation)
+    if not pairs:
+        return VerifyResult(False, "empty", ())
+    if other is None:
+        union, lifted = model, [(v, w) for v, w in pairs]
+    else:
+        union, offset = model.disjoint_union(other)
+        lifted = [(v, w + offset) for v, w in pairs]
+    alphas = sorted(union.relations, key=str)
+    zset = set(lifted)
+    for v, w in sorted(zset):
+        if union.valuation_profile(v) != union.valuation_profile(w):
+            return VerifyResult(False, "B1", (v, w))
+        for alpha in alphas:
+            for s in union.successors(alpha, v):
+                if not any(
+                    (s, t) in zset for t in union.successors(alpha, w)
+                ):
+                    return VerifyResult(False, "B2", (v, w, alpha, s))
+            for t in union.successors(alpha, w):
+                if not any(
+                    (s, t) in zset for s in union.successors(alpha, v)
+                ):
+                    return VerifyResult(False, "B3", (v, w, alpha, t))
+    return VerifyResult(True)
+
+
+def test_plain_verify_matches_the_pairwise_verifier():
+    rng = random.Random(77)
+    cases = []
+    previous = {}
+    for gi, g in enumerate(all_graphs(5)):
+        delta = max(1, g.max_degree())
+        p = random_port_numbering(g, gi)
+        for variant in ("++", "-+", "+-", "--"):
+            model = kripke_model(PortedGraph(g, p), variant, delta)
+            partitions = [coarsest_bisimulation(model), coarsest_graded_bisimulation(model)]
+            for partition in partitions:
+                cases.append((model, None, partition.as_pairs()))
+                blocks = len(partition.blocks)
+                for a in range(blocks):
+                    for b in range(a + 1, blocks):
+                        cases.append((model, None, partition.merge(a, b).as_pairs()))
+            worlds = [(v, w) for v in range(g.n) for w in range(g.n)]
+            for _ in range(4):
+                cases.append((model, None, rng.sample(worlds, rng.randint(1, len(worlds)))))
+            # across two models of one signature: the last one seen
+            other = previous.get((variant, delta))
+            if other is not None:
+                cross = [(v, w) for v in range(model.size) for w in range(other.size)]
+                for _ in range(4):
+                    cases.append((model, other, rng.sample(cross, rng.randint(1, len(cross)))))
+            previous[(variant, delta)] = model
+    clauses = {}
+    for model, other, relation in cases:
+        got = verify_bisimulation(model, other, relation)
+        assert got == _pairwise_verify(model, other, relation)
+        clauses[got.clause] = clauses.get(got.clause, 0) + 1
+    # every outcome of the plain check occurred
+    assert set(clauses) == {None, "B1", "B2", "B3"}

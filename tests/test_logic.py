@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cached_model, naive_holds, random_formula, sweep
+from portlogic.bisim import coarsest_graded_bisimulation
 from portlogic.graphs import (
     PortNumbering,
     PortlogicError,
@@ -14,6 +15,7 @@ from portlogic.graphs import (
     consistent_port_numbering,
     cycle,
     path,
+    random_port_numbering,
     star,
 )
 from portlogic.logic import (
@@ -28,6 +30,8 @@ from portlogic.logic import (
     SignatureError,
     SignatureMismatchError,
     STAR,
+    Prop,
+    alphas_for,
     conj,
     dia,
     disj,
@@ -38,11 +42,14 @@ from portlogic.logic import (
     modal_depth,
     model_to_json,
     parse,
+    neg,
     prop,
+    subformulas,
     true_,
     validate_signature,
     variant_of,
 )
+from portlogic.smallgraphs import all_graphs
 
 
 def test_parse_atoms_and_diamonds():
@@ -203,6 +210,34 @@ def test_eval_supports_hand_built_models():
     assert eval_formula(model, parse("<*,*>q2")) == frozenset()
 
 
+def test_kripke_model_drops_duplicate_pairs():
+    # (0, 1) listed twice is one successor: no second q1-successor for a grade
+    model = KripkeModel(3, 2, "--", {(STAR, STAR): [(0, 1), (0, 1), (2, 1)]}, {1: {0, 1, 2}})
+    assert model.relations[(STAR, STAR)] == ((0, 1), (2, 1))
+    assert model.successors((STAR, STAR), 0) == (1,)
+    assert eval_formula(model, parse("<*,*;2>q1")) == frozenset()
+    assert eval_formula(model, parse("<*,*>q1")) == frozenset({0, 2})
+    # graded refinement counts one successor for both 0 and 2
+    assert coarsest_graded_bisimulation(model).same_block(0, 2)
+
+
+def test_kripke_model_gives_every_legal_index_an_entry():
+    model = KripkeModel(2, 2, "-+", {(STAR, 1): [(0, 1)]}, {1: {0, 1}})
+    assert set(model.relations) == set(alphas_for("-+", 2))
+    assert model.relations[(STAR, 2)] == ()
+    assert eval_formula(model, parse("<*,2>q1")) == frozenset()
+    assert eval_formula(model, parse("<*,1>q1")) == frozenset({0})
+
+
+def test_valuation_profile_is_each_worlds_propositions():
+    model = KripkeModel(3, 2, "--", {}, {1: {1, 2}, 2: {0, 2}})
+    assert [model.valuation_profile(v) for v in range(3)] == [
+        frozenset({2}),
+        frozenset({1}),
+        frozenset({1, 2}),
+    ]
+
+
 def test_diamond_monotone_in_relation():
     rng = random.Random(0)
     base_pairs = [(0, 1), (1, 2), (3, 0)]
@@ -234,3 +269,115 @@ def test_disjoint_union_offsets():
     union, offset = m1.disjoint_union(m2)
     assert union.size == 6 and offset == 3
     assert eval_formula(union, parse("q2")) == frozenset({0, 3, 4, 5})
+
+
+# ---------------------------------------------------------------------------
+# Differential guard: the one-pass evaluator against the two-pass one it
+# replaced, copied here verbatim (validation walk, then evaluation walk)
+# ---------------------------------------------------------------------------
+
+
+def _two_pass_validate(formula, sig):
+    problems: list[str] = []
+    legal = set(alphas_for(sig.variant, sig.delta))
+    for node in subformulas(formula):
+        if isinstance(node, Prop) and node.index > sig.delta:
+            problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
+        elif isinstance(node, Dia):
+            if node.alpha not in legal:
+                problems.append(
+                    f"modality index {node.alpha} not legal for variant {sig.variant}"
+                    f" with delta {sig.delta}"
+                )
+            if node.grade > 1 and not sig.allows_grading:
+                problems.append(
+                    f"grade {node.grade} requires a graded variant (-+ or --)"
+                )
+    return problems
+
+
+def _two_pass_eval(model, formula):
+    problems = _two_pass_validate(formula, model.signature())
+    if problems:
+        raise SignatureMismatchError("; ".join(problems))
+    memo = {}
+    for node in subformulas(formula):
+        if isinstance(node, Prop):
+            result = model.sat_prop(node.index)
+        elif isinstance(node, And):
+            result = memo[id(node.left)] & memo[id(node.right)]
+        elif isinstance(node, Not):
+            result = frozenset(range(model.size)) - memo[id(node.sub)]
+        else:
+            target = memo[id(node.sub)]
+            if node.grade == 1:
+                result = frozenset(
+                    v
+                    for v in range(model.size)
+                    if any(w in target for w in model.successors(node.alpha, v))
+                )
+            else:
+                result = frozenset(
+                    v
+                    for v in range(model.size)
+                    if sum(1 for w in model.successors(node.alpha, v) if w in target)
+                    >= node.grade
+                )
+        memo[id(node)] = result
+    return memo[id(formula)]
+
+
+def _outcome(evaluate, model, formula):
+    try:
+        return evaluate(model, formula)
+    except SignatureMismatchError as error:
+        return str(error)
+
+
+def _loose_formula(rng, delta, depth):
+    """Random formula that may break the signature at any node: propositions
+    up to delta + 1, any index pair over {*, 1..delta+1}, grades up to 3."""
+    indices = [STAR] + list(range(1, delta + 2))
+    kind = rng.choice(["prop", "not", "and", "dia", "dia"] if depth else ["prop"])
+    if kind == "prop":
+        return prop(rng.randint(1, delta + 1))
+    if kind == "not":
+        return neg(_loose_formula(rng, delta, depth - 1))
+    if kind == "and":
+        return conj(_loose_formula(rng, delta, depth - 1), _loose_formula(rng, delta, depth - 1))
+    alpha = (rng.choice(indices), rng.choice(indices))
+    return dia(alpha, _loose_formula(rng, delta, depth - 1), rng.choice((1, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_eval_matches_the_two_pass_evaluator(variant):
+    rng = random.Random(700 + VARIANTS.index(variant))
+    pools = {}
+    compared = mismatches = rejected = several = 0
+    for delta in range(1, 5):
+        sig = Signature(delta, variant)
+        signed = [random_formula(rng, sig, max_depth=3, budget=10) for _ in range(25)]
+        loose = [_loose_formula(rng, delta, 4) for _ in range(25)]
+        # ill-signed on purpose: one problem of each kind, several in one formula
+        legal = alphas_for(variant, delta)
+        illegal = (delta + 1, STAR) if variant[0] == "+" else (1, STAR)
+        loose += [
+            conj(signed[0], prop(delta + 1)),
+            dia(illegal, signed[1]),
+            dia(legal[0], signed[2], 2),
+            conj(dia(illegal, prop(delta + 1), 3), neg(dia(legal[-1], prop(delta + 2), 2))),
+        ]
+        pools[delta] = signed + loose
+    for gi, g in enumerate(all_graphs(5)):
+        delta = max(1, g.max_degree())
+        for p in (consistent_port_numbering(g, 0), random_port_numbering(g, gi)):
+            model = kripke_model(PortedGraph(g, p), variant, delta)
+            for formula in pools[delta]:
+                compared += 1
+                got = _outcome(eval_formula, model, formula)
+                mismatches += got != _outcome(_two_pass_eval, model, formula)
+                rejected += isinstance(got, str)
+                several += isinstance(got, str) and "; " in got
+    assert mismatches == 0
+    # both outcomes, and messages listing several problems, were compared
+    assert 0 < several < rejected < compared
