@@ -274,14 +274,9 @@ def verify_bisimulation(
         classes.setdefault(find(v), []).append(v)
     for members in classes.values():
         first = members[0]
-        if any(
-            union.valuation_profile(v) != union.valuation_profile(first)
-            for v in members[1:]
-        ):
-            bad = next(
-                v for v in members[1:]
-                if union.valuation_profile(v) != union.valuation_profile(first)
-            )
+        profile = union.valuation_profile(first)
+        bad = next((v for v in members[1:] if union.valuation_profile(v) != profile), None)
+        if bad is not None:
             return VerifyResult(False, "B1", (first, bad))
         for alpha in alphas:
             reference = None

@@ -86,17 +86,11 @@ def _delta(args, pg: PortedGraph) -> int:
 
 
 def _machine_for(args, delta: int):
-    names = []
-    if getattr(args, "machine", None):
-        names.append(args.machine)
-    if getattr(args, "formula", None):
-        names.append("--formula")
-    if len(names) != 1:
+    name, formula = getattr(args, "machine", None), getattr(args, "formula", None)
+    if bool(name) == bool(formula):
         raise CliError("give exactly one of --machine or --formula")
-    if getattr(args, "formula", None):
-        sig = Signature(delta, args.variant or "--")
-        return compiler_mod.compile_formula(parse(args.formula), sig)
-    name = args.machine
+    if formula:
+        return compiler_mod.compile_formula(parse(formula), Signature(delta, args.variant))
     base = name
     wrapper = None
     for wname in WRAPPERS:
@@ -116,7 +110,9 @@ def _machine_for(args, delta: int):
 
 
 def _report(args, doc: dict) -> int:
-    doc = {"command": args.command, **doc}
+    """Print ``doc`` with the command name and the time since ``main``
+    dispatched the command."""
+    doc = {"command": args.command, **doc, "timing": round(time.perf_counter() - args.started, 6)}
     if getattr(args, "json", False):
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -128,7 +124,6 @@ def _report(args, doc: dict) -> int:
 
 
 def cmd_run(args) -> int:
-    started = time.perf_counter()
     pg = _load_ported(args.graph, args)
     machine = _machine_for(args, _delta(args, pg))
     result = run_machine(machine, pg, args.max_rounds, record_messages=args.trace)
@@ -141,7 +136,6 @@ def cmd_run(args) -> int:
         "outputs": None
         if result.outputs is None
         else {str(v): result.outputs[v] for v in sorted(result.outputs)},
-        "timing": round(time.perf_counter() - started, 6),
     }
     if args.trace:
         doc["trace"] = trace_to_json(machine, result)
@@ -152,7 +146,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    started = time.perf_counter()
     pg = _load_ported(args.graph, args)
     formula = parse(args.formula)
     worlds = eval_formula(kripke_model(pg, args.variant, _delta(args, pg)), formula)
@@ -161,13 +154,11 @@ def cmd_check(args) -> int:
         {
             "inputs": {"graph": args.graph, "formula": args.formula, "variant": args.variant},
             "satisfying_worlds": sorted(worlds),
-            "timing": round(time.perf_counter() - started, 6),
         },
     )
 
 
 def cmd_compile(args) -> int:
-    started = time.perf_counter()
     formula = parse(args.formula)
     machine = compiler_mod.compile_formula(formula, Signature(args.delta, args.variant))
     report = check_class_conformance(machine, samples=100, seed=args.seed)
@@ -180,13 +171,11 @@ def cmd_compile(args) -> int:
             "stopping_round": formula.md + 1,
             "closure_size": len(machine.closure.formulas),
             "conformance": bool(report.ok),
-            "timing": round(time.perf_counter() - started, 6),
         },
     )
 
 
 def cmd_decompile(args) -> int:
-    started = time.perf_counter()
     delta = args.delta
     machine = _machine_for(args, delta)
     result = compiler_mod.decompile_details(
@@ -207,13 +196,11 @@ def cmd_decompile(args) -> int:
             },
             "modal_depth": result.formula.md,
             "formula": format_formula(result.formula),
-            "timing": round(time.perf_counter() - started, 6),
         },
     )
 
 
 def cmd_bisim(args) -> int:
-    started = time.perf_counter()
     graphs = [_load_ported(name, args) for name in args.graph]
     delta = max(1, max(pg.graph.max_degree() for pg in graphs))
     models = [kripke_model(pg, args.variant, delta) for pg in graphs]
@@ -232,7 +219,6 @@ def cmd_bisim(args) -> int:
             "inputs": {"graphs": list(args.graph), "variant": args.variant, "graded": args.graded},
             "worlds": model.size,
             "blocks": partition.to_json(),
-            "timing": round(time.perf_counter() - started, 6),
         },
     )
 
@@ -299,7 +285,6 @@ def separation(demo: str, seed: int) -> dict:
 
 
 def cmd_separate(args) -> int:
-    started = time.perf_counter()
     doc = separation(args.demo, args.seed)
     certificate = doc["certificate"]
     doc["certificate"] = certificate.to_json()
@@ -313,7 +298,6 @@ def cmd_separate(args) -> int:
     else:
         ok = False
     doc["ok"] = ok
-    doc["timing"] = round(time.perf_counter() - started, 6)
     code = _report(args, doc)
     if not ok:
         return 1
@@ -350,7 +334,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     doc: dict = {"inputs": {"graph": args.graph}}
     try:
         pg = load_ported(args.graph)
@@ -372,7 +355,6 @@ def cmd_verify(args) -> int:
         }
         if not report.ok:
             doc["first_violation"] = repr(report.violations[0])
-    doc["timing"] = round(time.perf_counter() - started, 6)
     code = _report(args, doc)
     if not check.ok or (report is not None and not report.ok):
         return EXIT_VALIDATION
@@ -493,6 +475,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     rest, variant = _extract_variant(list(argv))
     args = parser.parse_args(rest)
+    args.started = time.perf_counter()
     if variant is not None:
         if variant not in VARIANTS:
             print(

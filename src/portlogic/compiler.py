@@ -1,18 +1,19 @@
 """Compilation between modal formulas and local algorithms.
 
-Both directions branch only on the variant's two visibility bits
-(``logic.Variant``).  A visible incoming port means a positional (vector)
-inbox, a hidden one a counted (multiset or set) inbox.  A visible outgoing
-port means messages tagged with their port (vector outbox), a hidden one
-broadcast messages.
+Both directions read the ``logic.Signature`` and branch only on its
+variant's two visibility bits (``Signature.kind``).  A visible incoming port
+means a positional (vector) inbox, a hidden one a counted (multiset or set)
+inbox.  A visible outgoing port means messages tagged with their port
+(vector outbox), a hidden one broadcast messages.
 
 Forward direction: a formula becomes a machine whose states are truth
 assignments over the subformula closure, three-valued with U for "not yet
 determined".  A subformula of modal depth d becomes determined exactly after
-round d, messages carry the assignment restricted to the subformulas the
-receiving side's diamonds need (tagged with the outgoing port when it is
-visible), and the machine stops at round md+1 with the root's truth value as
-output.
+round d, and the machine stops at round md+1 with the root's truth value as
+output.  The message sent on a port carries the assignment restricted to the
+targets of the diamonds whose outgoing index is the one the signature shows
+there (the port, or "*" when it is hidden), tagged with the port when it is
+visible.
 
 Reverse direction: a finite-horizon binary-output machine becomes a formula
 built from three families per round: state formulas ("the node is in state z
@@ -53,6 +54,7 @@ from .logic import (
     Not,
     Prop,
     Signature,
+    Variant,
     conj,
     conj_all,
     dia,
@@ -62,7 +64,6 @@ from .logic import (
     prop,
     subformulas,
     validate_signature,
-    variant_of,
 )
 from .machines import (
     BROADCAST,
@@ -114,56 +115,45 @@ class DecompileBudgetError(DecompileError):
 
 @dataclass(frozen=True)
 class Closure:
-    """Subformulas in dependency order plus the per-variant message domains.
+    """Subformulas in dependency order plus the message domains.
 
-    ``by_port[j]`` collects diamond targets whose index fixes outgoing port
-    j; ``incoming_only`` those of diamonds fixing only the incoming port;
-    ``unindexed`` those of fully starred diamonds.
+    ``domains`` maps each outgoing index the signature shows (a port, or
+    "*" when the outgoing port is hidden) to the targets of the diamonds
+    carrying that index, in closure order.
     """
 
     formulas: tuple[Formula, ...]
-    by_port: tuple[tuple[Formula, ...], ...]
-    incoming_only: tuple[Formula, ...]
-    unindexed: tuple[Formula, ...]
+    domains: dict[int | str, tuple[Formula, ...]]
 
 
-def closure(formula: Formula, delta: int | None = None) -> Closure:
-    """Subformula closure with children before parents, sorted by depth."""
+def closure(formula: Formula, sig: Signature) -> Closure:
+    """Subformula closure with children before parents, sorted by depth.
+
+    ``formula`` must satisfy ``sig``.
+    """
     order = sorted(subformulas(formula), key=lambda f: f.md)
-    index = {id(f): k for k, f in enumerate(order)}
-    if delta is None:
-        delta = max(
-            [f.alpha[1] for f in order if isinstance(f, Dia) and isinstance(f.alpha[1], int)]
-            + [f.alpha[0] for f in order if isinstance(f, Dia) and isinstance(f.alpha[0], int)]
-            + [1],
-        )
-    per_port: list[set[int]] = [set() for _ in range(delta + 1)]
-    incoming: set[int] = set()
-    unindexed: set[int] = set()
+    rank = {id(f): k for k, f in enumerate(order)}
+    shown = range(1, sig.delta + 1) if sig.kind.out_visible else (STAR,)
+    targets: dict[int | str, set[int]] = {j: set() for j in shown}
     for f in order:
-        if not isinstance(f, Dia):
-            continue
-        a, b = f.alpha
-        if isinstance(b, int):
-            per_port[b].add(index[id(f.sub)])
-        elif isinstance(a, int):
-            incoming.add(index[id(f.sub)])
-        else:
-            unindexed.add(index[id(f.sub)])
-    def pick(idxs):
-        return tuple(order[k] for k in sorted(idxs))
-
-    return Closure(
-        formulas=tuple(order),
-        by_port=tuple(pick(s) for s in per_port),
-        incoming_only=pick(incoming),
-        unindexed=pick(unindexed),
-    )
+        if isinstance(f, Dia):
+            targets[f.alpha[1]].add(rank[id(f.sub)])
+    domains = {j: tuple(order[k] for k in sorted(ranks)) for j, ranks in targets.items()}
+    return Closure(tuple(order), domains)
 
 
 # ---------------------------------------------------------------------------
 # Formula -> machine
 # ---------------------------------------------------------------------------
+
+
+def _connective(node: tuple, g) -> int:
+    """Trit of an "&" or "!" node from the trits ``g`` of the closure."""
+    if node[0] == "&":
+        a, b = g[node[1]], g[node[2]]
+        return U if U in (a, b) else (1 if a == 1 and b == 1 else 0)
+    a = g[node[1]]
+    return U if a == U else 1 - a
 
 
 class CompiledMachine(Machine):
@@ -182,37 +172,31 @@ class CompiledMachine(Machine):
             raise CompileError("; ".join(problems))
         self.formula = formula
         self.sig = sig
+        self.kind = sig.kind
         self.delta_max = sig.delta
-        self.closure = closure(formula, sig.delta)
+        self.closure = closure(formula, sig)
         order = self.closure.formulas
-        self._index = {id(f): k for k, f in enumerate(order)}
-        self._root = self._index[id(formula)]
-        kind = variant_of(sig.variant)
-        self.kind = kind
-        if kind.out_visible:
-            self._domains = [
-                tuple(self._index[id(f)] for f in targets)
-                for targets in self.closure.by_port
-            ]
-        else:
-            shared = self.closure.incoming_only if kind.in_visible else self.closure.unindexed
-            self._shared = tuple(self._index[id(f)] for f in shared)
+        index = {id(f): k for k, f in enumerate(order)}
+        self._root = index[id(formula)]
+        self._domains = {
+            j: tuple(index[id(f)] for f in targets) for j, targets in self.closure.domains.items()
+        }
         self._nodes = []
         for f in order:
             if isinstance(f, Prop):
                 self._nodes.append(("q", f.index))
             elif isinstance(f, And):
-                self._nodes.append(("&", self._index[id(f.left)], self._index[id(f.right)]))
+                self._nodes.append(("&", index[id(f.left)], index[id(f.right)]))
             elif isinstance(f, Not):
-                self._nodes.append(("!", self._index[id(f.sub)]))
+                self._nodes.append(("!", index[id(f.sub)]))
             else:
-                sub = self._index[id(f.sub)]
-                domain = self._domains[f.alpha[1]] if kind.out_visible else self._shared
-                self._nodes.append(("<>", f.alpha, f.grade, sub, domain.index(sub)))
+                sub = index[id(f.sub)]
+                pos = self._domains[f.alpha[1]].index(sub)
+                self._nodes.append(("<>", f.alpha, f.grade, sub, pos))
         graded = any(isinstance(f, Dia) and f.grade > 1 for f in order)
         self.tag = ClassTag(
-            VECTOR if kind.in_visible else (MULTISET if graded else SET),
-            VECTOR if kind.out_visible else BROADCAST,
+            VECTOR if self.kind.in_visible else (MULTISET if graded else SET),
+            VECTOR if self.kind.out_visible else BROADCAST,
         )
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
@@ -220,21 +204,16 @@ class CompiledMachine(Machine):
     def init_state(self, degree: int):
         g = [U] * len(self._nodes)
         for k, node in enumerate(self._nodes):
-            kind = node[0]
-            if kind == "q":
+            if node[0] == "q":
                 g[k] = 1 if node[1] == degree else 0
-            elif kind == "&":
-                a, b = g[node[1]], g[node[2]]
-                g[k] = U if U in (a, b) else (1 if a == 1 and b == 1 else 0)
-            elif kind == "!":
-                a = g[node[1]]
-                g[k] = U if a == U else 1 - a
+            elif node[0] != "<>":
+                g[k] = _connective(node, g)
         return tuple(g)
 
     def emit(self, state, port: int):
         if self.kind.out_visible:
             return ("f", port, tuple(state[k] for k in self._domains[port]))
-        return ("f", tuple(state[k] for k in self._shared))
+        return ("f", tuple(state[k] for k in self._domains[STAR]))
 
     def transition(self, state, inbox: tuple):
         if state[self._root] != U:
@@ -244,26 +223,21 @@ class CompiledMachine(Machine):
         for k, node in enumerate(self._nodes):
             if g[k] != U:
                 continue
-            kind = node[0]
-            if kind == "&":
-                a, b = g[node[1]], g[node[2]]
-                g[k] = U if U in (a, b) else (1 if a == 1 and b == 1 else 0)
-            elif kind == "!":
-                a = g[node[1]]
-                g[k] = U if a == U else 1 - a
-            else:
-                _, (i, j), grade, sub, pos = node
-                if state[sub] == U:
-                    continue
-                # The payload is a message's last field.  A visible outgoing
-                # port rides in front of it as the port tag, and the tag
-                # must match before pos indexes that port's payload.
-                hits = sum(
-                    1
-                    for m in ((inbox[i - 1],) if in_visible else inbox)
-                    if m != NO_MESSAGE and (not out_visible or m[1] == j) and m[-1][pos] == 1
-                )
-                g[k] = 1 if hits >= grade else 0
+            if node[0] != "<>":
+                g[k] = _connective(node, g)
+                continue
+            _, (i, j), grade, sub, pos = node
+            if state[sub] == U:
+                continue
+            # The payload is a message's last field.  A visible outgoing
+            # port rides in front of it as the port tag, and the tag must
+            # match before pos indexes that port's payload.
+            hits = sum(
+                1
+                for m in ((inbox[i - 1],) if in_visible else inbox)
+                if m != NO_MESSAGE and (not out_visible or m[1] == j) and m[-1][pos] == 1
+            )
+            g[k] = 1 if hits >= grade else 0
         return tuple(g)
 
     def is_output(self, state) -> bool:
@@ -394,18 +368,17 @@ class _Decompiler:
     def __init__(
         self,
         machine: Machine,
-        delta: int,
+        sig: Signature,
         horizon: int,
-        variant: str,
         suite: ModelSuite,
         max_states: int,
         max_messages: int,
         max_visits: int,
     ):
         self.machine = machine
-        self.delta = delta
+        self.delta = sig.delta
         self.horizon = horizon
-        self.kind = variant_of(variant)
+        self.kind = sig.kind
         self.suite = suite
         self.max_states = max_states
         self.max_messages = max_messages
@@ -589,8 +562,7 @@ class _Decompiler:
         return DecompileResult(formula, table, self.suite, self.horizon)
 
 
-def _check_variant_fit(machine: Machine, variant: str):
-    kind = variant_of(variant)
+def _check_variant_fit(machine: Machine, kind: Variant):
     if not kind.in_visible and machine.tag.inbox == VECTOR:
         raise DecompileError(
             "count-based decompilation needs a multiset- or set-invariant machine"
@@ -615,7 +587,8 @@ def decompile_details(
         raise DecompileError("delta must be at least 1")
     if delta > machine.delta_max:
         raise DecompileError("delta exceeds the machine's declared bound")
-    _check_variant_fit(machine, variant)
+    sig = Signature(delta, variant)
+    _check_variant_fit(machine, sig.kind)
     if suite is None:
         suite = ModelSuite(default_decompile_suite(delta, node_bound), variant, delta)
     elif not isinstance(suite, ModelSuite):
@@ -624,9 +597,7 @@ def decompile_details(
         raise DecompileError("suite was built for a different signature")
     if not suite.total_worlds:
         raise DecompileError("the decompile suite has no worlds")
-    worker = _Decompiler(
-        machine, delta, horizon, variant, suite, max_states, max_messages, max_visits
-    )
+    worker = _Decompiler(machine, sig, horizon, suite, max_states, max_messages, max_visits)
     return worker.build()
 
 

@@ -523,25 +523,44 @@ def _clean_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, line.split()
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the ".g" format: ``nodes <n>`` then ``e <u> <v>`` lines."""
+def _int_fields(lineno: int, fields: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GraphFormatError(
+            f"line {lineno}: expected integers, got {' '.join(fields)!r}"
+        ) from None
+
+
+def _parse_records(text: str, tag: str, arity: int, name: str) -> tuple[int, list]:
+    """Node count and the (line number, integer fields) of each ``tag`` line.
+
+    The text holds one ``nodes <n>`` line and ``tag`` lines of ``arity``
+    integers each; ``name`` names a ``tag`` line in error messages.
+    """
     n = None
-    edges = []
+    records = []
     for lineno, fields in _clean_lines(text):
         if fields[0] == "nodes" and len(fields) == 2:
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate nodes line")
-            n = int(fields[1])
-        elif fields[0] == "e" and len(fields) == 3:
+            (n,) = _int_fields(lineno, fields[1:])
+        elif fields[0] == tag and len(fields) == arity + 1:
             if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before nodes line")
-            edges.append((int(fields[1]), int(fields[2])))
+                raise GraphFormatError(f"line {lineno}: {name} before nodes line")
+            records.append((lineno, _int_fields(lineno, fields[1:])))
         else:
             raise GraphFormatError(f"line {lineno}: unrecognised line {' '.join(fields)!r}")
     if n is None:
         raise GraphFormatError("missing nodes line")
+    return n, records
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the ".g" format: ``nodes <n>`` then ``e <u> <v>`` lines."""
+    n, records = _parse_records(text, "e", 2, "edge")
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, [ints for _, ints in records])
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from exc
 
@@ -558,24 +577,12 @@ def parse_ported(text: str) -> PortedGraph:
     Each ``p`` line states p((u, i)) = (v, j); the implied graph is recovered
     from the arcs and the numbering is then validated in full.
     """
-    n = None
+    n, records = _parse_records(text, "p", 4, "port line")
     entries: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, fields in _clean_lines(text):
-        if fields[0] == "nodes" and len(fields) == 2:
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate nodes line")
-            n = int(fields[1])
-        elif fields[0] == "p" and len(fields) == 5:
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: port line before nodes line")
-            u, i, v, j = (int(x) for x in fields[1:])
-            if (u, i) in entries:
-                raise GraphFormatError(f"line {lineno}: port ({u},{i}) mapped twice")
-            entries[(u, i)] = (v, j)
-        else:
-            raise GraphFormatError(f"line {lineno}: unrecognised line {' '.join(fields)!r}")
-    if n is None:
-        raise GraphFormatError("missing nodes line")
+    for lineno, (u, i, v, j) in records:
+        if (u, i) in entries:
+            raise GraphFormatError(f"line {lineno}: port ({u},{i}) mapped twice")
+        entries[(u, i)] = (v, j)
     edges = {(min(u, v), max(u, v)) for (u, _), (v, _) in entries.items()}
     try:
         graph = Graph.from_edges(n, sorted(edges))
@@ -591,11 +598,17 @@ def format_ported(pg: PortedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(filename) -> str:
+    try:
+        with open(filename, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{filename}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_graph(filename) -> Graph:
-    with open(filename, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(filename))
 
 
 def load_ported(filename) -> PortedGraph:
-    with open(filename, "r", encoding="utf-8") as fh:
-        return parse_ported(fh.read())
+    return parse_ported(_read_text(filename))

@@ -21,14 +21,15 @@ Concrete grammar (whitespace insignificant)::
     atom    := "q" nat | "T" | "F" | "(" formula ")"
 
 Disjunction, T and F are sugar eliminated at parse time; F is the fixed
-contradiction (q1 & !q1) and T its negation.  Nodes are hash-consed, so
-structurally equal formulas are the same object and big shared structures
-(such as decompiled formulas) stay compact.
+contradiction (q1 & !q1) and T its negation.  Negations, diamonds and
+parentheses nest at most ``MAX_NESTING`` levels deep.  Nodes are
+hash-consed, so structurally equal formulas are the same object and big
+shared structures (such as decompiled formulas) stay compact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import PortedGraph, PortlogicError
@@ -266,10 +267,18 @@ def subformulas(formula: Formula) -> list[Formula]:
 # ---------------------------------------------------------------------------
 
 
+# Each nesting level costs the recursive-descent parser at most four Python
+# frames (a parenthesis passes through atom, formula, and_ and unary), so
+# this bound keeps parsing well inside the interpreter's default recursion
+# limit of 1000.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise FormulaSyntaxError(message, self.pos)
@@ -281,6 +290,12 @@ class _Parser:
     def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def descend(self):
+        """Open one nesting level: a "!", a diamond or a parenthesis."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"formula nested more than {MAX_NESTING} levels deep")
 
     def take(self, char: str):
         if self.peek() != char:
@@ -312,13 +327,17 @@ class _Parser:
 
     def unary(self) -> Formula:
         ch = self.peek()
+        if ch not in ("!", "<"):
+            return self.atom()
+        self.descend()
         if ch == "!":
             self.take("!")
-            return neg(self.unary())
-        if ch == "<":
+            node = neg(self.unary())
+        else:
             alpha, grade = self.dia()
-            return dia(alpha, self.unary(), grade)
-        return self.atom()
+            node = dia(alpha, self.unary(), grade)
+        self.depth -= 1
+        return node
 
     def dia(self) -> tuple[tuple, int]:
         self.take("<")
@@ -355,8 +374,10 @@ class _Parser:
             self.take("F")
             return false_()
         if ch == "(":
+            self.descend()
             self.take("(")
             node = self.formula()
+            self.depth -= 1
             self.take(")")
             return node
         self.error("expected an atom")
@@ -402,21 +423,28 @@ def format_formula(formula: Formula) -> str:
 
 @dataclass(frozen=True)
 class Signature:
-    """Degree bound plus the index-pair shape legal for a variant."""
+    """Degree bound plus the index-pair shape legal for a variant.
+
+    ``kind`` is the variant's ``Variant`` and ``legal`` the set of modality
+    indices the signature allows; both are derived once, at construction.
+    """
 
     delta: int
     variant: str
+    kind: Variant = field(init=False, repr=False, compare=False)
+    legal: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        variant_of(self.variant)
+        object.__setattr__(self, "kind", variant_of(self.variant))
         if self.delta < 1:
             raise SignatureError("delta must be at least 1")
+        object.__setattr__(self, "legal", frozenset(alphas_for(self.variant, self.delta)))
 
     @property
     def allows_grading(self) -> bool:
         # Fixing the incoming port pins down at most one successor, so graded
         # diamonds only make sense when the incoming index is unconstrained.
-        return not variant_of(self.variant).in_visible
+        return not self.kind.in_visible
 
 
 def alphas_for(variant: str, delta: int) -> list[tuple]:
@@ -429,19 +457,18 @@ def alphas_for(variant: str, delta: int) -> list[tuple]:
     ]
 
 
-def _node_problems(node: Formula, sig: Signature, legal) -> list[str]:
+def _node_problems(node: Formula, sig: Signature) -> list[str]:
     """Signature violations of ``node`` itself, its subformulas aside.
 
-    ``legal`` is the set of modality indices ``sig`` allows.  This is the one
-    place that states the signature rules; ``validate_signature`` and
-    ``eval_formula`` both apply it node by node.
+    This is the one place that states the signature rules;
+    ``validate_signature`` and ``eval_formula`` both apply it node by node.
     """
     problems: list[str] = []
     if isinstance(node, Prop):
         if node.index > sig.delta:
             problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
     elif isinstance(node, Dia):
-        if node.alpha not in legal:
+        if node.alpha not in sig.legal:
             problems.append(
                 f"modality index {node.alpha} not legal for variant {sig.variant}"
                 f" with delta {sig.delta}"
@@ -453,10 +480,7 @@ def _node_problems(node: Formula, sig: Signature, legal) -> list[str]:
 
 def validate_signature(formula: Formula, sig: Signature) -> list[str]:
     """All signature violations of ``formula`` (empty list means ok)."""
-    legal = set(alphas_for(sig.variant, sig.delta))
-    return [
-        problem for node in subformulas(formula) for problem in _node_problems(node, sig, legal)
-    ]
+    return [problem for node in subformulas(formula) for problem in _node_problems(node, sig)]
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +512,7 @@ class KripkeModel:
             for v, w in pairs:
                 lists[v].append(w)
             self._succ[alpha] = tuple(tuple(ws) for ws in lists)
+        self._signature: Signature | None = None
         self._profiles = tuple(
             frozenset(i for i, ws in self.valuation.items() if world in ws)
             for world in range(size)
@@ -504,7 +529,11 @@ class KripkeModel:
         return self.valuation.get(index, frozenset())
 
     def signature(self) -> Signature:
-        return Signature(self.delta, self.variant)
+        """The model's ``Signature``, built on first use: a model of delta 0
+        constructs, and only asking for its signature raises."""
+        if self._signature is None:
+            self._signature = Signature(self.delta, self.variant)
+        return self._signature
 
     def valuation_profile(self, world: int) -> frozenset[int]:
         """Indices of the propositions true at ``world`` (0 <= world < size)."""
@@ -559,7 +588,6 @@ def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:
     the order ``validate_signature`` gives.
     """
     sig = model.signature()
-    legal = set(alphas_for(sig.variant, sig.delta))
     worlds = frozenset(range(model.size))
     problems: list[str] = []
     # memo doubles as the walk's "seen" set; once a problem is found the
@@ -581,7 +609,7 @@ def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:
                 stack.append((node.sub, False))
             continue
         if kind is Prop or kind is Dia:
-            problems += _node_problems(node, sig, legal)
+            problems += _node_problems(node, sig)
         if problems:
             memo[key] = None
         elif kind is Prop:

@@ -238,7 +238,11 @@ class _HistoryWrapper(_Simulation):
         return histories[port - 1] + (self.base.emit(sim, port),)
 
     def emit(self, state, port: int):
-        _, sim, histories, _, _, _ = state
+        _, sim, histories, _, _, degree = state
+        if port > degree and not self.broadcast:
+            # A node has no port beyond its degree, so it keeps no history
+            # there; the decompiler asks every port up to delta.
+            return NO_MESSAGE
         message = ("hist", self._sent(sim, histories, port))
         if len(canon(message)) > self.byte_budget:
             raise HistoryBudgetError(

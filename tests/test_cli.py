@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from portlogic.cli import main
+from portlogic.cli import WRAPPERS, main
 from portlogic.graphs import format_graph, format_ported, PortedGraph, consistent_port_numbering, star
+from portlogic.problems import MACHINES
 
 
 @pytest.fixture()
@@ -23,6 +25,17 @@ def star3_pn(tmp_path):
     target = tmp_path / "star3.pn"
     target.write_text(format_ported(PortedGraph(g, consistent_port_numbering(g, 0))))
     return str(target)
+
+
+@pytest.fixture()
+def malformed(tmp_path):
+    """A directory of graph files the loaders must refuse."""
+    (tmp_path / "nodes.g").write_text("nodes abc\n")
+    (tmp_path / "edge.g").write_text("nodes 2\ne a b\n")
+    (tmp_path / "port.pn").write_text("nodes 2\np 0 1 1 x\np 1 1 0 1\n")
+    (tmp_path / "latin1.g").write_bytes(b"nodes 2\n# caf\xe9\ne 0 1\n")
+    (tmp_path / "latin1.pn").write_bytes(b"nodes 2\n# caf\xe9\np 0 1 1 1\np 1 1 0 1\n")
+    return str(tmp_path)
 
 
 def run_cli(args, capsys):
@@ -211,14 +224,30 @@ def test_missing_variant_is_reported(star3_pn, capsys):
         ["run", "--graph", "{g}", "--machine", "odd_odd", "--delta", "0"],
         ["check", "--graph", "{g}", "--formula", "q1", "--variant", "--", "--delta", "0"],
         ["verify", "--graph", "{pn}", "--delta", "0"],
+        ["check", "--graph", "{g}", "--formula", "!" * 5000 + "q1", "--variant", "--"],
+        ["compile", "--formula", "<*,*>" * 3000 + "q1", "--variant", "--", "--delta", "2"],
+        ["check", "--graph", "{g}", "--formula", "(" * 3000 + "q1" + ")" * 3000,
+         "--variant", "--"],
+        ["run", "--graph", "{tmp}/nodes.g", "--machine", "odd_odd"],
+        ["bisim", "--graph", "{tmp}/edge.g", "--variant", "--"],
+        ["verify", "--graph", "{tmp}/port.pn"],
+        ["run", "--graph", "{tmp}/latin1.pn", "--machine", "odd_odd"],
+        ["bisim", "--graph", "{tmp}/latin1.g", "--variant", "--"],
+        ["verify", "--graph", "{tmp}/latin1.pn"],
     ],
     ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
          "decompile-delta-0", "decompile-delta-negative", "node-cap", "decompile-node-bound-0",
          "gen-out",
-         "run-max-rounds-negative", "run-delta-0", "check-delta-0", "verify-delta-0"],
+         "run-max-rounds-negative", "run-delta-0", "check-delta-0", "verify-delta-0",
+         "deep-negation", "deep-diamonds", "deep-parentheses",
+         "run-nodes-not-int", "bisim-edge-not-int", "verify-port-not-int",
+         "run-not-utf8", "bisim-not-utf8", "verify-not-utf8"],
 )
-def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, capsys):
-    code = main([arg.replace("{g}", star3_g).replace("{pn}", star3_pn) for arg in argv])
+def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, malformed, capsys):
+    code = main([
+        arg.replace("{g}", star3_g).replace("{pn}", star3_pn).replace("{tmp}", malformed)
+        for arg in argv
+    ])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -239,3 +268,117 @@ def test_console_script_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the documented surface in-process
+# ---------------------------------------------------------------------------
+
+COMMANDS = ["run", "check", "compile", "decompile", "bisim", "separate", "gen", "verify"]
+INTS = st.integers(min_value=1, max_value=3)
+BAD_INTS = st.integers(min_value=-1, max_value=0)
+VARIANT_CODES = st.sampled_from(["++", "-+", "+-", "--"])
+BAD_VARIANTS = st.sampled_from(["+*", "", "x", "---", "+"])
+FORMULAS = st.sampled_from(
+    ["q1", "q3", "<*,*>q1", "<1,2>q2 & !q1", "<*,1;2>q1", "(q1 | T) & F", "<*,*;2><*,*>q2"]
+)
+FORMULA_TEXT = st.text(alphabet="q0123!&|<>,;*()TF ", max_size=12)
+MACHINE_NAMES = st.sampled_from(
+    sorted(MACHINES) + [f"{w}:{m}" for w in WRAPPERS for m in sorted(MACHINES)]
+)
+BAD_MACHINES = st.sampled_from(["nope", "odd_odd:", "", "set_from_multiset:nope"])
+GRAPH_FILES = st.sampled_from(["star3.g", "star3.pn"])
+BAD_GRAPH_FILES = st.sampled_from(
+    ["nodes.g", "edge.g", "port.pn", "latin1.g", "latin1.pn", "absent.g"]
+)
+
+
+def _junk(draw) -> bool:
+    """True one time in eight."""
+    return draw(st.integers(min_value=0, max_value=7)) == 7
+
+
+def _value(draw, valid, junk) -> str:
+    return str(draw(junk if _junk(draw) else valid))
+
+
+def _flag(draw, argv: list, name: str, valid, junk=None):
+    if draw(st.booleans()):
+        argv += [name, _value(draw, valid, valid if junk is None else junk)]
+
+
+@st.composite
+def cli_argv(draw, directory: str):
+    """A command line over every subcommand and its documented flags."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+
+    def graph():
+        return f"{directory}/{_value(draw, GRAPH_FILES, BAD_GRAPH_FILES)}"
+
+    def one_machine_or_formula():
+        # exactly one is valid; neither or both is the junk case
+        choice = _value(draw, st.sampled_from(["machine", "formula"]), st.sampled_from(["", "both"]))
+        if choice in ("machine", "both"):
+            argv.extend(["--machine", _value(draw, MACHINE_NAMES, BAD_MACHINES)])
+        if choice in ("formula", "both"):
+            argv.extend(["--formula", _value(draw, FORMULAS, FORMULA_TEXT)])
+
+    if command == "separate":
+        argv.append(_value(draw, st.sampled_from(["star", "parity", "regular"]), st.just("nope")))
+    elif command == "gen":
+        families = st.sampled_from(["star", "cycle", "no_one_factor_cubic", "parity_union"])
+        argv += ["--family", _value(draw, families, st.just("nope"))]
+        _flag(draw, argv, "--k", st.integers(min_value=1, max_value=5), BAD_INTS)
+        _flag(draw, argv, "--numbering", st.sampled_from(["none", "random", "consistent", "symmetric"]))
+        _flag(draw, argv, "--out", st.just(f"{directory}/out.pn"), st.just(f"{directory}/no/out.g"))
+    elif command == "bisim":
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            argv += ["--graph", graph()]
+        if draw(st.booleans()):
+            argv.append("--graded")
+    elif command == "decompile":
+        argv += ["--machine", _value(draw, MACHINE_NAMES, BAD_MACHINES),
+                 "--horizon", _value(draw, INTS, BAD_INTS),
+                 "--delta", _value(draw, INTS, BAD_INTS)]
+        _flag(draw, argv, "--node-bound", INTS, BAD_INTS)
+    elif command == "compile":
+        argv += ["--formula", _value(draw, FORMULAS, FORMULA_TEXT),
+                 "--delta", _value(draw, INTS, BAD_INTS)]
+    else:
+        argv += ["--graph", graph()]
+        _flag(draw, argv, "--delta", INTS, BAD_INTS)
+        if command == "check":
+            argv += ["--formula", _value(draw, FORMULAS, FORMULA_TEXT)]
+        else:
+            one_machine_or_formula()
+        if command != "verify" and draw(st.booleans()):
+            argv.append("--consistent")
+        if command == "run":
+            _flag(draw, argv, "--max-rounds", st.integers(min_value=1, max_value=12), BAD_INTS)
+            if draw(st.booleans()):
+                argv.append("--trace")
+        if command == "verify":
+            _flag(draw, argv, "--samples", st.integers(min_value=1, max_value=20), BAD_INTS)
+    if command not in ("separate", "gen") and not _junk(draw):
+        argv += ["--variant", _value(draw, VARIANT_CODES, BAD_VARIANTS)]
+    _flag(draw, argv, "--seed", INTS, BAD_INTS)
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_keeps_its_exit_contract(data, star3_g, star3_pn, malformed, tmp_path, capsys):
+    # the graph fixtures write their files into tmp_path
+    argv = data.draw(cli_argv(str(tmp_path)))
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing its input
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv

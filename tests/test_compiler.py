@@ -47,26 +47,26 @@ from portlogic.machines import (
     run,
 )
 from portlogic.problems import odd_odd_machine
+from portlogic.simulate import multiset_from_vector
 from portlogic.smallgraphs import all_graphs
 
 
 def test_closure_of_atom():
-    c = closure(parse("q1"))
+    c = closure(parse("q1"), Signature(2, "++"))
     assert c.formulas == (prop(1),)
-    assert all(not targets for targets in c.by_port)
-    assert not c.incoming_only and not c.unindexed
+    assert c.domains == {1: (), 2: ()}
 
 
 def test_closure_port_indexed():
-    c = closure(parse("<1,2>q1"), delta=2)
-    assert c.by_port[2] == (prop(1),)
-    assert not c.by_port[1]
+    c = closure(parse("<1,2>q1"), Signature(2, "++"))
+    assert c.domains[2] == (prop(1),)
+    assert not c.domains[1]
 
 
 def test_closure_mixed():
-    c = closure(parse("!(<*,*>q1 & q2)"))
+    c = closure(parse("!(<*,*>q1 & q2)"), Signature(2, "--"))
     assert len(c.formulas) == 5
-    assert c.unindexed == (prop(1),)
+    assert c.domains == {"*": (prop(1),)}
     # children precede parents
     order = {id(f): k for k, f in enumerate(c.formulas)}
     assert order[id(prop(1))] < order[id(parse("<*,*>q1"))]
@@ -237,6 +237,16 @@ def test_decompile_below_machine_delta_pads_like_run(variant):
         result = decompile_details(machine, 2, 3, variant, suite=suite)
         for pg, model in zip(suite.ported, suite.models):
             assert set(eval_formula(model, result.formula)) == _ones(run(machine, pg, 4))
+
+
+def test_decompile_history_wrapper_skips_ports_beyond_the_degree():
+    # emit is asked for every port up to delta, also on nodes of smaller degree
+    variant, delta = "-+", 3
+    machine = multiset_from_vector(odd_odd_machine(delta))
+    suite = ModelSuite(default_decompile_suite(delta, node_bound=3), variant, delta)
+    result = decompile_details(machine, delta, 2, variant, suite=suite)
+    for pg, model in zip(suite.ported, suite.models):
+        assert set(eval_formula(model, result.formula)) == _ones(run(machine, pg, 4))
 
 
 def test_decompile_depth_matches_horizon():

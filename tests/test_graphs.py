@@ -27,6 +27,8 @@ from portlogic.graphs import (
     format_ported,
     has_one_factor,
     is_consistent,
+    load_graph,
+    load_ported,
     no_one_factor_cubic,
     one_factorization,
     parse_graph,
@@ -265,6 +267,29 @@ def test_ported_format_roundtrip_and_validation():
         parse_ported("nodes 2\np 0 1 0 1\np 1 1 1 1\n")
     with pytest.raises(GraphFormatError):
         parse_ported("nodes 2\np 0 1 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_graph, "nodes abc\n", 1),
+        (parse_graph, "nodes 2\ne a b\n", 2),
+        (parse_graph, "nodes 2\ne 0 1.5\n", 2),
+        (parse_ported, "# ported\nnodes 2\np 0 1 1 x\n", 3),
+        (parse_ported, "nodes two\np 0 1 1 1\n", 1),
+    ],
+)
+def test_non_integer_fields_name_their_line(parse, text, line):
+    with pytest.raises(GraphFormatError, match=f"^line {line}: expected integers"):
+        parse(text)
+
+
+@pytest.mark.parametrize("load", [load_graph, load_ported])
+def test_undecodable_file_names_the_file(load, tmp_path):
+    target = tmp_path / "latin1.g"
+    target.write_bytes(b"nodes 2\n# caf\xe9\ne 0 1\n")
+    with pytest.raises(GraphFormatError, match="latin1.g: not UTF-8"):
+        load(str(target))
 
 
 def test_ported_graph_rejects_invalid_numbering():

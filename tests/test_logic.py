@@ -25,6 +25,7 @@ from portlogic.logic import (
     FormulaError,
     FormulaSyntaxError,
     KripkeModel,
+    MAX_NESTING,
     Not,
     Signature,
     SignatureError,
@@ -96,6 +97,33 @@ def test_print_parse_roundtrip(seed):
     sig = Signature(rng.randint(1, 3), variant)
     f = random_formula(rng, sig)
     assert parse(format_formula(f)) is f
+
+
+@pytest.mark.parametrize("opener, closer", [("!", ""), ("<*,*>", ""), ("(", ")")])
+def test_parse_bounds_nesting(opener, closer):
+    f = parse(opener * 200 + "q1" + closer * 200)
+    assert f.md == (200 if opener.startswith("<") else 0)
+    assert f.size == (1 if opener == "(" else 201)
+    with pytest.raises(FormulaSyntaxError, match="nested more than"):
+        parse(opener * (MAX_NESTING + 1) + "q1" + closer * (MAX_NESTING + 1))
+
+
+def test_signature_derives_its_variant_and_legal_indices():
+    sig = Signature(2, "-+")
+    assert sig.kind == variant_of("-+")
+    assert sig.legal == frozenset(alphas_for("-+", 2))
+    # the derived fields stay out of equality, hashing and repr
+    assert sig == Signature(2, "-+") and hash(sig) == hash(Signature(2, "-+"))
+    assert repr(sig) == "Signature(delta=2, variant='-+')"
+
+
+def test_model_signature_is_built_once_and_only_on_use():
+    g = path(1)
+    model = kripke_model(PortedGraph(g, consistent_port_numbering(g, 0)), "--", 0)
+    with pytest.raises(SignatureError):
+        eval_formula(model, parse("q1"))
+    model = kripke_model(PortedGraph(g, consistent_port_numbering(g, 0)), "--", 1)
+    assert model.signature() is model.signature()
 
 
 def test_signature_validation():
