@@ -54,6 +54,7 @@ from .logic import (
     Not,
     Prop,
     Signature,
+    SignatureMismatchError,
     Variant,
     conj,
     conj_all,
@@ -64,6 +65,7 @@ from .logic import (
     prop,
     subformulas,
     validate_signature,
+    _node_problems,
 )
 from .machines import (
     BROADCAST,
@@ -91,9 +93,15 @@ __all__ = [
     "CompileError",
     "DecompileError",
     "DecompileBudgetError",
+    "MAX_STATES",
+    "MAX_MESSAGES",
 ]
 
 U = 2
+
+# decompiler budgets: distinct states per round, distinct messages per round
+MAX_STATES = 512
+MAX_MESSAGES = 256
 
 
 class CompileError(PortlogicError, ValueError):
@@ -265,6 +273,7 @@ class ModelSuite:
     def __init__(self, ported: Sequence[PortedGraph], variant: str, delta: int):
         self.variant = variant
         self.delta = delta
+        self.sig = Signature(delta, variant)
         self.ported = list(ported)
         self.models = [kripke_model(pg, variant, delta) for pg in self.ported]
         self.offsets = []
@@ -313,9 +322,17 @@ class ModelSuite:
         return out
 
     def table(self, formula: Formula) -> int:
-        """Truth table of an arbitrary formula over all suite worlds."""
+        """Truth table of ``formula`` over all suite worlds.
+
+        A formula that breaks the suite's signature raises
+        ``SignatureMismatchError`` with the problems ``eval_formula`` lists.
+        """
+        problems: list[str] = []
         memo: dict[int, int] = {}
         for node in subformulas(formula):
+            problems += _node_problems(node, self.sig)
+            if problems:
+                continue
             if isinstance(node, Prop):
                 mask = self.degree_mask(node.index)
             elif isinstance(node, And):
@@ -325,18 +342,20 @@ class ModelSuite:
             else:
                 mask = self.diamond_mask(node.alpha, node.grade, memo[id(node.sub)])
             memo[id(node)] = mask
+        if problems:
+            raise SignatureMismatchError("; ".join(problems))
         return memo[id(formula)]
 
 
 def default_decompile_suite(
-    delta: int, node_bound: int = 5, numberings_per_graph: int = 3, seed: int = 0
+    delta: int, node_bound: int = 5, numberings_per_graph: int = 3
 ) -> list[PortedGraph]:
     """Enumeration suite: all graphs up to the bound, sampled numberings."""
     out = []
     for gi, g in enumerate(all_graphs(node_bound, max_degree=delta)):
         for k in range(numberings_per_graph):
-            out.append(PortedGraph(g, random_port_numbering(g, seed + 101 * gi + k)))
-        out.append(PortedGraph(g, consistent_port_numbering(g, seed + gi)))
+            out.append(PortedGraph(g, random_port_numbering(g, 101 * gi + k)))
+        out.append(PortedGraph(g, consistent_port_numbering(g, gi)))
     return out
 
 
@@ -371,8 +390,6 @@ class _Decompiler:
         sig: Signature,
         horizon: int,
         suite: ModelSuite,
-        max_states: int,
-        max_messages: int,
         max_visits: int,
     ):
         self.machine = machine
@@ -380,8 +397,6 @@ class _Decompiler:
         self.horizon = horizon
         self.kind = sig.kind
         self.suite = suite
-        self.max_states = max_states
-        self.max_messages = max_messages
         self.max_visits = max_visits
         self.visits = 0
         # (modal depth, suite table) -> the first formula met with both
@@ -428,9 +443,9 @@ class _Decompiler:
                 m = self.machine.emit_absorbing(entry.state, j)
                 if m != NO_MESSAGE:
                     pool.setdefault(self.code[m], (m, {}))[1].setdefault(j, []).append(entry)
-        if len(pool) > self.max_messages:
+        if len(pool) > MAX_MESSAGES:
             raise DecompileBudgetError(
-                f"{len(pool)} distinct messages exceed the budget {self.max_messages}"
+                f"{len(pool)} distinct messages exceed the budget {MAX_MESSAGES}"
             )
         return pool
 
@@ -534,9 +549,9 @@ class _Decompiler:
         for entry in live:
             self._enumerate(entry, slots, terms)
         level = self._level(terms)
-        if len(level) > self.max_states:
+        if len(level) > MAX_STATES:
             raise DecompileBudgetError(
-                f"{len(level)} states at round {t} exceed the budget {self.max_states}"
+                f"{len(level)} states at round {t} exceed the budget {MAX_STATES}"
             )
         return level
 
@@ -578,8 +593,6 @@ def decompile_details(
     variant: str,
     suite: ModelSuite | Sequence[PortedGraph] | None = None,
     node_bound: int = 5,
-    max_states: int = 512,
-    max_messages: int = 256,
     max_visits: int = 2_000_000,
 ) -> DecompileResult:
     """Reverse compilation, with the formula's table over the suite it was built on."""
@@ -597,7 +610,7 @@ def decompile_details(
         raise DecompileError("suite was built for a different signature")
     if not suite.total_worlds:
         raise DecompileError("the decompile suite has no worlds")
-    worker = _Decompiler(machine, sig, horizon, suite, max_states, max_messages, max_visits)
+    worker = _Decompiler(machine, sig, horizon, suite, max_visits)
     return worker.build()
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
+    "MAX_GRAPH_NODES",
     "Graph",
     "PortNumbering",
     "PortedGraph",
@@ -54,6 +55,11 @@ __all__ = [
 ]
 
 
+# the largest node count a graph may have; constructors and loaders check it
+# before they allocate anything proportional to the size
+MAX_GRAPH_NODES = 1 << 16
+
+
 class PortlogicError(Exception):
     """Base of the library's errors: invalid input or an exceeded budget."""
 
@@ -88,19 +94,25 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adjacency) != self.n:
             raise GraphError("adjacency length must equal node count")
+        # one set per node keeps the symmetry test linear in the arcs
+        nbr_sets = [set(nbrs) for nbrs in self.adjacency]
         for v, nbrs in enumerate(self.adjacency):
-            if tuple(sorted(set(nbrs))) != nbrs:
+            if tuple(sorted(nbr_sets[v])) != nbrs:
                 raise GraphError(f"adjacency of node {v} must be sorted and duplicate-free")
             for u in nbrs:
                 if not 0 <= u < self.n:
                     raise GraphError(f"neighbor {u} of node {v} out of range")
                 if u == v:
                     raise GraphError(f"loop at node {v}")
-                if v not in self.adjacency[u]:
+                if v not in nbr_sets[u]:
                     raise GraphError(f"asymmetric adjacency between {v} and {u}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on nodes 0..n-1; ``edges`` is consumed only once ``n`` has
+        passed the ``MAX_GRAPH_NODES`` check."""
+        if n > MAX_GRAPH_NODES:
+            raise GraphError(f"{n} nodes exceed the limit of {MAX_GRAPH_NODES}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -466,27 +478,27 @@ def star(k: int) -> Graph:
     """Star with centre 0 and leaves 1..k."""
     if k < 1:
         raise GraphError("star needs at least one leaf")
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+    return Graph.from_edges(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least three nodes")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least one node")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def no_one_factor_cubic() -> Graph:
@@ -545,6 +557,10 @@ def _parse_records(text: str, tag: str, arity: int, name: str) -> tuple[int, lis
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate nodes line")
             (n,) = _int_fields(lineno, fields[1:])
+            if n > MAX_GRAPH_NODES:
+                raise GraphFormatError(
+                    f"line {lineno}: {n} nodes exceed the limit of {MAX_GRAPH_NODES}"
+                )
         elif fields[0] == tag and len(fields) == arity + 1:
             if n is None:
                 raise GraphFormatError(f"line {lineno}: {name} before nodes line")

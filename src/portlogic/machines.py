@@ -35,7 +35,7 @@ is cached across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .encoding import canon
 from .graphs import Graph, PortedGraph, PortlogicError, star, cycle, path, complete
@@ -125,9 +125,12 @@ class Machine:
     traces, conformance probes and the decompiler use; ``NO_MESSAGE`` is the
     one null message.  ``emit``, ``transition`` and ``is_output`` must be
     pure, and equal states (or messages) must have equal encodings, because
-    the executor memoises them within a run.  ``output_value`` maps a
-    stopping state to the reported output; wrappers override it to unwrap
-    their own markers.
+    the executor memoises them within a run.  ``emit(state, port)`` must
+    answer every port from 1 to ``delta_max``, also beyond the degree of the
+    nodes that hold ``state``: ``run`` never asks there, but
+    ``compiler.decompile`` does, and it expects a message (``NO_MESSAGE``
+    will do) or a ``PortlogicError``.  ``output_value`` maps a stopping state
+    to the reported output; wrappers override it to unwrap their own markers.
     """
 
     delta_max: int
@@ -373,12 +376,11 @@ def _default_probe_pool(delta: int) -> list[Graph]:
     return [g for g in pool if g.max_degree() <= delta]
 
 
+_PROBE_ROUNDS = 16  # the round budget of each observation run
+
+
 def check_class_conformance(
-    machine: Machine,
-    samples: int = 300,
-    seed: int = 0,
-    graphs_pool: Iterable[Graph] | None = None,
-    max_rounds: int = 16,
+    machine: Machine, samples: int = 300, seed: int = 0
 ) -> ConformanceReport:
     """Randomised probe of the machine's declared inbox/outbox discipline.
 
@@ -394,7 +396,6 @@ def check_class_conformance(
     import random as _random
 
     rng = _random.Random(seed)
-    pool = list(graphs_pool) if graphs_pool is not None else _default_probe_pool(machine.delta_max)
     observations: list[tuple[object, tuple]] = []
     live_states: dict[bytes, object] = {}
     # per kind, per class of values equal under ==: encoding -> value
@@ -403,10 +404,10 @@ def check_class_conformance(
     def meet(kind: str, value):
         met[kind].setdefault(value, {}).setdefault(canon(value), value)
 
-    for gi, g in enumerate(pool):
+    for gi, g in enumerate(_default_probe_pool(machine.delta_max)):
         for k in range(3):
             pg = PortedGraph(g, smallgraphs.numberings(g, cap=1, samples=1, seed=seed + 31 * gi + k)[0])
-            result = run(machine, pg, max_rounds, record_messages=True)
+            result = run(machine, pg, _PROBE_ROUNDS, record_messages=True)
             for snapshot in result.trace.states:
                 for state in snapshot:
                     meet("states", state)

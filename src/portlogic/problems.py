@@ -253,26 +253,23 @@ def symmetry_break_machine(delta_max: int) -> Machine:
     return _SymmetryBreakMachine(delta_max)
 
 
-def is_unmatchable_odd_regular(g: Graph, node_cap: int = 24) -> bool:
+def is_unmatchable_odd_regular(g: Graph) -> bool:
     """Connected, k-regular with k odd, and without a perfect matching."""
     k = g.regularity()
     if k is None or k % 2 == 0:
         return False
     if not g.is_connected():
         return False
-    return not has_one_factor(g, node_cap)
+    return not has_one_factor(g)
 
 
-def nonconstant_on_unmatchable(node_cap: int = 24) -> GraphProblem:
+def nonconstant_on_unmatchable() -> GraphProblem:
     """Non-constant output required exactly on unmatchable odd-regular graphs."""
-
-    def applies(g: Graph) -> bool:
-        return is_unmatchable_odd_regular(g, node_cap)
 
     def verifier(g: Graph, solution: Mapping[int, object]) -> bool:
         return len({solution[v] for v in range(g.n)}) > 1
 
-    return GraphProblem("nonconstant", (0, 1), applies, verifier)
+    return GraphProblem("nonconstant", (0, 1), is_unmatchable_odd_regular, verifier)
 
 
 MACHINES: dict[str, Callable[[int], Machine]] = {

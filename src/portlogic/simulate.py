@@ -15,7 +15,10 @@ machine of a weaker class with local overhead only:
   multiset of histories lexicographically and reads the current messages off
   in that order, which realises a fixed virtual numbering of its incoming
   ports (prefix order is stable, and equal histories imply equal current
-  messages, so ties are harmless).  No extra rounds.
+  messages, so ties are harmless).  Each node keeps one record, the sorted
+  virtual histories of its neighbours; a recorded history that no received
+  one extends is a silent neighbour's and grows by the null message, so that
+  neighbour keeps its place.  No extra rounds.
 
 * ``bcast_multiset_from_broadcast``: the history construction specialised to
   broadcast machines, staying inside the broadcast class.
@@ -23,9 +26,9 @@ machine of a weaker class with local overhead only:
 Certificates are hash-consed: a certificate is represented by a structural
 digest, so equality tests are exact while messages stay small.  Histories are
 kept verbatim (no compression) behind a configurable byte budget on the
-``canon`` encoding of each history message.  Wrappers hand their base machine
-the inbox ``machines.canonical_inbox`` realises for the base's discipline, as
-the executor would.
+``canon`` encoding of each history message.  Every wrapper hands its base
+machine the inbox ``machines.canonical_inbox`` realises for the base's
+discipline, as the executor would, in one step (``_Simulation._step``).
 """
 
 from __future__ import annotations
@@ -153,6 +156,12 @@ class _Simulation(Machine):
             return ("out", sim)
         return ("sim", sim, *fields)
 
+    def _step(self, sim, payloads: list, *fields):
+        """One base round on ``payloads``, padded and realised as ``run`` would."""
+        padded = tuple(payloads) + (NO_MESSAGE,) * (self.delta_max - len(payloads))
+        realised = canonical_inbox(self.base.tag.inbox, padded)
+        return self._simulating(self.base.transition(sim, realised), *fields)
+
     def is_output(self, state) -> bool:
         return state[0] == "out"
 
@@ -193,10 +202,7 @@ class _SetFromMultiset(_Simulation):
             triples = frozenset(m[1:] for m in inbox if m != NO_MESSAGE)
             return ("pre", t + 1, _next_cert(cert, triples), degree)
         _, sim, cert, degree = state
-        payloads = tuple(m[4] for m in set(inbox) if m != NO_MESSAGE)
-        padded = payloads + (NO_MESSAGE,) * (self.delta_max - len(payloads))
-        realised = canonical_inbox(self.base.tag.inbox, padded)
-        return self._simulating(self.base.transition(sim, realised), cert, degree)
+        return self._step(sim, [m[4] for m in set(inbox) if m != NO_MESSAGE], cert, degree)
 
 
 def set_from_multiset(base: Machine) -> Machine:
@@ -215,10 +221,10 @@ def _history_key(history: tuple) -> tuple:
 class _HistoryWrapper(_Simulation):
     """Shared machinery for the two history-based reconstructions.
 
-    State per node: the simulated base state, the per-port send histories,
-    the multiset of frozen histories of neighbours that already stopped
-    (extended by a null entry each round), and the previously received
-    multiset used to detect newly stopped neighbours.
+    State per node: ("sim", base state, send histories, heard, degree).  The
+    send histories are one per port (one in all for broadcast); ``heard`` is
+    the one record of the neighbours, the virtual histories of all ``degree``
+    of them after the last round, sorted by ``_history_key``.
     """
 
     def __init__(self, base: Machine, broadcast: bool, byte_budget: int):
@@ -228,9 +234,8 @@ class _HistoryWrapper(_Simulation):
         self.byte_budget = byte_budget
 
     def init_state(self, degree: int):
-        histories = ((),) if self.broadcast else tuple(() for _ in range(degree))
-        previous = tuple(() for _ in range(degree))
-        return self._simulating(self.base.init_state(degree), histories, (), previous, degree)
+        histories = ((),) if self.broadcast else ((),) * degree
+        return self._simulating(self.base.init_state(degree), histories, ((),) * degree, degree)
 
     def _sent(self, sim, histories, port: int) -> tuple:
         if self.broadcast:
@@ -238,7 +243,7 @@ class _HistoryWrapper(_Simulation):
         return histories[port - 1] + (self.base.emit(sim, port),)
 
     def emit(self, state, port: int):
-        _, sim, histories, _, _, degree = state
+        _, sim, histories, _, degree = state
         if port > degree and not self.broadcast:
             # A node has no port beyond its degree, so it keeps no history
             # there; the decompiler asks every port up to delta.
@@ -251,33 +256,18 @@ class _HistoryWrapper(_Simulation):
         return message
 
     def transition(self, state, inbox: tuple):
-        _, sim, histories, frozen, previous, degree = state
-        received = sorted(
-            (m[1] for m in inbox if m != NO_MESSAGE), key=_history_key
-        )
-        prefix_counts = Counter(h[:-1] for h in received)
-        newly_frozen = Counter(previous)
-        newly_frozen.subtract(prefix_counts)
-        extended = [f + (NO_MESSAGE,) for f in frozen]
-        for hist, count in newly_frozen.items():
-            extended.extend([hist + (NO_MESSAGE,)] * count)
-        full = received + extended
+        _, sim, histories, heard, degree = state
+        received = [m[1] for m in inbox if m != NO_MESSAGE]
+        # the neighbours whose history no received one extends went silent
+        silent = Counter(heard)
+        silent.subtract(h[:-1] for h in received)
+        full = received + [h + (NO_MESSAGE,) for h in silent.elements()]
         if len(full) != degree:
-            raise WrapperError(
-                "history reconstruction lost track of a neighbour"
-            )
+            raise WrapperError("history reconstruction lost track of a neighbour")
         full.sort(key=_history_key)
-        virtual = tuple(h[-1] for h in full)
-        virtual += (NO_MESSAGE,) * (self.delta_max - len(virtual))
-        new_sim = self.base.transition(sim, canonical_inbox(self.base.tag.inbox, virtual))
         ports = (1,) if self.broadcast else range(1, degree + 1)
-        return self._simulating(
-            new_sim,
-            tuple(self._sent(sim, histories, i) for i in ports),
-            tuple(sorted(extended, key=_history_key)),
-            tuple(received),
-            degree,
-        )
+        sent = tuple(self._sent(sim, histories, i) for i in ports)
+        return self._step(sim, [h[-1] for h in full], sent, tuple(full), degree)
 
 
 def multiset_from_vector(base: Machine, byte_budget: int = 1 << 16) -> Machine:

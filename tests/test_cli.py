@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -252,6 +253,26 @@ def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, malformed,
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--graph", "{tmp}/huge.g", "--machine", "odd_odd"],
+        ["verify", "--graph", "{tmp}/huge.pn"],
+        ["gen", "--family", "star", "--k", "1000000000"],
+        ["gen", "--family", "cycle", "--k", "1000000000", "--numbering", "random"],
+    ],
+    ids=["run-g", "verify-pn", "gen-star", "gen-cycle"],
+)
+def test_oversized_graphs_exit_2_within_a_second(argv, tmp_path, capsys):
+    (tmp_path / "huge.g").write_text("nodes 10000000000\ne 0 1\n")
+    (tmp_path / "huge.pn").write_text("nodes 10000000000\n")
+    started = time.perf_counter()
+    code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert code == 2 and "exceed the limit" in err
 
 
 def test_unknown_machine(star3_g, capsys):

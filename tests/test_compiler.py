@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import cached_model, random_formula, random_multiset_machine, sweep
+from portlogic.cli import WRAPPERS
 from portlogic.compiler import (
     CompileError,
     DecompileBudgetError,
@@ -20,6 +21,7 @@ from portlogic.compiler import (
 from portlogic.graphs import (
     Graph,
     PortedGraph,
+    PortlogicError,
     consistent_port_numbering,
     cycle,
     path,
@@ -46,8 +48,8 @@ from portlogic.machines import (
     check_class_conformance,
     run,
 )
-from portlogic.problems import odd_odd_machine
-from portlogic.simulate import multiset_from_vector
+from portlogic.problems import MACHINES, odd_odd_machine
+from portlogic.simulate import WrapperError, multiset_from_vector
 from portlogic.smallgraphs import all_graphs
 
 
@@ -279,6 +281,41 @@ def test_decompile_refuses_a_suite_without_worlds(suite):
     # every table is 0 there, so any formula would pass for the machine
     with pytest.raises(DecompileError):
         decompile_details(odd_odd_machine(2), 2, 2, "--", **suite)
+
+
+def _shipped_machines(delta: int):
+    """Every shipped machine, bare and under each wrapper that accepts it."""
+    for _, make in sorted(MACHINES.items()):
+        yield make(delta)
+        for wrap in WRAPPERS.values():
+            try:
+                yield wrap(make(delta))
+            except WrapperError:
+                continue
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_decompile_of_shipped_machines_fails_only_with_library_errors(delta):
+    # the decompiler asks emit for every port up to delta, also on nodes of
+    # smaller degree, and feeds transition every inbox its slots allow
+    graphs = [
+        PortedGraph(g, consistent_port_numbering(g, 0)) for g in all_graphs(4, max_degree=delta)
+    ]
+    decompiled = 0
+    for machine in _shipped_machines(delta):
+        horizon = max(run(machine, pg, 32).rounds for pg in graphs)
+        for variant in VARIANTS:
+            hidden_in, hidden_out = variant[0] == "-", variant[1] == "-"
+            if (hidden_in and machine.tag.inbox == VECTOR) or (
+                hidden_out and machine.tag.outbox != BROADCAST
+            ):
+                continue
+            try:
+                decompile_details(machine, delta, horizon, variant, node_bound=3)
+            except PortlogicError:
+                pass
+            decompiled += 1
+    assert decompiled == 21
 
 
 def test_decompile_output_is_stable():

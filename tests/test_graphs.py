@@ -1,12 +1,14 @@
 """Graphs, numberings, factorizations, generators, file formats."""
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from portlogic.graphs import (
+    MAX_GRAPH_NODES,
     Graph,
     GraphError,
     GraphFormatError,
@@ -239,6 +241,42 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(GraphError):
         Graph(2, ((1,), ()))  # asymmetric adjacency
+    for adjacency, message in [
+        (((1,), ()), "asymmetric adjacency between 0 and 1"),
+        (((0,),), "loop at node 0"),
+        (((2, 1), (0,), (0,)), "adjacency of node 0 must be sorted"),
+        (((1, 1), (0,)), "adjacency of node 0 must be sorted"),
+        (((3,), (), ()), "neighbor 3 of node 0 out of range"),
+    ]:
+        with pytest.raises(GraphError, match=message):
+            Graph(len(adjacency), adjacency)
+
+
+def test_graph_size_is_bounded_before_allocation():
+    def never_consumed():
+        raise AssertionError("edges consumed before the size check")
+        yield
+
+    with pytest.raises(GraphError, match="exceed the limit"):
+        Graph.from_edges(MAX_GRAPH_NODES + 1, never_consumed())
+    for make in (star, cycle, path, complete):
+        with pytest.raises(GraphError, match="exceed the limit"):
+            make(10**9)
+    with pytest.raises(GraphError, match="exceed the limit"):
+        complete_bipartite(10**9, 10**9)
+    for parse in (parse_graph, parse_ported):
+        with pytest.raises(GraphFormatError, match="line 1: 10000000000 nodes exceed"):
+            parse("nodes 10000000000\n")
+    assert Graph.from_edges(MAX_GRAPH_NODES, []).n == MAX_GRAPH_NODES
+
+
+def test_large_star_builds_in_linear_time():
+    # a symmetry check that scans a neighbour tuple per arc is quadratic in
+    # the centre's degree and takes far longer than this bound here
+    started = time.perf_counter()
+    g = star(50_000)
+    assert time.perf_counter() - started < 1.0
+    assert g.degree(0) == 50_000
 
 
 def test_disjoint_union():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import cached_model, naive_holds, random_formula, sweep
 from portlogic.bisim import coarsest_graded_bisimulation
+from portlogic.compiler import ModelSuite
 from portlogic.graphs import (
     PortNumbering,
     PortlogicError,
@@ -381,6 +382,7 @@ def _loose_formula(rng, delta, depth):
 def test_eval_matches_the_two_pass_evaluator(variant):
     rng = random.Random(700 + VARIANTS.index(variant))
     pools = {}
+    ported = {delta: [] for delta in range(1, 5)}
     compared = mismatches = rejected = several = 0
     for delta in range(1, 5):
         sig = Signature(delta, variant)
@@ -399,13 +401,35 @@ def test_eval_matches_the_two_pass_evaluator(variant):
     for gi, g in enumerate(all_graphs(5)):
         delta = max(1, g.max_degree())
         for p in (consistent_port_numbering(g, 0), random_port_numbering(g, gi)):
-            model = kripke_model(PortedGraph(g, p), variant, delta)
+            ported[delta].append(PortedGraph(g, p))
+            model = kripke_model(ported[delta][-1], variant, delta)
             for formula in pools[delta]:
                 compared += 1
                 got = _outcome(eval_formula, model, formula)
                 mismatches += got != _outcome(_two_pass_eval, model, formula)
                 rejected += isinstance(got, str)
                 several += isinstance(got, str) and "; " in got
+    # ModelSuite.table, which shares nothing with eval_formula but the
+    # per-node signature rules, on the same pools: equal tables, equal errors
+    for delta, graphs in ported.items():
+        suite = ModelSuite(graphs, variant, delta)
+        for formula in pools[delta]:
+            compared += 1
+            mismatches += _outcome(lambda s, f: s.table(f), suite, formula) != _packed_eval(
+                suite, formula
+            )
     assert mismatches == 0
     # both outcomes, and messages listing several problems, were compared
     assert 0 < several < rejected < compared
+
+
+def _packed_eval(suite, formula):
+    """eval_formula over the suite's models, packed as ModelSuite.table packs."""
+    table = 0
+    for model, offset in zip(suite.models, suite.offsets):
+        worlds = _outcome(eval_formula, model, formula)
+        if isinstance(worlds, str):
+            return worlds
+        for v in worlds:
+            table |= 1 << (offset + v)
+    return table

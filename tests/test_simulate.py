@@ -1,8 +1,11 @@
 """Preamble certificates and the three class-collapsing wrappers."""
 
+from collections import Counter
+
 import pytest
 
-from conftest import random_multiset_machine, sweep
+from conftest import _mix, random_multiset_machine, sweep
+from portlogic.encoding import canon
 from portlogic.graphs import (
     PortedGraph,
     consistent_port_numbering,
@@ -14,11 +17,13 @@ from portlogic.graphs import (
 from portlogic.machines import (
     BROADCAST,
     ClassTag,
+    Machine,
     MULTISET,
     NO_MESSAGE,
     SET,
     SimpleMachine,
     VECTOR,
+    canonical_inbox,
     check_class_conformance,
     run,
 )
@@ -28,6 +33,7 @@ from portlogic.simulate import (
     WrapperError,
     bcast_multiset_from_broadcast,
     indistinguishability_preprocess,
+    _Simulation,
     multiset_from_vector,
     set_from_multiset,
 )
@@ -280,3 +286,145 @@ def test_history_budget_guard():
     pg = PortedGraph(g, consistent_port_numbering(g, 0))
     with pytest.raises(HistoryBudgetError):
         run(wrapped, pg, 6)
+
+
+# ---------------------------------------------------------------------------
+# Differential guard: the one-record history wrapper against the two-record
+# one it replaced, copied here verbatim (a frozen multiset of stopped
+# neighbours' histories beside the previously received multiset)
+# ---------------------------------------------------------------------------
+
+
+def _history_key(history: tuple) -> tuple:
+    return tuple(canon(m) for m in history)
+
+
+class _TwoRecordHistoryWrapper(_Simulation):
+    """Shared machinery for the two history-based reconstructions.
+
+    State per node: the simulated base state, the per-port send histories,
+    the multiset of frozen histories of neighbours that already stopped
+    (extended by a null entry each round), and the previously received
+    multiset used to detect newly stopped neighbours.
+    """
+
+    def __init__(self, base: Machine, broadcast: bool, byte_budget: int):
+        kind = "bcast_multiset_from_broadcast" if broadcast else "multiset_from_vector"
+        super().__init__(base, ClassTag(MULTISET, BROADCAST if broadcast else VECTOR), kind)
+        self.broadcast = broadcast
+        self.byte_budget = byte_budget
+
+    def init_state(self, degree: int):
+        histories = ((),) if self.broadcast else tuple(() for _ in range(degree))
+        previous = tuple(() for _ in range(degree))
+        return self._simulating(self.base.init_state(degree), histories, (), previous, degree)
+
+    def _sent(self, sim, histories, port: int) -> tuple:
+        if self.broadcast:
+            return histories[0] + (self.base.emit(sim, 1),)
+        return histories[port - 1] + (self.base.emit(sim, port),)
+
+    def emit(self, state, port: int):
+        _, sim, histories, _, _, degree = state
+        if port > degree and not self.broadcast:
+            # A node has no port beyond its degree, so it keeps no history
+            # there; the decompiler asks every port up to delta.
+            return NO_MESSAGE
+        message = ("hist", self._sent(sim, histories, port))
+        if len(canon(message)) > self.byte_budget:
+            raise HistoryBudgetError(
+                f"history message exceeds {self.byte_budget} bytes"
+            )
+        return message
+
+    def transition(self, state, inbox: tuple):
+        _, sim, histories, frozen, previous, degree = state
+        received = sorted(
+            (m[1] for m in inbox if m != NO_MESSAGE), key=_history_key
+        )
+        prefix_counts = Counter(h[:-1] for h in received)
+        newly_frozen = Counter(previous)
+        newly_frozen.subtract(prefix_counts)
+        extended = [f + (NO_MESSAGE,) for f in frozen]
+        for hist, count in newly_frozen.items():
+            extended.extend([hist + (NO_MESSAGE,)] * count)
+        full = received + extended
+        if len(full) != degree:
+            raise WrapperError(
+                "history reconstruction lost track of a neighbour"
+            )
+        full.sort(key=_history_key)
+        virtual = tuple(h[-1] for h in full)
+        virtual += (NO_MESSAGE,) * (self.delta_max - len(virtual))
+        new_sim = self.base.transition(sim, canonical_inbox(self.base.tag.inbox, virtual))
+        ports = (1,) if self.broadcast else range(1, degree + 1)
+        return self._simulating(
+            new_sim,
+            tuple(self._sent(sim, histories, i) for i in ports),
+            tuple(sorted(extended, key=_history_key)),
+            tuple(received),
+            degree,
+        )
+
+
+def _staggered_machine(seed: int, broadcast: bool) -> Machine:
+    """Seeded order-sensitive machine that stops after 1 + (degree + seed) % 4
+    rounds, so the neighbours of one node go silent at different rounds."""
+
+    def init(degree):
+        return ("w", 0, degree, _mix(seed, "z", degree) % 3)
+
+    def emit(state, port):
+        _, t, _, z = state
+        return _mix(seed, "m", t, z, 1 if broadcast else port) % 3
+
+    def transition(state, inbox):
+        _, t, degree, z = state
+        z = _mix(seed, "d", t, z, inbox) % 4
+        if t + 1 >= 1 + (degree + seed) % 4:
+            return z % 2
+        return ("w", t + 1, degree, z)
+
+    tag = ClassTag(VECTOR, BROADCAST if broadcast else VECTOR)
+    return SimpleMachine(3, tag, init, emit, transition, lambda s: isinstance(s, int))
+
+
+def _history_bases():
+    """(base, broadcast) pairs: every base under the vector wrapper, the
+    broadcast ones under the broadcast wrapper too."""
+    bases = [leaf_election_machine(3), odd_odd_machine(3)]
+    for seed in range(4):
+        bases += [
+            random_multiset_machine(3, seed),
+            random_multiset_machine(3, seed, broadcast=True),
+            _staggered_machine(seed, False),
+            _staggered_machine(seed, True),
+        ]
+    for base in bases:
+        yield base, False
+        if base.tag.outbox == BROADCAST:
+            yield base, True
+
+
+def test_history_wrapper_matches_the_two_record_wrapper():
+    long_silences = 0
+    for base, broadcast in _history_bases():
+        new = (bcast_multiset_from_broadcast if broadcast else multiset_from_vector)(base)
+        old = _TwoRecordHistoryWrapper(base, broadcast, 1 << 16)
+        for gi, g in enumerate(all_graphs(5, max_degree=3)):
+            for p in (consistent_port_numbering(g, gi), random_port_numbering(g, gi)):
+                pg = PortedGraph(g, p)
+                got, want = run(new, pg, 8), run(old, pg, 8)
+                assert (got.stopped, got.rounds, got.outputs) == (
+                    want.stopped, want.rounds, want.outputs
+                )
+                assert [[s[1] for s in snap] for snap in got.trace.states] == [
+                    [s[1] for s in snap] for snap in want.trace.states
+                ]
+                # a neighbour silent for two rounds while its receiver runs
+                long_silences += any(
+                    s[0] == "sim" and any(h[-2:] == (NO_MESSAGE,) * 2 for h in s[3])
+                    for snap in got.trace.states
+                    for s in snap
+                )
+    assert long_silences
