@@ -105,34 +105,31 @@ class Partition:
         """Partition with blocks a and b merged (for maximality checks)."""
         if a == b:
             return self
-        keep = [list(block) for block in self.blocks]
-        merged = sorted(keep[a] + keep[b])
-        rest = [block for k, block in enumerate(keep) if k not in (a, b)]
-        blocks = sorted([tuple(merged)] + [tuple(b) for b in rest], key=lambda x: x[0])
-        return Partition(tuple(blocks))
+        label = self.assignment()
+        into = label[self.blocks[a][0]]  # a itself, or IndexError like blocks[b]
+        for w in self.blocks[b]:
+            label[w] = into
+        return Partition.from_assignment(label)
 
     def to_json(self) -> list[list[int]]:
         return [list(block) for block in self.blocks]
 
 
+def _numbered(keys: list) -> list[int]:
+    """Number each key by the rank of its first occurrence in ``keys``."""
+    ids: dict[object, int] = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
 def _refine(model: KripkeModel, graded: bool) -> Partition:
-    alphas = sorted(model.relations, key=str)
-    assign = {v: model.valuation_profile(v) for v in range(model.size)}
-
-    def normalise(raw: Mapping[int, object]) -> dict[int, int]:
-        ids: dict[object, int] = {}
-        out = {}
-        for v in range(model.size):
-            out[v] = ids.setdefault(raw[v], len(ids))
-        return out
-
-    current = normalise(assign)
+    tables = [model.successor_table(alpha) for alpha in sorted(model.relations, key=str)]
+    current = _numbered([model.valuation_profile(v) for v in range(model.size)])
     while True:
-        raw: dict[int, object] = {}
+        keys = []
         for v in range(model.size):
             parts = []
-            for alpha in alphas:
-                succ_blocks = [current[w] for w in model.successors(alpha, v)]
+            for succ in tables:
+                succ_blocks = [current[w] for w in succ[v]]
                 if graded:
                     counts: dict[int, int] = {}
                     for b in succ_blocks:
@@ -140,10 +137,12 @@ def _refine(model: KripkeModel, graded: bool) -> Partition:
                     parts.append(tuple(sorted(counts.items())))
                 else:
                     parts.append(frozenset(succ_blocks))
-            raw[v] = (current[v], tuple(parts))
-        refined = normalise(raw)
-        if len(set(refined.values())) == len(set(current.values())):
-            return Partition.from_assignment(current)
+            keys.append((current[v], tuple(parts)))
+        # Each key starts with the world's current block, so numbering the
+        # same partition again reproduces ``current`` exactly.
+        refined = _numbered(keys)
+        if refined == current:
+            return Partition.from_assignment(dict(enumerate(current)))
         current = refined
 
 
@@ -165,13 +164,6 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _union_setup(model: KripkeModel, other: KripkeModel | None, relation):
-    if other is None:
-        return model, [(v, w) for v, w in relation]
-    union, offset = model.disjoint_union(other)
-    return union, [(v, w + offset) for v, w in relation]
 
 
 def verify_bisimulation(
@@ -202,8 +194,9 @@ def verify_bisimulation(
     for v, w in pairs:
         if not (0 <= v < model.size and 0 <= w < second.size):
             raise RelationRangeError(f"pair {(v, w)} names a world outside its model")
-    union, lifted = _union_setup(model, other, pairs)
-    alphas = sorted(union.relations, key=str)
+    union, offset = (model, 0) if other is None else model.disjoint_union(other)
+    lifted = [(v, w + offset) for v, w in pairs]
+    tables = [(alpha, union.successor_table(alpha)) for alpha in sorted(union.relations, key=str)]
 
     if not graded:
         zset = set(lifted)
@@ -212,7 +205,6 @@ def verify_bisimulation(
         for v, w in zset:
             image[v].add(w)
             preimage[w].add(v)
-        tables = [(alpha, union.successor_table(alpha)) for alpha in alphas]
         for v, w in sorted(zset):
             if union.valuation_profile(v) != union.valuation_profile(w):
                 return VerifyResult(False, "B1", (v, w))
@@ -227,7 +219,8 @@ def verify_bisimulation(
         return VerifyResult(True)
 
     # Graded: build the equivalence generated by the relation and insist the
-    # given relation is exactly its cross-model part.
+    # given relation is all of it on left x right: its cross-model part for
+    # two models, its restriction to the worlds the relation touches for one.
     parent = list(range(union.size))
 
     def find(x: int) -> int:
@@ -236,37 +229,19 @@ def verify_bisimulation(
             x = parent[x]
         return x
 
-    def join(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     for v, w in lifted:
-        join(v, w)
+        parent[find(w)] = find(v)
     touched = {x for pair in lifted for x in pair}
-    if other is not None:
-        offset = model.size
-        derived = {
-            (v, w - offset)
-            for v in range(model.size)
-            for w in range(offset, union.size)
-            if find(v) == find(w)
-        }
-        if derived != set(pairs):
-            raise NonEquivalenceError(
-                "relation is not the cross part of an equivalence on the union"
-            )
+    if other is None:
+        left = right = touched
+        expected = set(lifted) | {(w, v) for v, w in lifted} | {(v, v) for v in touched}
+        message = "relation is not an equivalence on its worlds"
     else:
-        derived = {
-            (v, w) for v in touched for w in touched if find(v) == find(w)
-        }
-        closed = (
-            set(pairs)
-            | {(w, v) for v, w in pairs}
-            | {(v, v) for v in touched}
-        )
-        if derived != closed:
-            raise NonEquivalenceError("relation is not an equivalence on its worlds")
+        left, right = range(offset), range(offset, union.size)
+        expected = set(lifted)
+        message = "relation is not the cross part of an equivalence on the union"
+    if {(v, w) for v in left for w in right if find(v) == find(w)} != expected:
+        raise NonEquivalenceError(message)
 
     block_of = {v: find(v) for v in range(union.size)}
     classes: dict[int, list[int]] = {}
@@ -278,11 +253,11 @@ def verify_bisimulation(
         bad = next((v for v in members[1:] if union.valuation_profile(v) != profile), None)
         if bad is not None:
             return VerifyResult(False, "B1", (first, bad))
-        for alpha in alphas:
+        for alpha, succ in tables:
             reference = None
             for v in members:
                 counts: dict[int, int] = {}
-                for w in union.successors(alpha, v):
+                for w in succ[v]:
                     b = block_of[w]
                     counts[b] = counts.get(b, 0) + 1
                 signature = tuple(sorted(counts.items()))

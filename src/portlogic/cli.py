@@ -45,6 +45,7 @@ from .logic import (
     format_formula,
     kripke_model,
     parse,
+    subformulas,
 )
 from .machines import run as run_machine
 from .machines import check_class_conformance, trace_to_json
@@ -195,6 +196,8 @@ def cmd_decompile(args) -> int:
                 "horizon": args.horizon,
             },
             "modal_depth": result.formula.md,
+            "dag_nodes": len(subformulas(result.formula)),
+            "tree_size": result.formula.size,
             "formula": format_formula(result.formula),
         },
     )

@@ -384,15 +384,33 @@ def bipartite_double_cover(g: Graph) -> Graph:
     return Graph.from_edges(2 * g.n, edges)
 
 
-def _augment(adj: dict[int, set[int]], u: int, match: dict[int, int], seen: set[int]) -> bool:
-    for v in adj[u]:
-        if v in seen:
-            continue
-        seen.add(v)
-        if v not in match or _augment(adj, match[v], match, seen):
-            match[v] = u
-            match[u] = v
-            return True
+def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: set[int]) -> bool:
+    """Depth-first search for an augmenting path from ``root``, flipped on
+    success.  Iterative, so the path length is not bounded by the recursion
+    limit; each vertex scans its neighbours in ``adj`` iteration order.
+    """
+    path = [root]  # left vertices of the current path
+    via: list[int] = []  # via[k] is the right vertex matched to path[k + 1]
+    scans = [iter(adj[root])]
+    while scans:
+        for v in scans[-1]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match:
+                for u, w in reversed(list(zip(path, via + [v]))):
+                    match[w] = u
+                    match[u] = w
+                return True
+            via.append(v)
+            path.append(match[v])
+            scans.append(iter(adj[match[v]]))
+            break
+        else:
+            scans.pop()
+            path.pop()
+            if via:
+                via.pop()
     return False
 
 

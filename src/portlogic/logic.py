@@ -24,7 +24,9 @@ Disjunction, T and F are sugar eliminated at parse time; F is the fixed
 contradiction (q1 & !q1) and T its negation.  Negations, diamonds and
 parentheses nest at most ``MAX_NESTING`` levels deep.  Nodes are
 hash-consed, so structurally equal formulas are the same object and big
-shared structures (such as decompiled formulas) stay compact.
+shared structures (such as decompiled formulas) stay compact.  Printing
+expands that sharing into a tree, so ``format_formula`` refuses formulas
+of more than ``MAX_FORMAT_SIZE`` tree nodes.
 """
 
 from __future__ import annotations
@@ -125,6 +127,11 @@ class Formula:
         return self is other
 
     def __repr__(self):
+        if self.size > MAX_FORMAT_SIZE:
+            return (
+                f"Formula(<modal depth {self.md}, {len(subformulas(self))} "
+                f"distinct nodes, tree size {self.size}>)"
+            )
         return f"Formula({format_formula(self)})"
 
 
@@ -273,6 +280,10 @@ def subformulas(formula: Formula) -> list[Formula]:
 # limit of 1000.
 MAX_NESTING = 200
 
+# The printed text of a formula is its syntax tree, a few characters per
+# tree node, however much of the tree hash-consing shares.
+MAX_FORMAT_SIZE = 1 << 20
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -393,7 +404,16 @@ def parse(text: str) -> Formula:
 
 
 def format_formula(formula: Formula) -> str:
-    """Render a formula; parse(format_formula(f)) is structurally f."""
+    """Render a formula; parse(format_formula(f)) is structurally f.
+
+    Raises ``FormulaError`` for a formula of more than ``MAX_FORMAT_SIZE``
+    tree nodes (``formula.size``) instead of building its text.
+    """
+    if formula.size > MAX_FORMAT_SIZE:
+        raise FormulaError(
+            f"formula has {formula.size} tree nodes, more than the "
+            f"{MAX_FORMAT_SIZE} that can be printed"
+        )
     memo: dict[int, str] = {}
 
     def render(node: Formula) -> str:

@@ -135,7 +135,24 @@ def test_decompile_command(capsys):
     )
     assert code == 0
     doc = parse_json(out)
-    assert "<*,*" in doc["formula"]
+    assert doc["formula"] == "(<*,*>q1 & !<*,*;2>q1)"
+    assert (doc["dag_nodes"], doc["tree_size"]) == (5, 6)
+
+
+def test_unprintable_decompile_exits_2_within_a_second(capsys):
+    # a 605-node DAG whose tree has about 4e12 nodes
+    started = time.perf_counter()
+    code = main(
+        ["decompile", "--machine", "set_from_multiset:leaf_election", "--delta", "3",
+         "--horizon", "8", "--variant", "++", "--node-bound", "3"]
+    )
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "error: formula has 4115278342753 tree nodes, "
+        "more than the 1048576 that can be printed\n"
+    )
 
 
 def test_bisim_command_union(star3_g, tmp_path, capsys):
@@ -164,6 +181,17 @@ def test_gen_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert parse_json(out)["satisfying_worlds"] == [0, 1, 2, 3, 4]
+
+
+def test_gen_symmetric_numbering_of_a_long_cycle(tmp_path, capsys):
+    out_path = tmp_path / "c2000.pn"
+    code, _ = run_cli(
+        ["gen", "--family", "cycle", "--k", "2000", "--numbering", "symmetric",
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0
+    assert out_path.read_text().startswith("nodes 2000\n")
 
 
 def test_verify_machine_conformance(star3_pn, capsys):

@@ -199,6 +199,13 @@ def test_symmetric_port_numbering_validates_and_c3_not_consistent():
     assert not is_consistent(p)
 
 
+def test_symmetric_port_numbering_of_a_long_cycle():
+    # augmenting paths grow with the cycle; the search holds them on a list,
+    # not on the interpreter's stack
+    g = cycle(20_000)
+    assert validate_port_numbering(g, symmetric_port_numbering(g)).ok
+
+
 def test_symmetric_port_numbering_rejects_irregular():
     with pytest.raises(GraphError):
         symmetric_port_numbering(star(2))

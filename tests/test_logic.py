@@ -26,6 +26,7 @@ from portlogic.logic import (
     FormulaError,
     FormulaSyntaxError,
     KripkeModel,
+    MAX_FORMAT_SIZE,
     MAX_NESTING,
     Not,
     Signature,
@@ -107,6 +108,21 @@ def test_parse_bounds_nesting(opener, closer):
     assert f.size == (1 if opener == "(" else 201)
     with pytest.raises(FormulaSyntaxError, match="nested more than"):
         parse(opener * (MAX_NESTING + 1) + "q1" + closer * (MAX_NESTING + 1))
+
+
+def test_format_formula_refuses_trees_above_max_format_size():
+    # hash-consing keeps the DAG small while the printed tree doubles
+    f = prop(1)
+    while f.size <= MAX_FORMAT_SIZE:
+        f = dia((STAR, STAR), conj(f, neg(f)))
+    assert len(subformulas(f)) < 100
+    with pytest.raises(FormulaError, match=f"formula has {f.size} tree nodes"):
+        format_formula(f)
+    assert repr(f) == (
+        f"Formula(<modal depth {f.md}, {len(subformulas(f))} distinct nodes, "
+        f"tree size {f.size}>)"
+    )
+    assert repr(neg(prop(1))) == "Formula(!q1)"
 
 
 def test_signature_derives_its_variant_and_legal_indices():

@@ -120,18 +120,25 @@ def test_set_from_multiset_equivalence_and_rounds():
             assert r1.rounds == 2 * 2 + r0.rounds
 
 
-def test_preamble_state_holds_the_next_certificate():
-    # the certificate a preamble state holds is the one sent next round
-    for g in all_graphs(4):
+def test_preamble_matches_the_audited_preprocess():
+    # criterion 3 audits indistinguishability_preprocess; the wrapper runs its
+    # own preamble, which must agree with it round by round: a preamble state
+    # holds the certificate sent next round, and the triples it receives are
+    # the preprocess's received set
+    for g in all_graphs(5):
         delta = max(1, g.max_degree())
         wrapped = set_from_multiset(odd_odd_machine(delta))
         for p in sweep(g, cap=8, samples=2, seed=4):
             pg = PortedGraph(g, p)
-            states = run(wrapped, pg, 4 * delta).trace.states
-            beta = indistinguishability_preprocess(pg, delta).beta
+            trace = run(wrapped, pg, 2 * delta, record_messages=True).trace
+            audited = indistinguishability_preprocess(pg, delta)
             for t in range(2 * delta):
-                assert [s[0] for s in states[t]] == ["pre"] * g.n
-                assert [s[2] for s in states[t]] == list(beta[t + 1])
+                assert [s[0] for s in trace.states[t]] == ["pre"] * g.n
+                assert [s[2] for s in trace.states[t]] == list(audited.beta[t + 1])
+                assert [
+                    frozenset(m[1:] for m in inbox if m != NO_MESSAGE)
+                    for inbox in trace.messages[t]
+                ] == list(audited.received[t + 1])
 
 
 def test_set_from_multiset_random_machines():
