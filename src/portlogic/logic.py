@@ -404,36 +404,35 @@ def parse(text: str) -> Formula:
 
 
 def format_formula(formula: Formula) -> str:
-    """Render a formula; parse(format_formula(f)) is structurally f.
+    """Render a formula as text in the grammar above.
 
-    Raises ``FormulaError`` for a formula of more than ``MAX_FORMAT_SIZE``
-    tree nodes (``formula.size``) instead of building its text.
+    ``parse(format_formula(f))`` is ``f`` whenever ``f`` nests at most
+    ``MAX_NESTING`` levels deep; deeper formulas (such as a conjunction
+    chain of 300) print, but ``parse`` refuses the text.  Rendering walks
+    the distinct subformulas children first, without recursion, so any
+    depth prints.  Raises ``FormulaError`` for a formula of more than
+    ``MAX_FORMAT_SIZE`` tree nodes (``formula.size``) instead of building
+    its text.
     """
     if formula.size > MAX_FORMAT_SIZE:
         raise FormulaError(
             f"formula has {formula.size} tree nodes, more than the "
             f"{MAX_FORMAT_SIZE} that can be printed"
         )
-    memo: dict[int, str] = {}
-
-    def render(node: Formula) -> str:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
+    text: dict[int, str] = {}
+    for node in subformulas(formula):
         if isinstance(node, Prop):
-            text = f"q{node.index}"
+            rendered = f"q{node.index}"
         elif isinstance(node, And):
-            text = f"({render(node.left)} & {render(node.right)})"
+            rendered = f"({text[id(node.left)]} & {text[id(node.right)]})"
         elif isinstance(node, Not):
-            text = "!" + render(node.sub)
+            rendered = "!" + text[id(node.sub)]
         else:
             a, b = node.alpha
             grade = f";{node.grade}" if node.grade > 1 else ""
-            text = f"<{a},{b}{grade}>" + render(node.sub)
-        memo[id(node)] = text
-        return text
-
-    return render(formula)
+            rendered = f"<{a},{b}{grade}>" + text[id(node.sub)]
+        text[id(node)] = rendered
+    return text[id(formula)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,80 @@
+"""Golden byte-identity hashes of traces and ``separate --json`` reports.
+
+The hashes were recorded with the isinstance-chain ``canon`` (commit
+c3293df), before ``canon`` dispatched on the type.  That rewrite promises
+unchanged output, and so does any later change to the encoding or the
+executor, so a hash that moves is a change of output, whatever the reason.
+Each test states its recipe in full.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from portlogic import problems
+from portlogic.cli import main
+from portlogic.compiler import compile_formula
+from portlogic.graphs import PortedGraph, consistent_port_numbering
+from portlogic.logic import Signature, parse
+from portlogic.machines import run, trace_to_json
+from portlogic.simulate import multiset_from_vector, set_from_multiset
+from portlogic.smallgraphs import all_graphs
+
+# one compiled formula per variant, all at delta 3
+FORMULAS = {
+    "++": "<1,2>(q2 & !<3,1>q1) | <2,2>q3",
+    "-+": "<*,1;2>q2 & !<*,2><*,1>q1",
+    "+-": "<1,*>!q2 & <2,*>(q1 | <3,*>q3)",
+    "--": "<*,*;2>(q1 & <*,*;3>q2) | !<*,*>q3",
+}
+
+TRACE_HASHES = {
+    "set_from_multiset(odd_odd)": "62ebc5cf609aae621587b07ef6f6b183760d010d0a2d94824e72fbe6de4de56b",
+    "multiset_from_vector(leaf_election)": "6f7e9442d3ebae915d805afcbe8d053ac6359feab4eff4a4722d1ea122b2049c",
+    "compiled ++": "969d442996c977fc3888e1cb11eff47e146763492eb0b210b46ab5be78177e6d",
+    "compiled -+": "81041826d1689dc82db1e78825e917651e1c3b9cd29d7fe67a6f7b630bee7de6",
+    "compiled +-": "e05805e5c2ca0db60458e566e667d700af4bd28bb3ed1a10d5682fbb494ec779",
+    "compiled --": "73a362e4a40451f03adeaf7ee218f82fd6612c1be6e261e898dcad156db11050",
+}
+
+SEPARATE_HASHES = {
+    "star": "f7ae3ba56e47d41b8e993d4371cbe574e78888de6a0d4c5a9d4f7b59341e613e",
+    "parity": "e6632b6ea0101c02de1a530084dc25597c33265f1db25d87acb0501c5c0a5162",
+    "regular": "b2580fbbf5ae3ecbcd2c6025ba604170e0a58080806024f8bf7d4f808d908827",
+}
+
+
+def golden_machine(name: str):
+    if name == "set_from_multiset(odd_odd)":
+        return set_from_multiset(problems.odd_odd_machine(3))
+    if name == "multiset_from_vector(leaf_election)":
+        return multiset_from_vector(problems.leaf_election_machine(3))
+    variant = name.split()[1]
+    return compile_formula(parse(FORMULAS[variant]), Signature(3, variant))
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_HASHES))
+def test_traces_are_byte_identical(name):
+    # recipe: every graph gi of all_graphs(4) under consistent_port_numbering(g, gi),
+    # run for at most 32 rounds with record_messages=True; sha256 of
+    # json.dumps([trace_to_json(...) per graph], sort_keys=True)
+    machine = golden_machine(name)
+    docs = []
+    for gi, g in enumerate(all_graphs(4)):
+        pg = PortedGraph(g, consistent_port_numbering(g, gi))
+        docs.append(trace_to_json(machine, run(machine, pg, 32, record_messages=True)))
+    assert all(doc["stopped"] for doc in docs)
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_HASHES[name]
+
+
+@pytest.mark.parametrize("demo", sorted(SEPARATE_HASHES))
+def test_separate_reports_are_byte_identical(demo, capsys):
+    # recipe: the report of `portlogic separate <demo> --json` without its
+    # "timing" field, dumped again as the CLI prints it (indent 2, sorted keys)
+    assert main(["separate", demo, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["timing"]
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEPARATE_HASHES[demo]

@@ -125,6 +125,70 @@ def test_format_formula_refuses_trees_above_max_format_size():
     assert repr(neg(prop(1))) == "Formula(!q1)"
 
 
+def recursive_format(formula):
+    """The recursive renderer ``format_formula`` used before it became
+    iterative, kept verbatim (without the size check) as a reference."""
+    memo: dict[int, str] = {}
+
+    def render(node) -> str:
+        cached = memo.get(id(node))
+        if cached is not None:
+            return cached
+        if isinstance(node, Prop):
+            text = f"q{node.index}"
+        elif isinstance(node, And):
+            text = f"({render(node.left)} & {render(node.right)})"
+        elif isinstance(node, Not):
+            text = "!" + render(node.sub)
+        else:
+            a, b = node.alpha
+            grade = f";{node.grade}" if node.grade > 1 else ""
+            text = f"<{a},{b}{grade}>" + render(node.sub)
+        memo[id(node)] = text
+        return text
+
+    return render(formula)
+
+
+def test_format_formula_matches_the_recursive_renderer():
+    checked = 0
+    for variant in VARIANTS:
+        for delta in (1, 2, 3):
+            sig = Signature(delta, variant)
+            rng = random.Random(f"format/{variant}/{delta}")
+            for budget in (1, 4, 8, 24, 60):
+                for _ in range(40):
+                    f = random_formula(rng, sig, max_depth=4, budget=budget)
+                    # sharing: the same subformula under both sides of a conjunction
+                    for g in (f, conj(f, neg(f)), dia(alphas_for(variant, delta)[0], conj(f, f))):
+                        assert format_formula(g) == recursive_format(g)
+                        checked += 1
+    assert checked == 4 * 3 * 5 * 40 * 3
+
+
+@pytest.mark.parametrize("wrap", [neg, lambda f: dia((STAR, STAR), f), lambda f: conj(f, prop(2))])
+def test_format_formula_prints_formulas_deeper_than_the_recursion_limit(wrap):
+    f = prop(1)
+    for _ in range(3000):
+        f = wrap(f)
+    text = format_formula(f)
+    assert len(text) > 3000 and text.count("q1") == 1
+    assert repr(f) == f"Formula({text})"
+
+
+def test_parse_reads_back_printed_formulas_only_up_to_max_nesting():
+    for depth, readable in ((MAX_NESTING, True), (300, False)):
+        f = prop(1)
+        for _ in range(depth):
+            f = conj(f, prop(2))
+        text = format_formula(f)
+        if readable:
+            assert parse(text) is f
+        else:
+            with pytest.raises(FormulaSyntaxError, match="nested more than"):
+                parse(text)
+
+
 def test_signature_derives_its_variant_and_legal_indices():
     sig = Signature(2, "-+")
     assert sig.kind == variant_of("-+")

@@ -313,6 +313,38 @@ def test_run_encodes_each_message_once(monkeypatch):
     assert 0 < len(calls) <= len(distinct)
 
 
+def test_run_keeps_no_state_across_runs():
+    calls = Counter()
+
+    def emit(s, j):
+        calls["emit"] += 1
+        return ("m", s[1] % 3)
+
+    def transition(s, inbox):
+        calls["transition"] += 1
+        heard = sum(m[1] for m in inbox if m != NO_MESSAGE)
+        return ("done", heard) if s[0] == 2 else (s[0] + 1, (s[1] + heard) % 5)
+
+    counting = SimpleMachine(
+        3,
+        ClassTag(MULTISET, VECTOR),
+        init=lambda d: (0, d),
+        emit=emit,
+        transition=transition,
+        is_output=lambda s: s[0] == "done",
+    )
+    g = cycle(5)
+    pg = PortedGraph(g, consistent_port_numbering(g, 0))
+    per_run = []
+    for _ in range(2):
+        calls.clear()
+        result = run(counting, pg, 8)
+        assert result.stopped and result.rounds == 3 and len(result.trace) == 4
+        per_run.append((calls["emit"], calls["transition"], result.outputs))
+    assert per_run[0] == per_run[1]
+    assert per_run[0][0] > 0 and per_run[0][1] > 0
+
+
 # ---------------------------------------------------------------------------
 # Differential check against the unmemoised executor
 # ---------------------------------------------------------------------------
