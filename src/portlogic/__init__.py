@@ -64,7 +64,6 @@ from .problems import (
 )
 from .simulate import (
     bcast_multiset_from_broadcast,
-    indistinguishability_preprocess,
     multiset_from_vector,
     set_from_multiset,
 )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graphs import Graph, PortNumbering, PortedGraph, PortlogicError
-from .logic import KripkeModel, kripke_model
+from .logic import KripkeModel, disjoint_union, kripke_model
 
 __all__ = [
     "Partition",
@@ -194,7 +194,8 @@ def verify_bisimulation(
     for v, w in pairs:
         if not (0 <= v < model.size and 0 <= w < second.size):
             raise RelationRangeError(f"pair {(v, w)} names a world outside its model")
-    union, offset = (model, 0) if other is None else model.disjoint_union(other)
+    union, offsets = (model, [0]) if other is None else disjoint_union([model, other])
+    offset = offsets[-1]
     lifted = [(v, w + offset) for v, w in pairs]
     tables = [(alpha, union.successor_table(alpha)) for alpha in sorted(union.relations, key=str)]
 

@@ -41,6 +41,7 @@ from .graphs import (
 from .logic import (
     VARIANTS,
     Signature,
+    disjoint_union,
     eval_formula,
     format_formula,
     kripke_model,
@@ -206,10 +207,7 @@ def cmd_decompile(args) -> int:
 def cmd_bisim(args) -> int:
     graphs = [_load_ported(name, args) for name in args.graph]
     delta = max(1, max(pg.graph.max_degree() for pg in graphs))
-    models = [kripke_model(pg, args.variant, delta) for pg in graphs]
-    model = models[0]
-    for extra in models[1:]:
-        model, _ = model.disjoint_union(extra)
+    model, _ = disjoint_union(kripke_model(pg, args.variant, delta) for pg in graphs)
     refine = (
         bisim_mod.coarsest_graded_bisimulation
         if args.graded

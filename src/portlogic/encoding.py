@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["canon", "digest"]
+from .graphs import PortlogicError
+
+__all__ = ["canon", "digest", "EncodingError"]
+
+
+class EncodingError(PortlogicError, ValueError):
+    """An int too long to print, or a str with no UTF-8 form (a surrogate)."""
 
 
 # The wire format: one template per tag, shared by the encoders below and
@@ -34,8 +40,18 @@ _SEQUENCE = b"T%d:%b"
 _SET = b"F%d:%b"
 
 
+def _encode_int(value) -> bytes:
+    try:
+        return _INT % value
+    except ValueError as exc:
+        raise EncodingError(f"int has no canonical encoding: {exc}") from None
+
+
 def _encode_str(value) -> bytes:
-    raw = value.encode("utf-8")
+    try:
+        raw = value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EncodingError(f"str has no canonical encoding: {exc}") from None
     return _STR % (len(raw), raw)
 
 
@@ -55,7 +71,7 @@ def _encode_set(value) -> bytes:
 _BY_TYPE = {
     type(None): lambda value: b"N;",
     bool: lambda value: b"B1;" if value else b"B0;",
-    int: lambda value: _INT % value,
+    int: _encode_int,
     str: _encode_str,
     bytes: lambda value: _BYTES % (len(value), value),
     tuple: _encode_sequence,
@@ -69,7 +85,8 @@ def canon(value) -> bytes:
     """Canonical byte encoding of ``value``.
 
     Supported shapes: None, bool, int, str, bytes, tuple/list, set/frozenset,
-    and their subclasses.  Raises ``TypeError`` for any other value.
+    and their subclasses.  Raises ``TypeError`` for any other value, and
+    ``EncodingError`` for a value of these shapes that has no encoding.
     """
     kind = type(value)
     if kind is tuple:
@@ -80,7 +97,10 @@ def canon(value) -> bytes:
         for item in value:
             member = type(item)
             if member is int:
-                parts.append(_INT % item)
+                try:
+                    parts.append(_INT % item)
+                except ValueError as exc:
+                    raise EncodingError(f"int has no canonical encoding: {exc}") from None
             elif member is bytes:
                 parts.append(_BYTES % (len(item), item))
             else:

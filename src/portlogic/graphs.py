@@ -132,9 +132,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (v, u) for v in range(self.n) for u in self.adjacency[v] if v < u

@@ -31,6 +31,7 @@ of more than ``MAX_FORMAT_SIZE`` tree nodes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -66,6 +67,7 @@ __all__ = [
     "alphas_for",
     "KripkeModel",
     "kripke_model",
+    "disjoint_union",
     "eval_formula",
     "model_to_json",
 ]
@@ -558,21 +560,24 @@ class KripkeModel:
         """Indices of the propositions true at ``world`` (0 <= world < size)."""
         return self._profiles[world]
 
-    def disjoint_union(self, other: "KripkeModel") -> tuple["KripkeModel", int]:
-        if (self.delta, self.variant) != (other.delta, other.variant):
-            raise SignatureMismatchError("models must share delta and variant")
-        offset = self.size
-        relations = {
-            alpha: list(self.relations.get(alpha, ()))
-            + [(v + offset, w + offset) for v, w in other.relations.get(alpha, ())]
-            for alpha in set(self.relations) | set(other.relations)
-        }
-        valuation = {
-            i: set(self.valuation.get(i, frozenset()))
-            | {w + offset for w in other.valuation.get(i, frozenset())}
-            for i in set(self.valuation) | set(other.valuation)
-        }
-        return KripkeModel(self.size + other.size, self.delta, self.variant, relations, valuation), offset
+
+def disjoint_union(models: Iterable[KripkeModel]) -> tuple[KripkeModel, list[int]]:
+    """The models side by side in one model, and the offset of each: world w
+    of the k-th model is world ``offsets[k] + w`` of the union."""
+    models = list(models)
+    signatures = {(m.delta, m.variant) for m in models}
+    if len(signatures) != 1:
+        raise SignatureMismatchError("a union needs one or more models of one delta and variant")
+    ((delta, variant),) = signatures
+    *offsets, size = itertools.accumulate((m.size for m in models), initial=0)
+    relations: dict[tuple, list] = {}
+    valuation: dict[int, list] = {}
+    for m, offset in zip(models, offsets):
+        for alpha, pairs in m.relations.items():
+            relations.setdefault(alpha, []).extend((v + offset, w + offset) for v, w in pairs)
+        for i, ws in m.valuation.items():
+            valuation.setdefault(i, []).extend(w + offset for w in ws)
+    return KripkeModel(size, delta, variant, relations, valuation), offsets
 
 
 def kripke_model(pg: PortedGraph, variant: str, delta: int | None = None) -> KripkeModel:

@@ -8,7 +8,8 @@ machine of a weaker class with local overhead only:
   and the set of certificates received); after the preamble, the triples
   (certificate, degree, outgoing port) of a node's neighbours are pairwise
   distinct, so tagging each payload with its sender's triple makes the
-  received *set* reconstruct the received *multiset* exactly.
+  received *set* reconstruct the received *multiset* exactly.  It is the one
+  preamble; recorded runs show its inbox entries ("pre", cert, degree, port).
 
 * ``multiset_from_vector``: every port's outgoing message is replaced by the
   full history of messages sent through that port; the receiver sorts the
@@ -34,10 +35,9 @@ discipline, as the executor would, in one step (``_Simulation._step``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .encoding import canon, digest
-from .graphs import PortedGraph, PortlogicError
+from .graphs import PortlogicError
 from .machines import (
     BROADCAST,
     MULTISET,
@@ -50,8 +50,6 @@ from .machines import (
 )
 
 __all__ = [
-    "SymmetryTrace",
-    "indistinguishability_preprocess",
     "set_from_multiset",
     "multiset_from_vector",
     "bcast_multiset_from_broadcast",
@@ -75,66 +73,6 @@ def _next_cert(cert: bytes, received: frozenset) -> bytes:
 
 
 _FIRST = _next_cert(_EMPTY, frozenset())
-
-
-@dataclass(frozen=True)
-class SymmetryTrace:
-    """Certificates and received-triple sets per node per preamble round.
-
-    ``beta[t][v]`` is node v's certificate after round t, ``received[t][v]``
-    the set of triples (certificate, degree, outgoing port) it received in
-    round t; index 0 holds the empty initial values.
-    """
-
-    delta: int
-    beta: tuple[tuple[bytes, ...], ...]
-    received: tuple[tuple[frozenset, ...], ...]
-
-    @property
-    def rounds(self) -> int:
-        return len(self.beta) - 1
-
-    def final_beta(self, v: int) -> bytes:
-        return self.beta[-1][v]
-
-    def final_triple(self, pg: PortedGraph, u: int, v: int) -> tuple:
-        """The triple v receives from its neighbour u in the last round."""
-        g = pg.graph
-        port = next(
-            i for i in range(1, g.degree(u) + 1) if pg.numbering.target(u, i)[0] == v
-        )
-        return (self.final_beta(u), g.degree(u), port)
-
-
-def indistinguishability_preprocess(pg: PortedGraph, delta: int) -> SymmetryTrace:
-    """Run the certificate-growing preamble for exactly 2*delta rounds.
-
-    After the last round, distinct neighbours of any node deliver distinct
-    triples (certificate, degree, port) to it; the trace retains every round
-    so that property and its inductive strengthening can be audited.
-    """
-    g = pg.graph
-    if g.max_degree() > delta:
-        raise WrapperError("graph degree exceeds delta")
-    beta = [tuple(_EMPTY for _ in range(g.n))]
-    received: list[tuple[frozenset, ...]] = [tuple(frozenset() for _ in range(g.n))]
-    incoming = [
-        [pg.numbering.source(u, i) for i in range(1, g.degree(u) + 1)]
-        for u in range(g.n)
-    ]
-    for _ in range(2 * delta):
-        new_beta = tuple(
-            _next_cert(beta[-1][v], received[-1][v]) for v in range(g.n)
-        )
-        round_received = []
-        for u in range(g.n):
-            triples = frozenset(
-                (new_beta[v], g.degree(v), j) for (v, j) in incoming[u]
-            )
-            round_received.append(triples)
-        beta.append(new_beta)
-        received.append(tuple(round_received))
-    return SymmetryTrace(delta, tuple(beta), tuple(received))
 
 
 class _Simulation(Machine):

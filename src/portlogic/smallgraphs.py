@@ -24,7 +24,6 @@ from .graphs import (
     GraphError,
     PortNumbering,
     SearchBoundError,
-    consistent_port_numbering,
     random_port_numbering,
 )
 
@@ -137,18 +136,8 @@ def all_port_numberings(g: Graph) -> Iterator[PortNumbering]:
             yield PortNumbering(mapping)
 
 
-def numberings(
-    g: Graph,
-    cap: int = 256,
-    samples: int = 24,
-    seed: int = 0,
-    include_consistent: bool = False,
-) -> list[PortNumbering]:
+def numberings(g: Graph, cap: int = 256, samples: int = 24, seed: int = 0) -> list[PortNumbering]:
     """All numberings when there are at most ``cap``, else a seeded sample."""
     if count_port_numberings(g) <= cap:
-        out = list(all_port_numberings(g))
-    else:
-        out = [random_port_numbering(g, seed * 7919 + k) for k in range(samples)]
-    if include_consistent:
-        out.append(consistent_port_numbering(g, seed))
-    return out
+        return list(all_port_numberings(g))
+    return [random_port_numbering(g, seed * 7919 + k) for k in range(samples)]

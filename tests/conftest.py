@@ -23,7 +23,7 @@ from portlogic.logic import (
     neg,
     prop,
 )
-from portlogic.machines import ClassTag, MULTISET, VECTOR, BROADCAST, SimpleMachine
+from portlogic.machines import ClassTag, MULTISET, NO_MESSAGE, VECTOR, BROADCAST, SimpleMachine, run
 from portlogic.smallgraphs import numberings
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -134,6 +134,34 @@ def naive_holds(model: KripkeModel, world: int, formula) -> bool:
                 count += 1
         return count >= formula.grade
     raise TypeError(formula)
+
+
+# ---------------------------------------------------------------------------
+# The set_from_multiset preamble, read off the wrapper's own run
+# ---------------------------------------------------------------------------
+
+
+def preamble_trace(wrapped, pg: PortedGraph):
+    """Trace, messages included, of the 2*delta preamble rounds of ``wrapped``.
+
+    ``wrapped`` is ``set_from_multiset`` of some machine.  ``states[t][v]`` is
+    ("pre", t, cert, degree), cert being what v sends in round t+1, and each
+    neighbour's entry of ``messages[t][v]`` is ("pre", cert, degree, port).
+    """
+    rounds = 2 * wrapped.delta_max
+    trace = run(wrapped, pg, rounds, record_messages=True).trace
+    assert len(trace.messages) == rounds
+    assert all(s[0] == "pre" for snapshot in trace.states[:rounds] for s in snapshot)
+    return trace
+
+
+def indistinct_nodes(pg: PortedGraph, inboxes) -> int:
+    """Nodes whose neighbours' (certificate, degree, port) triples in one
+    round's ``inboxes`` are not pairwise distinct."""
+    return sum(
+        len({m[1:] for m in inbox if m != NO_MESSAGE}) != pg.graph.degree(v)
+        for v, inbox in enumerate(inboxes)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from portlogic.graphs import (
     star,
     symmetric_port_numbering,
 )
+from portlogic import logic
 from portlogic.logic import Signature, eval_formula, kripke_model
 from portlogic.problems import (
     leaf_election,
@@ -320,7 +321,7 @@ def _pairwise_verify(model, other, relation):
     if other is None:
         union, lifted = model, [(v, w) for v, w in pairs]
     else:
-        union, offset = model.disjoint_union(other)
+        union, (_, offset) = logic.disjoint_union([model, other])
         lifted = [(v, w + offset) for v, w in pairs]
     alphas = sorted(union.relations, key=str)
     zset = set(lifted)

@@ -38,6 +38,7 @@ from portlogic.logic import (
     conj,
     dia,
     disj,
+    disjoint_union,
     eval_formula,
     false_,
     format_formula,
@@ -375,9 +376,24 @@ def test_disjoint_union_offsets():
     g2 = cycle(3)
     m1 = kripke_model(PortedGraph(g1, consistent_port_numbering(g1, 0)), "--", 2)
     m2 = kripke_model(PortedGraph(g2, consistent_port_numbering(g2, 0)), "--", 2)
-    union, offset = m1.disjoint_union(m2)
-    assert union.size == 6 and offset == 3
+    union, offsets = disjoint_union([m1, m2])
+    assert union.size == 6 and offsets == [0, 3]
     assert eval_formula(union, parse("q2")) == frozenset({0, 3, 4, 5})
+
+
+def test_disjoint_union_of_many_models_nests_pairwise():
+    graphs = [star(2), cycle(3), path(4)]
+    m1, m2, m3 = (kripke_model(PortedGraph(g, random_port_numbering(g, 5)), "-+", 2) for g in graphs)
+    union, offsets = disjoint_union([m1, m2, m3])
+    assert offsets == [0, m1.size, m1.size + m2.size]
+    nested, _ = disjoint_union([disjoint_union([m1, m2])[0], m3])
+    assert model_to_json(union) == model_to_json(nested)
+    pg = PortedGraph(graphs[0], consistent_port_numbering(graphs[0], 0))
+    for variant, delta in (("-+", 3), ("--", 2)):
+        with pytest.raises(SignatureMismatchError):
+            disjoint_union([m1, kripke_model(pg, variant, delta)])
+    with pytest.raises(PortlogicError):
+        disjoint_union([])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Preamble certificates and the three class-collapsing wrappers."""
 
+import itertools
 from collections import Counter
 
 import pytest
 
-from conftest import _mix, random_multiset_machine, sweep
+from conftest import _mix, indistinct_nodes, preamble_trace, random_multiset_machine, sweep
 from portlogic.encoding import canon
 from portlogic.graphs import (
     PortedGraph,
@@ -32,8 +33,9 @@ from portlogic.simulate import (
     HistoryBudgetError,
     WrapperError,
     bcast_multiset_from_broadcast,
-    indistinguishability_preprocess,
+    _SetFromMultiset,
     _Simulation,
+    _next_cert,
     multiset_from_vector,
     set_from_multiset,
 )
@@ -43,68 +45,78 @@ from portlogic.smallgraphs import all_graphs, all_port_numberings
 def test_preprocess_single_edge_symmetric():
     g = path(2)
     pg = PortedGraph(g, consistent_port_numbering(g, 0))
-    trace = indistinguishability_preprocess(pg, 1)
-    assert trace.rounds == 2
-    assert len(trace.beta) == 3
+    trace = preamble_trace(set_from_multiset(odd_odd_machine(1)), pg)
+    assert len(trace.messages) == 2
     # the two endpoints stay mutually indistinguishable under a consistent p
-    assert trace.beta[1][0] == trace.beta[1][1]
-    assert trace.final_beta(0) == trace.final_beta(1)
+    assert trace.states[0][0][2] == trace.states[0][1][2]
+    assert trace.states[1][0][2] == trace.states[1][1][2]
     # yet the triples they exchange are well-formed and equal by symmetry
-    assert trace.final_triple(pg, 0, 1) == trace.final_triple(pg, 1, 0)
+    assert trace.messages[1][1][0][1:] == (trace.states[1][0][2], 1, 1)
+    assert trace.messages[1][1][0][1:] == trace.messages[1][0][0][1:]
 
 
 def test_preprocess_star_center_receives_distinct_triples():
     g = star(3)
+    wrapped = set_from_multiset(odd_odd_machine(3))
     for p in sweep(g, cap=40, samples=10, seed=2):
         pg = PortedGraph(g, p)
-        trace = indistinguishability_preprocess(pg, 3)
-        assert trace.rounds == 6
-        assert len(trace.received[-1][0]) == 3
+        trace = preamble_trace(wrapped, pg)
+        assert len(trace.messages) == 6
+        assert indistinct_nodes(pg, trace.messages[-1]) == 0
 
 
 def test_preprocess_c4_distinct_at_every_node_all_numberings():
     g = cycle(4)
+    wrapped = set_from_multiset(odd_odd_machine(2))
     for p in all_port_numberings(g):
         pg = PortedGraph(g, p)
-        trace = indistinguishability_preprocess(pg, 2)
-        for v in range(4):
-            assert len(trace.received[-1][v]) == g.degree(v)
-
-
-def _order_of_pair(trace, g, v, u, t):
-    return sum(1 for x in g.adjacency[v] if trace.beta[t][x] == trace.beta[t][u])
-
-
-def _message(trace, pg, u, v, t):
-    g = pg.graph
-    port = next(
-        i for i in range(1, g.degree(u) + 1) if pg.numbering.target(u, i)[0] == v
-    )
-    return (trace.beta[t][u], g.degree(u), port)
+        assert indistinct_nodes(pg, preamble_trace(wrapped, pg).messages[-1]) == 0
 
 
 def test_indistinguishable_pairs_strengthen_two_rounds_earlier():
-    # on every small ported graph: a pair of order k at round t >= 4 was a
-    # pair of order k+1 at round t-2
+    # on every small ported graph: a pair of order k in round t >= 4 was a
+    # pair of order k+1 in round t-2, where the order of u's triple at v
+    # counts v's neighbours that send u's certificate
     graphs = [g for g in all_graphs(4, connected=True) if g.max_degree() >= 1]
     for g in graphs:
-        delta = g.max_degree()
+        wrapped = set_from_multiset(odd_odd_machine(g.max_degree()))
         for p in sweep(g, cap=48, samples=6, seed=3):
             pg = PortedGraph(g, p)
-            trace = indistinguishability_preprocess(pg, delta)
-            for t in range(4, trace.rounds + 1):
+            trace = preamble_trace(wrapped, pg)
+            for t in range(3, len(trace.messages)):
                 for v in range(g.n):
-                    nbrs = g.adjacency[v]
-                    for a in range(len(nbrs)):
-                        for b in range(a + 1, len(nbrs)):
-                            u, w = nbrs[a], nbrs[b]
-                            if _message(trace, pg, u, v, t) != _message(trace, pg, w, v, t):
-                                continue
-                            k = _order_of_pair(trace, g, v, u, t)
-                            assert _message(trace, pg, u, v, t - 2) == _message(
-                                trace, pg, w, v, t - 2
-                            )
-                            assert _order_of_pair(trace, g, v, u, t - 2) >= k + 1
+                    # in-port i of v hears the same neighbour in every round
+                    now, before = (
+                        [m[1:] for m in trace.messages[s][v][: g.degree(v)]]
+                        for s in (t, t - 2)
+                    )
+                    for a, b in itertools.combinations(range(g.degree(v)), 2):
+                        if now[a] != now[b]:
+                            continue
+                        k = sum(m[0] == now[a][0] for m in now)
+                        assert before[a] == before[b]
+                        assert sum(m[0] == before[a][0] for m in before) >= k + 1
+
+
+class _ForgetfulPreamble(_SetFromMultiset):
+    """A faulty preamble: each certificate hashes no received triples."""
+
+    def transition(self, state, inbox: tuple):
+        if state[0] == "pre" and state[1] + 1 < self._preamble:
+            _, t, cert, degree = state
+            return ("pre", t + 1, _next_cert(cert, frozenset()), degree)
+        return super().transition(state, inbox)
+
+
+def test_preamble_audit_catches_a_preamble_that_ignores_its_inbox():
+    # the centre of a star then hears three equal triples
+    g = star(3)
+    faulty = _ForgetfulPreamble(odd_odd_machine(3))
+    wrapped = set_from_multiset(odd_odd_machine(3))
+    for p in sweep(g, cap=40, samples=10, seed=2):
+        pg = PortedGraph(g, p)
+        assert indistinct_nodes(pg, preamble_trace(faulty, pg).messages[-1]) == 1
+        assert indistinct_nodes(pg, preamble_trace(wrapped, pg).messages[-1]) == 0
 
 
 def test_set_from_multiset_equivalence_and_rounds():
@@ -118,27 +130,6 @@ def test_set_from_multiset_equivalence_and_rounds():
             r1 = run(wrapped, pg, 16)
             assert r1.outputs == r0.outputs
             assert r1.rounds == 2 * 2 + r0.rounds
-
-
-def test_preamble_matches_the_audited_preprocess():
-    # criterion 3 audits indistinguishability_preprocess; the wrapper runs its
-    # own preamble, which must agree with it round by round: a preamble state
-    # holds the certificate sent next round, and the triples it receives are
-    # the preprocess's received set
-    for g in all_graphs(5):
-        delta = max(1, g.max_degree())
-        wrapped = set_from_multiset(odd_odd_machine(delta))
-        for p in sweep(g, cap=8, samples=2, seed=4):
-            pg = PortedGraph(g, p)
-            trace = run(wrapped, pg, 2 * delta, record_messages=True).trace
-            audited = indistinguishability_preprocess(pg, delta)
-            for t in range(2 * delta):
-                assert [s[0] for s in trace.states[t]] == ["pre"] * g.n
-                assert [s[2] for s in trace.states[t]] == list(audited.beta[t + 1])
-                assert [
-                    frozenset(m[1:] for m in inbox if m != NO_MESSAGE)
-                    for inbox in trace.messages[t]
-                ] == list(audited.received[t + 1])
 
 
 def test_set_from_multiset_random_machines():
