@@ -39,11 +39,10 @@ from .logic import (
     eval_formula,
     format_formula,
     kripke_model,
-    modal_depth,
     parse,
     validate_signature,
 )
-from .compiler import compile_formula, decompile, closure
+from .compiler import compile_formula, decompile_details, closure
 from .bisim import (
     Partition,
     coarsest_bisimulation,

@@ -43,9 +43,13 @@ __all__ = [
     "EnumerationBudgetError",
     "ImpossibilityInputError",
     "CLASS_VARIANTS",
+    "MAX_CANDIDATES",
 ]
 
 CLASS_VARIANTS = {"vv": "++", "vb": "+-", "sb": "--"}
+
+# candidate solutions impossibility_check may enumerate (outputs ** nodes)
+MAX_CANDIDATES = 1 << 20
 
 
 class NonEquivalenceError(PortlogicError, ValueError):
@@ -53,7 +57,7 @@ class NonEquivalenceError(PortlogicError, ValueError):
 
 
 class EnumerationBudgetError(PortlogicError, RuntimeError):
-    """Solution enumeration would exceed the configured budget."""
+    """Solution enumeration would exceed ``MAX_CANDIDATES``."""
 
 
 class ImpossibilityInputError(PortlogicError, ValueError):
@@ -310,7 +314,6 @@ def impossibility_check(
     problem,
     machine_class: str,
     p: PortNumbering,
-    budget: int = 1 << 20,
 ):
     """Bisimulation refutation for ``problem`` in ``machine_class`` on (g, p).
 
@@ -334,9 +337,9 @@ def impossibility_check(
         return Inconclusive("nodes of X are not mutually bisimilar")
     outputs = list(problem.outputs)
     total = len(outputs) ** g.n
-    if total > budget:
+    if total > MAX_CANDIDATES:
         raise EnumerationBudgetError(
-            f"{total} candidate solutions exceed the budget {budget}"
+            f"{total} candidate solutions exceed the budget {MAX_CANDIDATES}"
         )
     applies = problem.applies(g)
     audited = 0

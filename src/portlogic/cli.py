@@ -335,6 +335,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
     doc: dict = {"inputs": {"graph": args.graph}}
     try:
         pg = load_ported(args.graph)

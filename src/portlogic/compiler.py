@@ -85,7 +85,6 @@ __all__ = [
     "closure",
     "CompiledMachine",
     "compile_formula",
-    "decompile",
     "decompile_details",
     "DecompileResult",
     "ModelSuite",
@@ -95,13 +94,21 @@ __all__ = [
     "DecompileBudgetError",
     "MAX_STATES",
     "MAX_MESSAGES",
+    "MAX_VISITS",
+    "SUITE_NUMBERINGS",
 ]
 
 U = 2
 
-# decompiler budgets: distinct states per round, distinct messages per round
+# decompiler budgets: distinct states per round, distinct messages per round,
+# enumeration visits per call
 MAX_STATES = 512
 MAX_MESSAGES = 256
+MAX_VISITS = 2_000_000
+
+# sampled numberings per graph of the default decompile suite, beside the
+# consistent one
+SUITE_NUMBERINGS = 3
 
 
 class CompileError(PortlogicError, ValueError):
@@ -347,13 +354,11 @@ class ModelSuite:
         return memo[id(formula)]
 
 
-def default_decompile_suite(
-    delta: int, node_bound: int = 5, numberings_per_graph: int = 3
-) -> list[PortedGraph]:
+def default_decompile_suite(delta: int, node_bound: int = 5) -> list[PortedGraph]:
     """Enumeration suite: all graphs up to the bound, sampled numberings."""
     out = []
     for gi, g in enumerate(all_graphs(node_bound, max_degree=delta)):
-        for k in range(numberings_per_graph):
+        for k in range(SUITE_NUMBERINGS):
             out.append(PortedGraph(g, random_port_numbering(g, 101 * gi + k)))
         out.append(PortedGraph(g, consistent_port_numbering(g, gi)))
     return out
@@ -384,20 +389,12 @@ def _disjoin(pairs: list[tuple[Formula, int]]) -> tuple[Formula, int]:
 
 
 class _Decompiler:
-    def __init__(
-        self,
-        machine: Machine,
-        sig: Signature,
-        horizon: int,
-        suite: ModelSuite,
-        max_visits: int,
-    ):
+    def __init__(self, machine: Machine, sig: Signature, horizon: int, suite: ModelSuite):
         self.machine = machine
         self.delta = sig.delta
         self.horizon = horizon
         self.kind = sig.kind
         self.suite = suite
-        self.max_visits = max_visits
         self.visits = 0
         # (modal depth, suite table) -> the first formula met with both
         self.interned: dict[tuple[int, int], Formula] = {}
@@ -406,10 +403,8 @@ class _Decompiler:
 
     def _charge(self):
         self.visits += 1
-        if self.visits > self.max_visits:
-            raise DecompileBudgetError(
-                f"transition enumeration exceeded {self.max_visits} visits"
-            )
+        if self.visits > MAX_VISITS:
+            raise DecompileBudgetError(f"transition enumeration exceeded {MAX_VISITS} visits")
 
     def _intern(self, formula: Formula, table: int) -> tuple[Formula, int]:
         """Semantic deduplication: one formula per (modal depth, truth table)."""
@@ -591,40 +586,28 @@ def decompile_details(
     delta: int,
     horizon: int,
     variant: str,
-    suite: ModelSuite | Sequence[PortedGraph] | None = None,
+    suite: ModelSuite | None = None,
     node_bound: int = 5,
-    max_visits: int = 2_000_000,
 ) -> DecompileResult:
-    """Reverse compilation, with the formula's table over the suite it was built on."""
+    """Reverse compilation, with the formula's table over the suite it was built on.
+
+    The formula's modal depth equals the horizon whenever the machine's
+    behaviour at the horizon actually depends on the last exchange.
+    """
     if delta < 1:
         raise DecompileError("delta must be at least 1")
+    if horizon < 0:
+        raise DecompileError("horizon must be at least 0")
     if delta > machine.delta_max:
         raise DecompileError("delta exceeds the machine's declared bound")
     sig = Signature(delta, variant)
     _check_variant_fit(machine, sig.kind)
     if suite is None:
         suite = ModelSuite(default_decompile_suite(delta, node_bound), variant, delta)
-    elif not isinstance(suite, ModelSuite):
-        suite = ModelSuite(suite, variant, delta)
     if suite.variant != variant or suite.delta != delta:
         raise DecompileError("suite was built for a different signature")
     if not suite.total_worlds:
         raise DecompileError("the decompile suite has no worlds")
-    worker = _Decompiler(machine, sig, horizon, suite, max_visits)
+    worker = _Decompiler(machine, sig, horizon, suite)
     return worker.build()
 
-
-def decompile(
-    machine: Machine,
-    delta: int,
-    horizon: int,
-    variant: str,
-    suite: ModelSuite | Sequence[PortedGraph] | None = None,
-    **kwargs,
-) -> Formula:
-    """Formula agreeing with the machine's output on the model suite.
-
-    The formula's modal depth equals the horizon whenever the machine's
-    behaviour at the horizon actually depends on the last exchange.
-    """
-    return decompile_details(machine, delta, horizon, variant, suite, **kwargs).formula

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "MAX_GRAPH_NODES",
+    "MATCHING_NODE_CAP",
     "Graph",
     "PortNumbering",
     "PortedGraph",
@@ -58,6 +59,9 @@ __all__ = [
 # the largest node count a graph may have; constructors and loaders check it
 # before they allocate anything proportional to the size
 MAX_GRAPH_NODES = 1 << 16
+
+# the largest graph has_one_factor searches by backtracking
+MATCHING_NODE_CAP = 24
 
 
 class PortlogicError(Exception):
@@ -466,13 +470,13 @@ def symmetric_port_numbering(g: Graph) -> PortNumbering:
     return PortNumbering(mapping)
 
 
-def has_one_factor(g: Graph, node_cap: int = 24) -> bool:
+def has_one_factor(g: Graph) -> bool:
     """Brute-force perfect-matching existence (desk-scale oracle).
 
-    Exhaustive backtracking on general graphs, capped at ``node_cap`` nodes.
+    Exhaustive backtracking on general graphs of at most ``MATCHING_NODE_CAP`` nodes.
     """
-    if g.n > node_cap:
-        raise SearchBoundError(f"{g.n} nodes exceeds the brute-force cap {node_cap}")
+    if g.n > MATCHING_NODE_CAP:
+        raise SearchBoundError(f"{g.n} nodes exceeds the brute-force cap {MATCHING_NODE_CAP}")
     if g.n % 2 == 1:
         return False
 

@@ -52,7 +52,6 @@ __all__ = [
     "false_",
     "conj_all",
     "disj_all",
-    "modal_depth",
     "parse",
     "format_formula",
     "FormulaError",
@@ -118,7 +117,8 @@ class SignatureError(PortlogicError, ValueError):
 
 
 class Formula:
-    """Base class; instances are interned, so == is identity."""
+    """Base class; instances are interned, so == is identity.  ``md`` is the
+    modal depth (grades do not add depth), ``size`` the syntax-tree size."""
 
     __slots__ = ("md", "size")
 
@@ -240,11 +240,6 @@ def disj_all(items: Iterable[Formula]) -> Formula:
     if not items:
         return false_()
     return _fold_balanced(items, disj)
-
-
-def modal_depth(formula: Formula) -> int:
-    """Largest number of nested modalities (grades do not add depth)."""
-    return formula.md
 
 
 def subformulas(formula: Formula) -> list[Formula]:

@@ -128,9 +128,10 @@ class Machine:
     the executor memoises them within a run.  ``emit(state, port)`` must
     answer every port from 1 to ``delta_max``, also beyond the degree of the
     nodes that hold ``state``: ``run`` never asks there, but
-    ``compiler.decompile`` does, and it expects a message (``NO_MESSAGE``
-    will do) or a ``PortlogicError``.  ``output_value`` maps a stopping state
-    to the reported output; wrappers override it to unwrap their own markers.
+    ``compiler.decompile_details`` does, and it expects a message
+    (``NO_MESSAGE`` will do) or a ``PortlogicError``.  ``output_value`` maps
+    a stopping state to the reported output; wrappers override it to unwrap
+    their own markers.
     """
 
     delta_max: int

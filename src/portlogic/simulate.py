@@ -26,10 +26,10 @@ machine of a weaker class with local overhead only:
 
 Certificates are hash-consed: a certificate is represented by a structural
 digest, so equality tests are exact while messages stay small.  Histories are
-kept verbatim (no compression) behind a configurable byte budget on the
-``canon`` encoding of each history message.  Every wrapper hands its base
-machine the inbox ``machines.canonical_inbox`` realises for the base's
-discipline, as the executor would, in one step (``_Simulation._step``).
+kept verbatim (no compression), and the ``canon`` encoding of each history
+message may take at most ``HISTORY_BYTE_BUDGET`` bytes.  Every wrapper hands
+its base machine the inbox ``machines.canonical_inbox`` realises for the
+base's discipline, as the executor would, in one step (``_Simulation._step``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,11 @@ __all__ = [
     "bcast_multiset_from_broadcast",
     "HistoryBudgetError",
     "WrapperError",
+    "HISTORY_BYTE_BUDGET",
 ]
+
+# bytes of a history message's canon encoding, past which emit refuses
+HISTORY_BYTE_BUDGET = 1 << 16
 
 _EMPTY = digest(("cert", "empty"))
 
@@ -65,7 +69,7 @@ class WrapperError(PortlogicError, ValueError):
 
 
 class HistoryBudgetError(PortlogicError, RuntimeError):
-    """A history-augmented message outgrew the configured byte budget."""
+    """A history-augmented message outgrew ``HISTORY_BYTE_BUDGET``."""
 
 
 def _next_cert(cert: bytes, received: frozenset) -> bytes:
@@ -165,11 +169,10 @@ class _HistoryWrapper(_Simulation):
     of them after the last round, sorted by ``_history_key``.
     """
 
-    def __init__(self, base: Machine, broadcast: bool, byte_budget: int):
+    def __init__(self, base: Machine, broadcast: bool):
         kind = "bcast_multiset_from_broadcast" if broadcast else "multiset_from_vector"
         super().__init__(base, ClassTag(MULTISET, BROADCAST if broadcast else VECTOR), kind)
         self.broadcast = broadcast
-        self.byte_budget = byte_budget
 
     def init_state(self, degree: int):
         histories = ((),) if self.broadcast else ((),) * degree
@@ -187,10 +190,8 @@ class _HistoryWrapper(_Simulation):
             # there; the decompiler asks every port up to delta.
             return NO_MESSAGE
         message = ("hist", self._sent(sim, histories, port))
-        if len(canon(message)) > self.byte_budget:
-            raise HistoryBudgetError(
-                f"history message exceeds {self.byte_budget} bytes"
-            )
+        if len(canon(message)) > HISTORY_BYTE_BUDGET:
+            raise HistoryBudgetError(f"history message exceeds {HISTORY_BYTE_BUDGET} bytes")
         return message
 
     def transition(self, state, inbox: tuple):
@@ -208,13 +209,13 @@ class _HistoryWrapper(_Simulation):
         return self._step(sim, [h[-1] for h in full], sent, tuple(full), degree)
 
 
-def multiset_from_vector(base: Machine, byte_budget: int = 1 << 16) -> Machine:
+def multiset_from_vector(base: Machine) -> Machine:
     """Wrap any machine into the multiset class with zero extra rounds."""
-    return _HistoryWrapper(base, broadcast=False, byte_budget=byte_budget)
+    return _HistoryWrapper(base, broadcast=False)
 
 
-def bcast_multiset_from_broadcast(base: Machine, byte_budget: int = 1 << 16) -> Machine:
+def bcast_multiset_from_broadcast(base: Machine) -> Machine:
     """Specialise the history construction to broadcast machines."""
     if base.tag.outbox != BROADCAST:
         raise WrapperError("bcast_multiset_from_broadcast needs a broadcast machine")
-    return _HistoryWrapper(base, broadcast=True, byte_budget=byte_budget)
+    return _HistoryWrapper(base, broadcast=True)

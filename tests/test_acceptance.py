@@ -37,7 +37,6 @@ from portlogic.logic import (
     VARIANTS,
     eval_formula,
     kripke_model,
-    modal_depth,
     subformulas,
 )
 from portlogic.machines import run
@@ -100,7 +99,7 @@ def compiler_sweep(formula_suite, model_suites):
         suite = model_suites[(sig.variant, sig.delta)]
         machine = compile_formula(formula, sig)
         expected = suite.table(formula)
-        horizon = modal_depth(formula) + 1
+        horizon = formula.md + 1
         stats["formulas"] += 1
         for pg, offset in zip(suite.ported, suite.offsets):
             result = run(machine, pg, horizon + 1)

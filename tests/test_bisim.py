@@ -281,16 +281,17 @@ def test_impossibility_decides_applies_once():
     assert calls == {"applies": 1, "verifier": 0}
 
 
-def test_impossibility_budget():
+def test_impossibility_budget(monkeypatch):
+    monkeypatch.setattr("portlogic.bisim.MAX_CANDIDATES", 1000)
     g = no_one_factor_cubic()
-    with pytest.raises(EnumerationBudgetError):
+    message = "^65536 candidate solutions exceed the budget 1000$"
+    with pytest.raises(EnumerationBudgetError, match=message):
         impossibility_check(
             g,
             range(g.n),
             nonconstant_on_unmatchable(),
             "vv",
             symmetric_port_numbering(g),
-            budget=1000,
         )
 
 

@@ -1,9 +1,13 @@
 """CLI surface: subcommands, exit codes, JSON report round-trips."""
 
+import importlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -248,11 +252,15 @@ def test_missing_variant_is_reported(star3_pn, capsys):
          "--delta", "2", "--node-bound", "8"],
         ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
          "--delta", "2", "--node-bound", "0"],
+        ["decompile", "--machine", "odd_odd", "--horizon", "-1", "--variant", "--",
+         "--delta", "2"],
         ["gen", "--family", "star", "--out", "/no/such/dir/x.g"],
         ["run", "--graph", "{g}", "--machine", "odd_odd", "--max-rounds", "-1"],
         ["run", "--graph", "{g}", "--machine", "odd_odd", "--delta", "0"],
         ["check", "--graph", "{g}", "--formula", "q1", "--variant", "--", "--delta", "0"],
         ["verify", "--graph", "{pn}", "--delta", "0"],
+        ["verify", "--graph", "{pn}", "--machine", "odd_odd", "--samples", "-5"],
+        ["verify", "--graph", "{pn}", "--machine", "odd_odd", "--samples", "0"],
         ["check", "--graph", "{g}", "--formula", "!" * 5000 + "q1", "--variant", "--"],
         ["compile", "--formula", "<*,*>" * 3000 + "q1", "--variant", "--", "--delta", "2"],
         ["check", "--graph", "{g}", "--formula", "(" * 3000 + "q1" + ")" * 3000,
@@ -266,8 +274,9 @@ def test_missing_variant_is_reported(star3_pn, capsys):
     ],
     ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
          "decompile-delta-0", "decompile-delta-negative", "node-cap", "decompile-node-bound-0",
-         "gen-out",
+         "decompile-horizon-negative", "gen-out",
          "run-max-rounds-negative", "run-delta-0", "check-delta-0", "verify-delta-0",
+         "verify-samples-negative", "verify-samples-0",
          "deep-negation", "deep-diamonds", "deep-parentheses",
          "run-nodes-not-int", "bisim-edge-not-int", "verify-port-not-int",
          "run-not-utf8", "bisim-not-utf8", "verify-not-utf8"],
@@ -431,3 +440,30 @@ def test_cli_keeps_its_exit_contract(data, star3_g, star3_pn, malformed, tmp_pat
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """The ``$ portlogic`` lines of the README's console blocks, as argv lists."""
+    blocks = re.findall(r"```console\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line[2:], comments=True)[1:] for line in lines
+            if line.startswith("$ portlogic ")]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
+def test_readme_budget_table_matches_the_constants():
+    rows = re.findall(r"^\| `(\w+)\.([A-Z_]+)` \| (\d+) \|", README.read_text(encoding="utf-8"),
+                      re.M)
+    assert len(rows) == 11
+    for module, name, value in rows:
+        assert getattr(importlib.import_module(f"portlogic.{module}"), name) == int(value)

@@ -14,7 +14,6 @@ from portlogic.compiler import (
     ModelSuite,
     closure,
     compile_formula,
-    decompile,
     decompile_details,
     default_decompile_suite,
 )
@@ -34,7 +33,6 @@ from portlogic.logic import (
     eval_formula,
     format_formula,
     kripke_model,
-    modal_depth,
     parse,
     prop,
 )
@@ -108,7 +106,7 @@ def test_compile_diamond_on_star():
     for p in sweep(g, cap=40, samples=8, seed=0):
         pg = PortedGraph(g, p)
         result = run(machine, pg, 5)
-        assert result.rounds == 2 == modal_depth(f) + 1
+        assert result.rounds == 2 == f.md + 1
         assert result.outputs == {0: 1, 1: 0, 2: 0, 3: 0}
 
 
@@ -170,7 +168,8 @@ def test_compiled_machines_pass_conformance(variant):
         assert check_class_conformance(machine, samples=120, seed=trial).ok
 
 
-def test_decompile_round_trip_small():
+def test_decompile_round_trip_small(monkeypatch):
+    monkeypatch.setattr("portlogic.compiler.SUITE_NUMBERINGS", 2)
     for variant, text in [
         ("--", "<*,*>q1"),
         ("--", "<*,*;2>q1"),
@@ -182,24 +181,17 @@ def test_decompile_round_trip_small():
         delta = 2
         sig = Signature(delta, variant)
         machine = compile_formula(f, sig)
-        suite = ModelSuite(
-            default_decompile_suite(delta, node_bound=3, numberings_per_graph=2),
-            variant,
-            delta,
-        )
+        suite = ModelSuite(default_decompile_suite(delta, node_bound=3), variant, delta)
         result = decompile_details(machine, delta, f.md + 1, variant, suite=suite)
         for pg, model in zip(suite.ported, suite.models):
             assert eval_formula(model, result.formula) == eval_formula(model, f)
 
 
-def test_decompile_matches_machine_runs():
+def test_decompile_matches_machine_runs(monkeypatch):
+    monkeypatch.setattr("portlogic.compiler.SUITE_NUMBERINGS", 2)
     variant, delta = "--", 2
     machine = odd_odd_machine(delta)
-    suite = ModelSuite(
-        default_decompile_suite(delta, node_bound=3, numberings_per_graph=2),
-        variant,
-        delta,
-    )
+    suite = ModelSuite(default_decompile_suite(delta, node_bound=3), variant, delta)
     result = decompile_details(machine, delta, 2, variant, suite=suite)
     for pg, model in zip(suite.ported, suite.models):
         got = run(machine, pg, 4).outputs
@@ -225,7 +217,7 @@ def test_decompile_gives_set_machines_their_set_view():
     )
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     pg = PortedGraph(g, random_port_numbering(g, 0))
-    formula = decompile(machine, 3, 1, "--", suite=[pg])
+    formula = decompile_details(machine, 3, 1, "--", suite=ModelSuite([pg], "--", 3)).formula
     assert set(eval_formula(kripke_model(pg, "--", 3), formula)) == _ones(run(machine, pg, 4))
 
 
@@ -254,19 +246,19 @@ def test_decompile_history_wrapper_skips_ports_beyond_the_degree():
 def test_decompile_depth_matches_horizon():
     f = parse("<*,*>q1")
     machine = compile_formula(f, Signature(2, "--"))
-    psi = decompile(machine, 2, f.md + 1, "--", node_bound=3)
-    assert modal_depth(psi) == f.md + 1
+    psi = decompile_details(machine, 2, f.md + 1, "--", node_bound=3).formula
+    assert psi.md == f.md + 1
 
 
 def test_decompile_refuses_vector_machine_for_count_variants():
     machine = compile_formula(parse("<1,1>q1"), Signature(2, "++"))
     with pytest.raises(DecompileError):
-        decompile(machine, 2, 2, "-+", node_bound=2)
+        decompile_details(machine, 2, 2, "-+", node_bound=2)
     with pytest.raises(DecompileError):
-        decompile(machine, 2, 2, "--", node_bound=2)
+        decompile_details(machine, 2, 2, "--", node_bound=2)
     # the outbox side: a vector-outbox machine cannot hide the outgoing port
     with pytest.raises(DecompileError):
-        decompile(machine, 2, 2, "+-", node_bound=2)
+        decompile_details(machine, 2, 2, "+-", node_bound=2)
 
 
 @pytest.mark.parametrize("delta", [0, -1])
@@ -275,7 +267,17 @@ def test_decompile_refuses_delta_below_one(delta):
         decompile_details(odd_odd_machine(2), delta, 2, "--", node_bound=2)
 
 
-@pytest.mark.parametrize("suite", [{"node_bound": 0}, {"node_bound": -2}, {"suite": []}],
+@pytest.mark.parametrize(
+    "horizon, message",
+    [(-1, "horizon must be at least 0"), (0, "machine still running after 0 rounds")],
+)
+def test_decompile_refuses_a_negative_horizon(horizon, message):
+    with pytest.raises(DecompileError, match=message):
+        decompile_details(odd_odd_machine(2), 2, horizon, "--", node_bound=2)
+
+
+@pytest.mark.parametrize("suite", [{"node_bound": 0}, {"node_bound": -2},
+                                   {"suite": ModelSuite([], "--", 2)}],
                          ids=["node-bound-0", "node-bound-negative", "no-graphs"])
 def test_decompile_refuses_a_suite_without_worlds(suite):
     # every table is 0 there, so any formula would pass for the machine
@@ -339,19 +341,23 @@ def test_decompile_output_is_stable():
     ],
     ids=["counted-slots", "positional-slots"],
 )
-def test_decompile_visit_budget_boundary(machine, variant, visits):
-    decompile_details(machine(), 2, 3, variant, node_bound=4, max_visits=visits)
-    with pytest.raises(DecompileBudgetError):
-        decompile_details(machine(), 2, 3, variant, node_bound=4, max_visits=visits - 1)
+def test_decompile_visit_budget_boundary(machine, variant, visits, monkeypatch):
+    monkeypatch.setattr("portlogic.compiler.MAX_VISITS", visits)
+    decompile_details(machine(), 2, 3, variant, node_bound=4)
+    monkeypatch.setattr("portlogic.compiler.MAX_VISITS", visits - 1)
+    message = f"^transition enumeration exceeded {visits - 1} visits$"
+    with pytest.raises(DecompileBudgetError, match=message):
+        decompile_details(machine(), 2, 3, variant, node_bound=4)
 
 
-def test_decompile_refuses_budget_overrun():
+def test_decompile_refuses_budget_overrun(monkeypatch):
+    monkeypatch.setattr("portlogic.compiler.MAX_VISITS", 3)
     machine = odd_odd_machine(2)
-    with pytest.raises(DecompileBudgetError):
-        decompile(machine, 2, 2, "--", node_bound=3, max_visits=3)
+    with pytest.raises(DecompileBudgetError, match="^transition enumeration exceeded 3 visits$"):
+        decompile_details(machine, 2, 2, "--", node_bound=3)
 
 
 def test_decompile_requires_stopping_within_horizon():
     machine = compile_formula(parse("<*,*><*,*>q1"), Signature(2, "--"))
     with pytest.raises(DecompileError):
-        decompile(machine, 2, 1, "--", node_bound=3)
+        decompile_details(machine, 2, 1, "--", node_bound=3)

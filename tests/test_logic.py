@@ -43,7 +43,6 @@ from portlogic.logic import (
     false_,
     format_formula,
     kripke_model,
-    modal_depth,
     model_to_json,
     parse,
     neg,
@@ -87,10 +86,10 @@ def test_parse_errors_carry_position():
 
 
 def test_modal_depth():
-    assert modal_depth(parse("q1")) == 0
-    assert modal_depth(parse("<*,*>q1")) == 1
-    assert modal_depth(parse("<1,1><2,2>q1 & q2")) == 2
-    assert modal_depth(parse("<*,*;4>q1")) == 1  # grades do not add depth
+    assert parse("q1").md == 0
+    assert parse("<*,*>q1").md == 1
+    assert parse("<1,1><2,2>q1 & q2").md == 2
+    assert parse("<*,*;4>q1").md == 1  # grades do not add depth
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -277,12 +277,13 @@ def test_bcast_wrapper_conformance():
     assert check_class_conformance(wrapped, samples=200, seed=3).ok
 
 
-def test_history_budget_guard():
+def test_history_budget_guard(monkeypatch):
+    monkeypatch.setattr("portlogic.simulate.HISTORY_BYTE_BUDGET", 8)
     base = leaf_election_machine(2)
-    wrapped = multiset_from_vector(base, byte_budget=8)
+    wrapped = multiset_from_vector(base)
     g = star(2)
     pg = PortedGraph(g, consistent_port_numbering(g, 0))
-    with pytest.raises(HistoryBudgetError):
+    with pytest.raises(HistoryBudgetError, match="^history message exceeds 8 bytes$"):
         run(wrapped, pg, 6)
 
 
