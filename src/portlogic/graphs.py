@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -307,6 +309,24 @@ class PortedGraph:
 
     def max_degree(self) -> int:
         return self.graph.max_degree()
+
+    @cached_property
+    def wiring(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(degrees, sources)``: the message wiring, computed on first use.
+
+        Ports are numbered 0, 1, ... node by node, so port (v, j) is
+        ``sum(degrees[:v]) + j - 1``; ``sources[u]`` holds the numbers of the
+        ports that feed u's ports 1..deg(u).  It is not a field: equality and
+        hashing ignore it.
+        """
+        degrees = self.graph.degrees()
+        first = tuple(accumulate(degrees, initial=0))
+        source = self.numbering.source
+        sources = tuple(
+            tuple(first[v] + j - 1 for v, j in (source(u, i) for i in range(1, d + 1)))
+            for u, d in enumerate(degrees)
+        )
+        return degrees, sources
 
 
 def random_port_numbering(g: Graph, seed: int) -> PortNumbering:

@@ -24,17 +24,20 @@ and reduplicated inboxes to the transition function directly.
 
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
 messages) equal under ``==`` must have equal ``canon`` encodings: within one
-run the executor computes ``init_state`` once per degree, ``emit_absorbing``
-once per (state, port), ``is_output`` once per state, ``transition`` once per
-(state, realised inbox) and each message's encoding once, and reuses the
-results.  ``1 == True`` while their encodings differ, so a machine that tells
-them apart breaks this; the conformance probe reports such pairs.  Nothing
-is cached across runs.
+run the executor computes ``init_state`` once per degree, ``is_output`` and
+``emit`` on ports 1..d once per (state, degree d), and ``transition`` once per
+(state, inbox as received).  Only on such a miss does it realise the inbox,
+encoding each message once per run.  ``1 == True`` while their encodings
+differ, so a machine that tells them apart breaks this; the conformance
+probe reports such pairs.  Nothing is cached across runs, apart from each
+``PortedGraph``'s wiring (which port feeds which), computed on its first run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
 from .encoding import canon
@@ -54,6 +57,7 @@ __all__ = [
     "DegreeError",
     "ClassTagError",
     "MaxRoundsError",
+    "SamplesError",
     "Memo",
     "canonical_inbox",
     "run",
@@ -89,6 +93,10 @@ class ClassTagError(PortlogicError, ValueError):
 
 class MaxRoundsError(PortlogicError, ValueError):
     """A negative round budget."""
+
+
+class SamplesError(PortlogicError, ValueError):
+    """A conformance probe asked for fewer than one sample."""
 
 
 @dataclass(frozen=True)
@@ -237,16 +245,6 @@ class Memo(dict):
         return value
 
 
-class _ArgsMemo(Memo):
-    """``memo[a, b]`` is ``fn(a, b)``, computed once."""
-
-    __slots__ = ()
-
-    def __missing__(self, args):
-        value = self[args] = self.fn(*args)
-        return value
-
-
 @dataclass
 class Trace:
     """Per-round snapshots; index 0 is the initial state vector."""
@@ -270,6 +268,19 @@ class RunResult:
         return not self.stopped
 
 
+def _gather(indices: tuple[int, ...]) -> Callable[[list], tuple]:
+    """``gather(flat)`` is ``tuple(flat[i] for i in indices)``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda flat: (flat[i],)
+    return lambda flat: ()
+
+
+_MISSING = object()
+
+
 def run(
     machine: Machine,
     ported: PortedGraph,
@@ -280,51 +291,81 @@ def run(
 
     Returns the outputs and the stopping round on success; a timeout is a
     first-class result (``stopped=False``, outputs ``None``), not an error.
-    Within the run, ``init_state``, ``emit_absorbing``, ``is_output``,
-    ``transition`` and the message encoding are each computed once per
-    distinct argument (see the module docstring).
+    Each round concatenates every node's messages into one flat outbox, and
+    each live node gathers its inbox from it through ``ported.wiring``.
+    Stopped nodes are never stepped again.  The memos (see the module
+    docstring) live for this call only.
     """
     if max_rounds < 0:
         raise MaxRoundsError(f"max_rounds must be at least 0, got {max_rounds}")
-    g = ported.graph
-    if g.max_degree() > machine.delta_max:
+    degrees, sources = ported.wiring
+    delta = machine.delta_max
+    if max(degrees, default=0) > delta:
         raise DegreeError(
-            f"graph degree {g.max_degree()} exceeds machine delta {machine.delta_max}"
+            f"graph degree {max(degrees)} exceeds machine delta {delta}"
         )
-    p = ported.numbering
+    pad = sum(degrees)  # the flat outbox's last entry is NO_MESSAGE
+    gathers = [_gather(src + (pad,) * (delta - len(src))) for src in sources]
+    emit, is_output, transition = machine.emit, machine.is_output, machine.transition
     kind = machine.tag.inbox
-    incoming = [
-        [p.source(u, i) for i in range(1, g.degree(u) + 1)] for u in range(g.n)
-    ]
-    padding = [(NO_MESSAGE,) * (machine.delta_max - g.degree(u)) for u in range(g.n)]
-    init = Memo(machine.init_state)
-    emit = _ArgsMemo(machine.emit_absorbing)
-    is_output = Memo(machine.is_output)
-    step = _ArgsMemo(machine.transition)
-    key = Memo(canon).__getitem__
-    states = [init[g.degree(v)] for v in range(g.n)]
-    stopped = [is_output[s] for s in states]
+    if kind != VECTOR:
+        key = Memo(canon).__getitem__
+    steps: dict = {}
+    steps_get = steps.get
+    sends: dict = {}
+    sends_get = sends.get
+
+    def send(s, d):
+        """Messages on ports 1..d from state s, or None once s has stopped."""
+        sent = sends[s, d] = None if is_output(s) else [emit(s, j) for j in range(1, d + 1)]
+        return sent
+
+    init = {d: machine.init_state(d) for d in set(degrees)}
+    states = [init[d] for d in degrees]
+    live = []
+    outbox = []
+    for v, d in enumerate(degrees):
+        s = states[v]
+        sent = sends_get((s, d), _MISSING)
+        if sent is _MISSING:
+            sent = send(s, d)
+        if sent is None:
+            outbox.append([NO_MESSAGE] * d)
+        else:
+            outbox.append(sent)
+            live.append(v)
     trace = Trace(states=[tuple(states)], messages=[] if record_messages else None)
     rounds = 0
     for t in range(1, max_rounds + 1):
-        if all(stopped):
+        if not live:
             break
-        inboxes = [
-            tuple([emit[states[v], j] for v, j in incoming[u]]) + padding[u]
-            for u in range(g.n)
-        ]
+        flat = [*chain.from_iterable(outbox), NO_MESSAGE]
         if record_messages:
-            trace.messages.append(tuple(inboxes))
-        states = [
-            s if done else step[s, canonical_inbox(kind, inbox, key)]
-            for s, done, inbox in zip(states, stopped, inboxes)
-        ]
-        stopped = [is_output[s] for s in states]
+            trace.messages.append(tuple([gather(flat) for gather in gathers]))
+        still = []
+        for v in live:
+            s = states[v]
+            inbox = gathers[v](flat)
+            nxt = steps_get((s, inbox), _MISSING)
+            if nxt is _MISSING:
+                view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)
+                nxt = steps[s, inbox] = transition(s, view)
+            states[v] = nxt
+            d = degrees[v]
+            sent = sends_get((nxt, d), _MISSING)
+            if sent is _MISSING:
+                sent = send(nxt, d)
+            if sent is None:
+                outbox[v] = [NO_MESSAGE] * d
+            else:
+                outbox[v] = sent
+                still.append(v)
+        live = still
         trace.states.append(tuple(states))
         rounds = t
-    if not all(stopped):
+    if live:
         return RunResult(False, max_rounds, None, trace)
-    outputs = {v: machine.output_value(states[v]) for v in range(g.n)}
+    outputs = {v: machine.output_value(s) for v, s in enumerate(states)}
     return RunResult(True, rounds, outputs, trace)
 
 
@@ -392,9 +433,12 @@ def check_class_conformance(
     and message is also checked against the executor's memo contract: two
     values equal under ``==`` must have the same ``canon`` encoding
     (``1 == True`` but they encode differently).  Reports every
-    counterexample found.
+    counterexample found.  ``samples`` must be at least 1.
     """
     import random as _random
+
+    if samples < 1:
+        raise SamplesError(f"samples must be at least 1, got {samples}")
 
     rng = _random.Random(seed)
     observations: list[tuple[object, tuple]] = []

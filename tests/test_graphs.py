@@ -344,6 +344,30 @@ def test_ported_graph_rejects_invalid_numbering():
         PortedGraph(g, PortNumbering(bad))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(3, []), path(2), star(3), cycle(5), complete(4),
+        disjoint_union(path(3), cycle(3))[0],
+    ],
+    ids=["edgeless", "path2", "star3", "cycle5", "k4", "union"],
+)
+def test_wiring_decodes_to_the_numbering_sources(g):
+    for seed in range(3):
+        pg = PortedGraph(g, random_port_numbering(g, seed))
+        twin = PortedGraph(g, pg.numbering)
+        before = hash(pg)
+        degrees, sources = pg.wiring
+        assert degrees == g.degrees()
+        port_of_number = [(v, j) for v in range(g.n) for j in range(1, g.degree(v) + 1)]
+        for u in range(g.n):
+            assert len(sources[u]) == g.degree(u)
+            for i, number in enumerate(sources[u], start=1):
+                assert port_of_number[number] == pg.numbering.source(u, i)
+        assert pg.wiring is pg.wiring
+        assert hash(pg) == before == hash(twin) and pg == twin
+
+
 def test_numbering_enumeration_count():
     g = path(3)
     # product over nodes of deg! squared: (1*2*1)^2 = 4

@@ -1,5 +1,6 @@
 """Executor semantics: views, padding, absorption, determinism, conformance."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -37,6 +38,7 @@ from portlogic.machines import (
     DegreeError,
     MaxRoundsError,
     RunResult,
+    SamplesError,
     SimpleMachine,
     Trace,
     canonical_inbox,
@@ -293,6 +295,13 @@ def test_negative_max_rounds_is_a_library_error():
     assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_conformance_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(SamplesError, match="samples must be at least 1") as caught:
+        check_class_conformance(problems.odd_odd_machine(3), samples=samples)
+    assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
+
+
 def test_run_encodes_each_message_once(monkeypatch):
     sig = Signature(2, "--")
     formula = dia((STAR, STAR), neg(dia((STAR, STAR), prop(2), 2)), 2)
@@ -437,10 +446,58 @@ def _random_multiset_machines():
         yield random_multiset_machine(3, seed=seed, broadcast=True)
 
 
+def _small_delta_machines():
+    # delta 0 and 1: every inbox has at most one slot
+    for delta in (0, 1):
+        for name in sorted(problems.MACHINES):
+            yield problems.MACHINES[name](delta)
+        yield random_multiset_machine(delta, seed=delta)
+        yield random_multiset_machine(delta, seed=delta, broadcast=True)
+
+
+def _never_stopping_machines():
+    for tag in (ClassTag(VECTOR, VECTOR), ClassTag(MULTISET, BROADCAST), ClassTag(SET, VECTOR)):
+        yield SimpleMachine(
+            2,
+            tag,
+            init=lambda d: d,
+            emit=lambda s, j: s % 3,
+            transition=lambda s, inbox: (s + sum(m for m in inbox if m != NO_MESSAGE)) % 5,
+            is_output=lambda s: False,
+            name=f"never_stops_{tag.code}",
+        )
+
+
+def _staggered_stop_machines():
+    # a node stops after deg(v) rounds and counts the messages it hears, so
+    # its neighbours see it fall silent while they run on
+    for tag in (ClassTag(VECTOR, VECTOR), ClassTag(MULTISET, BROADCAST)):
+        yield SimpleMachine(
+            3,
+            tag,
+            init=lambda d: (d, 0),
+            emit=lambda s, j: s[1] % 2,
+            transition=lambda s, inbox: (s[0] - 1, s[1] + sum(m != NO_MESSAGE for m in inbox)),
+            is_output=lambda s: s[0] <= 0,
+            name=f"staggered_{tag.code}",
+        )
+
+
 @pytest.mark.parametrize(
     "family",
-    [_compiled_machines, _problem_machines, _wrapped_machines, _random_multiset_machines],
-    ids=["compiled", "problems", "wrapped", "random_multiset"],
+    [
+        _compiled_machines,
+        _problem_machines,
+        _wrapped_machines,
+        _random_multiset_machines,
+        _small_delta_machines,
+        _never_stopping_machines,
+        _staggered_stop_machines,
+    ],
+    ids=[
+        "compiled", "problems", "wrapped", "random_multiset", "small_delta", "never_stopping",
+        "staggered_stops",
+    ],
 )
 def test_run_matches_the_unmemoised_executor(family):
     graphs = all_graphs(4)
@@ -450,6 +507,12 @@ def test_run_matches_the_unmemoised_executor(family):
                 continue
             for p in numberings(g, cap=1, samples=2, seed=gi) + [consistent_port_numbering(g, gi)]:
                 pg = PortedGraph(g, p)
-                expected = trace_to_json(machine, reference_run(machine, pg, 16, record_messages=True))
-                actual = trace_to_json(machine, run(machine, pg, 16, record_messages=True))
-                assert json.dumps(actual) == json.dumps(expected), (machine.name, gi)
+                # 3 rounds time out every machine that needs more
+                for max_rounds, record in itertools.product((3, 16), (True, False)):
+                    expected = reference_run(machine, pg, max_rounds, record_messages=record)
+                    actual = run(machine, pg, max_rounds, record_messages=record)
+                    where = (machine.name, gi, max_rounds, record)
+                    assert json.dumps(trace_to_json(machine, actual)) == json.dumps(
+                        trace_to_json(machine, expected)
+                    ), where
+                    assert actual.outputs == expected.outputs, where
