@@ -42,6 +42,7 @@ is an explicit refusal rather than a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .encoding import canon
@@ -75,7 +76,6 @@ from .machines import (
     VECTOR,
     ClassTag,
     Machine,
-    Memo,
     canonical_inbox,
 )
 from .smallgraphs import all_graphs
@@ -307,9 +307,9 @@ class ModelSuite:
         if masks is None:
             masks = [0] * self.total_worlds
             for model, offset in zip(self.models, self.offsets):
-                for v in range(model.size):
+                for v, succ in enumerate(model.successor_table(alpha)):
                     acc = 0
-                    for w in model.successors(alpha, v):
+                    for w in succ:
                         acc |= 1 << (offset + w)
                     masks[offset + v] = acc
             self._succ_masks[alpha] = masks
@@ -399,7 +399,7 @@ class _Decompiler:
         # (modal depth, suite table) -> the first formula met with both
         self.interned: dict[tuple[int, int], Formula] = {}
         # message encodings, for this call only
-        self.code = Memo(canon)
+        self.code = cache(canon)
 
     def _charge(self):
         self.visits += 1
@@ -431,13 +431,16 @@ class _Decompiler:
 
     def _messages(self, live: list[_Entry]) -> dict[bytes, tuple]:
         """Distinct non-null messages sent from live states: code -> (message,
-        senders by outgoing port)."""
+        senders by outgoing port).  A stopped state sends nothing."""
+        machine = self.machine
         pool: dict[bytes, tuple] = {}
         for entry in live:
+            if machine.is_output(entry.state):
+                continue
             for j in range(1, self.delta + 1):
-                m = self.machine.emit_absorbing(entry.state, j)
+                m = machine.emit(entry.state, j)
                 if m != NO_MESSAGE:
-                    pool.setdefault(self.code[m], (m, {}))[1].setdefault(j, []).append(entry)
+                    pool.setdefault(self.code(m), (m, {}))[1].setdefault(j, []).append(entry)
         if len(pool) > MAX_MESSAGES:
             raise DecompileBudgetError(
                 f"{len(pool)} distinct messages exceed the budget {MAX_MESSAGES}"
@@ -526,7 +529,7 @@ class _Decompiler:
                 state = entry.state
                 if not stopped:
                     inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
-                    realised = canonical_inbox(machine.tag.inbox, inbox, self.code.__getitem__)
+                    realised = canonical_inbox(machine.tag.inbox, inbox, self.code)
                     state = machine.transition(state, realised)
                 terms.append((state, conj_all(parts), table))
                 return

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "MAX_GRAPH_NODES",
@@ -26,7 +26,6 @@ __all__ = [
     "PortNumbering",
     "PortedGraph",
     "Matching",
-    "PortValidation",
     "PortlogicError",
     "GraphError",
     "GraphFormatError",
@@ -35,6 +34,7 @@ __all__ = [
     "SearchBoundError",
     "validate_port_numbering",
     "is_consistent",
+    "numbering_from_orders",
     "random_port_numbering",
     "consistent_port_numbering",
     "bipartite_double_cover",
@@ -252,42 +252,30 @@ class PortNumbering:
         return f"PortNumbering({len(self._map)} ports)"
 
 
-@dataclass(frozen=True)
-class PortValidation:
-    """Outcome of validating a numbering; names the first violated condition."""
+def validate_port_numbering(g: Graph, p: PortNumbering) -> None:
+    """Raise ``PortNumberingError`` unless p is a total bijection on P(g)
+    inducing exactly g's arcs.
 
-    ok: bool
-    violation: str | None = None
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_port_numbering(g: Graph, p: PortNumbering) -> PortValidation:
-    """Check that p is a total bijection on P(g) inducing exactly g's arcs."""
+    The message is ``"<violation>: <detail>"`` for the first violated
+    condition: ``domain`` (a port of g without an image, or a mapped port
+    that is not g's), ``range`` (an image that is not a port of g) or
+    ``arcs``.  ``PortNumbering`` already refuses two ports with one image.
+    """
     ports = set(g.ports())
-    dom = set(p.domain())
+    dom = p.domain()
     if dom != ports:
         missing = ports - dom
-        extra = dom - ports
         if missing:
-            return PortValidation(False, "domain", f"port {sorted(missing)[0]} has no image")
-        return PortValidation(False, "domain", f"port {sorted(extra)[0]} does not belong to the graph")
-    targets = [p.target(v, i) for (v, i) in sorted(ports)]
-    if set(targets) != ports:
-        bad = sorted(set(targets) - ports)
-        if bad:
-            return PortValidation(False, "range", f"image {bad[0]} is not a port of the graph")
-        return PortValidation(False, "bijection", "two ports share an image")
-    induced = set()
-    for (v, i) in ports:
-        u, _ = p.target(v, i)
-        induced.add((v, u))
-    if induced != set(g.arcs()):
-        wrong = sorted(induced - set(g.arcs())) + sorted(set(g.arcs()) - induced)
-        return PortValidation(False, "arcs", f"induced arc set differs at {wrong[0]}")
-    return PortValidation(True)
+            raise PortNumberingError(f"domain: port {sorted(missing)[0]} has no image")
+        raise PortNumberingError(f"domain: port {sorted(dom - ports)[0]} does not belong to the graph")
+    bad = sorted({p.target(v, i) for (v, i) in ports} - ports)
+    if bad:
+        raise PortNumberingError(f"range: image {bad[0]} is not a port of the graph")
+    induced = {(v, p.target(v, i)[0]) for (v, i) in ports}
+    arcs = g.arcs()
+    if induced != arcs:
+        wrong = sorted(induced - arcs) + sorted(arcs - induced)
+        raise PortNumberingError(f"arcs: induced arc set differs at {wrong[0]}")
 
 
 def is_consistent(p: PortNumbering) -> bool:
@@ -303,12 +291,7 @@ class PortedGraph:
     numbering: PortNumbering
 
     def __post_init__(self):
-        check = validate_port_numbering(self.graph, self.numbering)
-        if not check:
-            raise PortNumberingError(f"{check.violation}: {check.detail}")
-
-    def max_degree(self) -> int:
-        return self.graph.max_degree()
+        validate_port_numbering(self.graph, self.numbering)
 
     @cached_property
     def wiring(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -329,6 +312,21 @@ class PortedGraph:
         return degrees, sources
 
 
+def numbering_from_orders(
+    out_order: Sequence[Sequence[int]], in_port: Sequence[Mapping[int, int]]
+) -> PortNumbering:
+    """Port i of v feeds port ``in_port[u][v]`` of ``u = out_order[v][i-1]``.
+
+    ``out_order[v]`` lists v's neighbours in the order of its ports and
+    ``in_port[u]`` maps each neighbour of u to the port of u its arc lands on.
+    """
+    return PortNumbering({
+        (v, i): (u, in_port[u][v])
+        for v, order in enumerate(out_order)
+        for i, u in enumerate(order, start=1)
+    })
+
+
 def random_port_numbering(g: Graph, seed: int) -> PortNumbering:
     """Uniformly sampled valid numbering, deterministic per seed.
 
@@ -340,36 +338,27 @@ def random_port_numbering(g: Graph, seed: int) -> PortNumbering:
     """
     rng = random.Random(seed)
     out_order: list[list[int]] = []
-    in_index: list[dict[int, int]] = []
+    in_port: list[dict[int, int]] = []
     for v in range(g.n):
-        nbrs = list(g.adjacency[v])
-        order = nbrs[:]
+        order = list(g.adjacency[v])
         rng.shuffle(order)
         out_order.append(order)
-        incoming = nbrs[:]
+        incoming = list(g.adjacency[v])
         rng.shuffle(incoming)
-        in_index.append({u: j + 1 for j, u in enumerate(incoming)})
-    mapping = {}
-    for v in range(g.n):
-        for i, u in enumerate(out_order[v], start=1):
-            mapping[(v, i)] = (u, in_index[u][v])
-    return PortNumbering(mapping)
+        in_port.append({u: j for j, u in enumerate(incoming, start=1)})
+    return numbering_from_orders(out_order, in_port)
 
 
 def consistent_port_numbering(g: Graph, seed: int = 0) -> PortNumbering:
     """Involutive numbering: each node numbers its incident edges 1..deg."""
     rng = random.Random(seed)
-    port_of: dict[tuple[int, int], int] = {}
+    out_order: list[list[int]] = []
     for v in range(g.n):
         nbrs = list(g.adjacency[v])
         rng.shuffle(nbrs)
-        for i, u in enumerate(nbrs, start=1):
-            port_of[(v, u)] = i
-    mapping = {}
-    for v in range(g.n):
-        for u in g.adjacency[v]:
-            mapping[(v, port_of[(v, u)])] = (u, port_of[(u, v)])
-    return PortNumbering(mapping)
+        out_order.append(nbrs)
+    in_port = [{u: i for i, u in enumerate(order, start=1)} for order in out_order]
+    return numbering_from_orders(out_order, in_port)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:

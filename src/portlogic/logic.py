@@ -534,9 +534,6 @@ class KripkeModel:
             for world in range(size)
         )
 
-    def successors(self, alpha: tuple, world: int) -> tuple[int, ...]:
-        return self._succ[alpha][world]
-
     def successor_table(self, alpha: tuple) -> tuple[tuple[int, ...], ...]:
         """The alpha-successors of every world, indexed by world."""
         return self._succ[alpha]

@@ -27,15 +27,18 @@ messages) equal under ``==`` must have equal ``canon`` encodings: within one
 run the executor computes ``init_state`` once per degree, ``is_output`` and
 ``emit`` on ports 1..d once per (state, degree d), and ``transition`` once per
 (state, inbox as received).  Only on such a miss does it realise the inbox,
-encoding each message once per run.  ``1 == True`` while their encodings
-differ, so a machine that tells them apart breaks this; the conformance
-probe reports such pairs.  Nothing is cached across runs, apart from each
-``PortedGraph``'s wiring (which port feeds which), computed on its first run.
+encoding each message once per run through a ``functools.cache`` of
+``canon`` that the run builds and drops.  ``1 == True`` while their
+encodings differ, so a machine that tells them apart breaks this; the
+conformance probe reports such pairs.  Nothing is cached across runs, apart
+from each ``PortedGraph``'s wiring (which port feeds which), computed on its
+first run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 from typing import Callable
@@ -58,7 +61,6 @@ __all__ = [
     "ClassTagError",
     "MaxRoundsError",
     "SamplesError",
-    "Memo",
     "canonical_inbox",
     "run",
     "Trace",
@@ -136,10 +138,10 @@ class Machine:
     the executor memoises them within a run.  ``emit(state, port)`` must
     answer every port from 1 to ``delta_max``, also beyond the degree of the
     nodes that hold ``state``: ``run`` never asks there, but
-    ``compiler.decompile_details`` does, and it expects a message
-    (``NO_MESSAGE`` will do) or a ``PortlogicError``.  ``output_value`` maps
-    a stopping state to the reported output; wrappers override it to unwrap
-    their own markers.
+    ``compiler.decompile_details`` does for every state it reaches that has
+    not stopped, and it expects a message (``NO_MESSAGE`` will do) or a
+    ``PortlogicError``.  ``output_value`` maps a stopping state to the
+    reported output; wrappers override it to unwrap their own markers.
     """
 
     delta_max: int
@@ -161,12 +163,6 @@ class Machine:
 
     def output_value(self, state):
         return state
-
-    def emit_absorbing(self, state, port: int):
-        """The message sent on ``port``; a stopped node sends nothing."""
-        if self.is_output(state):
-            return NO_MESSAGE
-        return self.emit(state, port)
 
 
 class SimpleMachine(Machine):
@@ -214,7 +210,7 @@ def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = ca
     sorted, padded back to full length by repeating the last one (this keeps
     the set of entries unchanged).  Vector: untouched.  ``key`` is the
     message encoding; callers that encode the same messages again and again
-    pass a ``Memo(canon)``'s ``__getitem__``.
+    pass ``functools.cache(canon)``.
     """
     if kind == VECTOR:
         return inbox
@@ -225,24 +221,6 @@ def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = ca
         seen.setdefault(key(m), m)
     distinct = tuple(seen[code] for code in sorted(seen))
     return distinct + distinct[-1:] * (len(inbox) - len(distinct))
-
-
-class Memo(dict):
-    """``memo[x]`` is ``fn(x)``, computed on the first lookup and then kept.
-
-    The executor and the decompiler build one per call and drop it when the
-    call returns; there is no cache across calls.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, arg):
-        value = self[arg] = self.fn(arg)
-        return value
 
 
 @dataclass
@@ -309,7 +287,7 @@ def run(
     emit, is_output, transition = machine.emit, machine.is_output, machine.transition
     kind = machine.tag.inbox
     if kind != VECTOR:
-        key = Memo(canon).__getitem__
+        key = cache(canon)
     steps: dict = {}
     steps_get = steps.get
     sends: dict = {}
@@ -369,7 +347,7 @@ def run(
     return RunResult(True, rounds, outputs, trace)
 
 
-def trace_to_json(machine: Machine, result: RunResult) -> dict:
+def trace_to_json(result: RunResult) -> dict:
     """Trace export: per-round hex state encodings, optional message table."""
     doc = {
         "stopped": result.stopped,

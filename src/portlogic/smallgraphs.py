@@ -24,6 +24,7 @@ from .graphs import (
     GraphError,
     PortNumbering,
     SearchBoundError,
+    numbering_from_orders,
     random_port_numbering,
 )
 
@@ -125,15 +126,8 @@ def all_port_numberings(g: Graph) -> Iterator[PortNumbering]:
     in_choices = [list(itertools.permutations(range(1, g.degree(v) + 1))) for v in range(g.n)]
     for outs in itertools.product(*out_choices):
         for ins in itertools.product(*in_choices):
-            in_index = [
-                {u: ins[v][k] for k, u in enumerate(g.adjacency[v])}
-                for v in range(g.n)
-            ]
-            mapping = {}
-            for v in range(g.n):
-                for i, u in enumerate(outs[v], start=1):
-                    mapping[(v, i)] = (u, in_index[u][v])
-            yield PortNumbering(mapping)
+            in_port = [dict(zip(g.adjacency[v], ins[v])) for v in range(g.n)]
+            yield numbering_from_orders(outs, in_port)
 
 
 def numberings(g: Graph, cap: int = 256, samples: int = 24, seed: int = 0) -> list[PortNumbering]:

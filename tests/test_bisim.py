@@ -330,14 +330,14 @@ def _pairwise_verify(model, other, relation):
         if union.valuation_profile(v) != union.valuation_profile(w):
             return VerifyResult(False, "B1", (v, w))
         for alpha in alphas:
-            for s in union.successors(alpha, v):
+            for s in union.successor_table(alpha)[v]:
                 if not any(
-                    (s, t) in zset for t in union.successors(alpha, w)
+                    (s, t) in zset for t in union.successor_table(alpha)[w]
                 ):
                     return VerifyResult(False, "B2", (v, w, alpha, s))
-            for t in union.successors(alpha, w):
+            for t in union.successor_table(alpha)[w]:
                 if not any(
-                    (s, t) in zset for s in union.successors(alpha, v)
+                    (s, t) in zset for s in union.successor_table(alpha)[v]
                 ):
                     return VerifyResult(False, "B3", (v, w, alpha, t))
     return VerifyResult(True)

@@ -38,6 +38,7 @@ def malformed(tmp_path):
     (tmp_path / "nodes.g").write_text("nodes abc\n")
     (tmp_path / "edge.g").write_text("nodes 2\ne a b\n")
     (tmp_path / "port.pn").write_text("nodes 2\np 0 1 1 x\np 1 1 0 1\n")
+    (tmp_path / "range.pn").write_text("nodes 2\np 0 1 1 2\np 1 1 0 1\n")
     (tmp_path / "latin1.g").write_bytes(b"nodes 2\n# caf\xe9\ne 0 1\n")
     (tmp_path / "latin1.pn").write_bytes(b"nodes 2\n# caf\xe9\np 0 1 1 1\np 1 1 0 1\n")
     return str(tmp_path)
@@ -206,7 +207,6 @@ def test_verify_machine_conformance(star3_pn, capsys):
     )
     assert code == 0
     doc = parse_json(out)
-    assert doc["port_numbering"]["ok"] is True
     assert doc["conformance"]["ok"] is True
 
 
@@ -271,6 +271,7 @@ def test_missing_variant_is_reported(star3_pn, capsys):
         ["run", "--graph", "{tmp}/latin1.pn", "--machine", "odd_odd"],
         ["bisim", "--graph", "{tmp}/latin1.g", "--variant", "--"],
         ["verify", "--graph", "{tmp}/latin1.pn"],
+        ["verify", "--graph", "{tmp}/range.pn"],
     ],
     ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
          "decompile-delta-0", "decompile-delta-negative", "node-cap", "decompile-node-bound-0",
@@ -279,7 +280,7 @@ def test_missing_variant_is_reported(star3_pn, capsys):
          "verify-samples-negative", "verify-samples-0",
          "deep-negation", "deep-diamonds", "deep-parentheses",
          "run-nodes-not-int", "bisim-edge-not-int", "verify-port-not-int",
-         "run-not-utf8", "bisim-not-utf8", "verify-not-utf8"],
+         "run-not-utf8", "bisim-not-utf8", "verify-not-utf8", "verify-numbering-range"],
 )
 def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, malformed, capsys):
     code = main([

@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import cached_model, random_formula, random_multiset_machine, sweep
+from portlogic import compiler
 from portlogic.cli import WRAPPERS
 from portlogic.compiler import (
     CompileError,
@@ -331,6 +333,26 @@ def test_decompile_output_is_stable():
             lines.append(format_formula(result.formula) + " " + str(result.table))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b3e34500e0a1a745788911e411232a127ac10798174c52098b87ed23df7f2c01"
+
+
+def test_decompile_encodes_each_message_once_per_call(monkeypatch):
+    machine = compile_formula(parse("<*,*;2>!<*,*;2>q2"), Signature(2, "--"))
+    assert machine.tag.inbox == MULTISET
+    encode = compiler.canon
+    encoded = Counter()
+
+    def counting_canon(value):
+        if isinstance(value, tuple) and value[:1] == ("f",):  # a message
+            encoded[value] += 1
+        return encode(value)
+
+    monkeypatch.setattr(compiler, "canon", counting_canon)
+    suite = ModelSuite(default_decompile_suite(2, node_bound=3), "--", 2)
+    decompile_details(machine, 2, 3, "--", suite)
+    assert encoded and set(encoded.values()) == {1}
+    # nothing is kept across calls, so a second call encodes them all again
+    decompile_details(machine, 2, 3, "--", suite)
+    assert set(encoded.values()) == {2}
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
-"""Golden byte-identity hashes of traces and ``separate --json`` reports.
+"""Golden byte-identity hashes of traces, decompiled formulas and
+``separate --json`` reports.
 
-The hashes were recorded with the isinstance-chain ``canon`` (commit
-c3293df), before ``canon`` dispatched on the type.  That rewrite promises
-unchanged output, and so does any later change to the encoding or the
-executor, so a hash that moves is a change of output, whatever the reason.
-Each test states its recipe in full.
+The trace and report hashes were recorded with the isinstance-chain
+``canon`` (commit c3293df), before ``canon`` dispatched on the type; the
+decompile hash at commit cf7b3a2, before the decompiler's message memo
+became ``functools.cache``.  Those rewrites promise unchanged output, and so
+does any later change to the encoding, the executor or the decompiler, so a
+hash that moves is a change of output, whatever the reason.  Each test
+states its recipe in full.
 """
 
 import hashlib
@@ -12,11 +15,12 @@ import json
 
 import pytest
 
+from conftest import random_multiset_machine
 from portlogic import problems
 from portlogic.cli import main
-from portlogic.compiler import compile_formula
+from portlogic.compiler import ModelSuite, compile_formula, decompile_details, default_decompile_suite
 from portlogic.graphs import PortedGraph, consistent_port_numbering
-from portlogic.logic import Signature, parse
+from portlogic.logic import VARIANTS, Signature, format_formula, parse
 from portlogic.machines import run, trace_to_json
 from portlogic.simulate import multiset_from_vector, set_from_multiset
 from portlogic.smallgraphs import all_graphs
@@ -37,6 +41,16 @@ TRACE_HASHES = {
     "compiled +-": "e05805e5c2ca0db60458e566e667d700af4bd28bb3ed1a10d5682fbb494ec779",
     "compiled --": "73a362e4a40451f03adeaf7ee218f82fd6612c1be6e261e898dcad156db11050",
 }
+
+# one compiled formula per variant, all at delta 2
+DECOMPILE_FORMULAS = {
+    "++": "<1,2>(q2 & !<2,1>q1) | <2,2>q1",
+    "-+": "<*,1;2>q2 & !<*,2><*,1>q1",
+    "+-": "<1,*>!q2 & <2,*>(q1 | <1,*>q2)",
+    "--": "<*,*;2>(q1 & <*,*>q2) | !<*,*>q2",
+}
+
+DECOMPILE_HASH = "30562a3e82a9696385eda4480ca80415a900ec10c860770da4126e72dcf667aa"
 
 SEPARATE_HASHES = {
     "star": "f7ae3ba56e47d41b8e993d4371cbe574e78888de6a0d4c5a9d4f7b59341e613e",
@@ -63,10 +77,35 @@ def test_traces_are_byte_identical(name):
     docs = []
     for gi, g in enumerate(all_graphs(4)):
         pg = PortedGraph(g, consistent_port_numbering(g, gi))
-        docs.append(trace_to_json(machine, run(machine, pg, 32, record_messages=True)))
+        docs.append(trace_to_json(run(machine, pg, 32, record_messages=True)))
     assert all(doc["stopped"] for doc in docs)
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_HASHES[name]
+
+
+def test_decompiled_formulas_are_byte_identical():
+    # recipe, at delta 2 on the suite ModelSuite(default_decompile_suite(2,
+    # node_bound=3), variant, 2): each DECOMPILE_FORMULAS machine at horizon
+    # md+1, in VARIANTS order; random_multiset_machine(2, seed) for seeds 0-5
+    # at horizon 4, first all on -+, then all on -- with broadcast=True (they
+    # stop in 1-3 rounds, so the decompiles walk stopped entries); then
+    # odd_odd_machine(2) on -- at horizon 3.  One line per decompile,
+    # "<variant> <name> <table in hex> <printed formula>", joined by "\n"
+    ports = default_decompile_suite(2, node_bound=3)
+    suites = {variant: ModelSuite(ports, variant, 2) for variant in VARIANTS}
+    jobs = []
+    for variant in VARIANTS:
+        formula = parse(DECOMPILE_FORMULAS[variant])
+        jobs.append((variant, "compiled", compile_formula(formula, Signature(2, variant)), formula.md + 1))
+    for variant, broadcast in (("-+", False), ("--", True)):
+        for seed in range(6):
+            jobs.append((variant, f"random{seed}", random_multiset_machine(2, seed, broadcast=broadcast), 4))
+    jobs.append(("--", "odd_odd", problems.odd_odd_machine(2), 3))
+    lines = []
+    for variant, name, machine, horizon in jobs:
+        result = decompile_details(machine, 2, horizon, variant, suites[variant])
+        lines.append(f"{variant} {name} {result.table:x} {format_formula(result.formula)}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DECOMPILE_HASH
 
 
 @pytest.mark.parametrize("demo", sorted(SEPARATE_HASHES))

@@ -1,6 +1,7 @@
 """Graphs, numberings, factorizations, generators, file formats."""
 
 import itertools
+import re
 import time
 from collections import Counter
 
@@ -52,16 +53,15 @@ from portlogic.smallgraphs import (
 def test_single_edge_involution_validates():
     g = path(2)
     p = PortNumbering({(0, 1): (1, 1), (1, 1): (0, 1)})
-    assert validate_port_numbering(g, p).ok
+    validate_port_numbering(g, p)
     assert is_consistent(p)
 
 
 def test_self_arc_rejected():
     g = path(2)
     p = PortNumbering({(0, 1): (0, 1), (1, 1): (1, 1)})
-    check = validate_port_numbering(g, p)
-    assert not check.ok
-    assert check.violation == "arcs"
+    with pytest.raises(PortNumberingError, match=r"^arcs: "):
+        validate_port_numbering(g, p)
 
 
 def test_four_node_numbering_validates_against_bruteforce():
@@ -82,15 +82,54 @@ def test_four_node_numbering_validates_against_bruteforce():
     )
     induced = {(u, p.target(u, i)[0]) for (u, i) in g.ports()}
     assert induced == set(g.arcs())
-    assert validate_port_numbering(g, p).ok
+    validate_port_numbering(g, p)
 
 
 def test_missing_port_named_in_report():
     g = path(3)
     mapping = dict(consistent_port_numbering(g, 0).items())
     mapping.pop((1, 2))
-    check = validate_port_numbering(g, PortNumbering(mapping))
-    assert not check.ok and check.violation == "domain"
+    with pytest.raises(PortNumberingError, match=r"^domain: port \(1, 2\) has no image$"):
+        validate_port_numbering(g, PortNumbering(mapping))
+
+
+def _triangle_rotation():
+    # every arc of the triangle runs one way round: 0 -> 1 -> 2 -> 0, twice
+    return {(v, i): ((v + 1) % 3, i) for v in range(3) for i in (1, 2)}
+
+
+def _path3_without_port_1_2():
+    mapping = dict(consistent_port_numbering(path(3), 0).items())
+    mapping.pop((1, 2))
+    return mapping
+
+
+# (graph, mapping, the exact message); the .pn text of the same mapping
+# implies the same graph
+VIOLATIONS = {
+    "domain-missing": (path(3), _path3_without_port_1_2(), "domain: port (1, 2) has no image"),
+    "domain-extra": (
+        path(2),
+        {(0, 1): (1, 1), (1, 1): (0, 1), (0, 2): (1, 2)},
+        "domain: port (0, 2) does not belong to the graph",
+    ),
+    "range": (path(2), {(0, 1): (1, 2), (1, 1): (0, 1)}, "range: image (1, 2) is not a port of the graph"),
+    "arcs": (cycle(3), _triangle_rotation(), "arcs: induced arc set differs at (0, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATIONS))
+def test_every_numbering_violation_raises(case):
+    g, mapping, message = VIOLATIONS[case]
+    exact = "^" + re.escape(message) + "$"
+    p = PortNumbering(mapping)
+    with pytest.raises(PortNumberingError, match=exact):
+        validate_port_numbering(g, p)
+    with pytest.raises(PortNumberingError, match=exact):
+        PortedGraph(g, p)
+    text = f"nodes {g.n}\n" + "".join(f"p {u} {i} {v} {j}\n" for (u, i), (v, j) in mapping.items())
+    with pytest.raises(PortNumberingError, match=exact):
+        parse_ported(text)
 
 
 def test_c3_rotation_numbering_is_consistent():
@@ -100,7 +139,7 @@ def test_c3_rotation_numbering_is_consistent():
         mapping[(v, 1)] = ((v + 1) % 3, 2)
         mapping[(v, 2)] = ((v - 1) % 3, 1)
     p = PortNumbering(mapping)
-    assert validate_port_numbering(g, p).ok
+    validate_port_numbering(g, p)
     assert is_consistent(p)
 
 
@@ -111,7 +150,7 @@ def test_one_way_mapping_is_inconsistent():
         mapping[(v, 1)] = ((v + 1) % 3, 1)
         mapping[(v, 2)] = ((v - 1) % 3, 2)
     p = PortNumbering(mapping)
-    assert validate_port_numbering(g, p).ok
+    validate_port_numbering(g, p)
     assert not is_consistent(p)
 
 
@@ -120,20 +159,20 @@ def test_random_port_numbering_deterministic_and_valid():
     p1 = random_port_numbering(g, 0)
     p2 = random_port_numbering(g, 0)
     assert p1 == p2
-    assert validate_port_numbering(g, p1).ok
+    validate_port_numbering(g, p1)
 
 
 @given(st.integers(min_value=0, max_value=999))
 def test_random_numberings_on_c4_always_validate(seed):
     g = cycle(4)
-    assert validate_port_numbering(g, random_port_numbering(g, seed)).ok
+    validate_port_numbering(g, random_port_numbering(g, seed))
 
 
 def test_consistent_port_numbering_always_involutive():
     for g in (star(3), cycle(5), complete(4), no_one_factor_cubic()):
         for seed in range(3):
             p = consistent_port_numbering(g, seed)
-            assert validate_port_numbering(g, p).ok
+            validate_port_numbering(g, p)
             assert is_consistent(p)
 
 
@@ -195,7 +234,7 @@ def test_matching_invariants():
 def test_symmetric_port_numbering_validates_and_c3_not_consistent():
     g = cycle(3)
     p = symmetric_port_numbering(g)
-    assert validate_port_numbering(g, p).ok
+    validate_port_numbering(g, p)
     assert not is_consistent(p)
 
 
@@ -203,7 +242,7 @@ def test_symmetric_port_numbering_of_a_long_cycle():
     # augmenting paths grow with the cycle; the search holds them on a list,
     # not on the interpreter's stack
     g = cycle(20_000)
-    assert validate_port_numbering(g, symmetric_port_numbering(g)).ok
+    validate_port_numbering(g, symmetric_port_numbering(g))
 
 
 def test_symmetric_port_numbering_rejects_irregular():
@@ -376,7 +415,7 @@ def test_numbering_enumeration_count():
     assert len(seen) == 4
     assert len({p.items() for p in seen}) == 4
     for p in seen:
-        assert validate_port_numbering(g, p).ok
+        validate_port_numbering(g, p)
 
 
 def test_all_graphs_enumeration_counts():

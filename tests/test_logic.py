@@ -323,7 +323,7 @@ def test_kripke_model_drops_duplicate_pairs():
     # (0, 1) listed twice is one successor: no second q1-successor for a grade
     model = KripkeModel(3, 2, "--", {(STAR, STAR): [(0, 1), (0, 1), (2, 1)]}, {1: {0, 1, 2}})
     assert model.relations[(STAR, STAR)] == ((0, 1), (2, 1))
-    assert model.successors((STAR, STAR), 0) == (1,)
+    assert model.successor_table((STAR, STAR))[0] == (1,)
     assert eval_formula(model, parse("<*,*;2>q1")) == frozenset()
     assert eval_formula(model, parse("<*,*>q1")) == frozenset({0, 2})
     # graded refinement counts one successor for both 0 and 2
@@ -438,13 +438,13 @@ def _two_pass_eval(model, formula):
                 result = frozenset(
                     v
                     for v in range(model.size)
-                    if any(w in target for w in model.successors(node.alpha, v))
+                    if any(w in target for w in model.successor_table(node.alpha)[v])
                 )
             else:
                 result = frozenset(
                     v
                     for v in range(model.size)
-                    if sum(1 for w in model.successors(node.alpha, v) if w in target)
+                    if sum(1 for w in model.successor_table(node.alpha)[v] if w in target)
                     >= node.grade
                 )
         memo[id(node)] = result
