@@ -8,17 +8,13 @@ certificates between the machine classes.
 
 from .graphs import (
     Graph,
-    Matching,
     PortNumbering,
     PortedGraph,
     PortlogicError,
-    bipartite_double_cover,
     consistent_port_numbering,
     cycle,
     has_one_factor,
-    is_consistent,
     no_one_factor_cubic,
-    one_factorization,
     random_port_numbering,
     star,
     symmetric_port_numbering,
@@ -54,7 +50,6 @@ from .problems import (
     GraphProblem,
     leaf_election,
     leaf_election_machine,
-    local_type,
     nonconstant_on_unmatchable,
     odd_odd,
     odd_odd_machine,

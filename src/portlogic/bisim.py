@@ -91,9 +91,6 @@ class Partition:
     def assignment(self) -> dict[int, int]:
         return {w: k for k, block in enumerate(self.blocks) for w in block}
 
-    def same_block(self, v: int, w: int) -> bool:
-        return self.block_index(v) == self.block_index(w)
-
     def refines(self, other: "Partition") -> bool:
         coarse = other.assignment()
         return all(

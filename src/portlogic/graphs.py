@@ -5,10 +5,10 @@ Nodes are 0-based integers; port indices are 1-based, node ``v`` owning ports
 induced arc set equals the arc set of the graph; it is *consistent* when it is
 an involution (each channel carries the same port index at both endpoints).
 
-The module also houses the constructive machinery behind fully symmetric
-numberings of regular graphs: the bipartite double cover, its decomposition
-into disjoint perfect matchings, and a brute-force perfect-matching oracle
-used to certify the shipped 3-regular graph that has none.
+The module also builds fully symmetric numberings of regular graphs, one
+perfect matching of the bipartite double cover per port index, found on the
+graph's own adjacency without building the cover.  A brute-force
+perfect-matching oracle certifies that the shipped 3-regular graph has none.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "Graph",
     "PortNumbering",
     "PortedGraph",
-    "Matching",
     "PortlogicError",
     "GraphError",
     "GraphFormatError",
@@ -33,13 +32,9 @@ __all__ = [
     "MatchingError",
     "SearchBoundError",
     "validate_port_numbering",
-    "is_consistent",
     "numbering_from_orders",
     "random_port_numbering",
     "consistent_port_numbering",
-    "bipartite_double_cover",
-    "bipartition",
-    "one_factorization",
     "symmetric_port_numbering",
     "has_one_factor",
     "star",
@@ -83,7 +78,7 @@ class PortNumberingError(GraphError):
 
 
 class MatchingError(GraphError):
-    """1-factorization precondition violated (not bipartite regular)."""
+    """A symmetric numbering was asked of a graph that is not regular."""
 
 
 class SearchBoundError(GraphError):
@@ -146,9 +141,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def arcs(self) -> frozenset[tuple[int, int]]:
         return frozenset((v, u) for v in range(self.n) for u in self.adjacency[v])
 
@@ -176,32 +168,6 @@ class Graph:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise node-disjoint edges, normalised as (u, v) with u < v."""
-
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for u, v in self.edges:
-            if u >= v:
-                raise GraphError("matching edges must be normalised (u < v)")
-            if u in seen or v in seen:
-                raise GraphError("matching edges must be node-disjoint")
-            seen.add(u)
-            seen.add(v)
-
-    def nodes(self) -> frozenset[int]:
-        return frozenset(x for e in self.edges for x in e)
-
-    def is_perfect(self, g: Graph) -> bool:
-        return len(self.nodes()) == g.n
-
-    def is_disjoint_from(self, other: "Matching") -> bool:
-        return not (self.edges & other.edges)
 
 
 class PortNumbering:
@@ -276,11 +242,6 @@ def validate_port_numbering(g: Graph, p: PortNumbering) -> None:
     if induced != arcs:
         wrong = sorted(induced - arcs) + sorted(arcs - induced)
         raise PortNumberingError(f"arcs: induced arc set differs at {wrong[0]}")
-
-
-def is_consistent(p: PortNumbering) -> bool:
-    """True iff p is an involution: p(p((v, i))) = (v, i) for every port."""
-    return all(p.target(*dst) == src for src, dst in p.items())
 
 
 @dataclass(frozen=True)
@@ -361,39 +322,6 @@ def consistent_port_numbering(g: Graph, seed: int = 0) -> PortNumbering:
     return numbering_from_orders(out_order, in_port)
 
 
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """2-colouring of g, or None if some component is odd-cyclic."""
-    color: dict[int, int] = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    left = frozenset(v for v, c in color.items() if c == 0)
-    return left, frozenset(range(g.n)) - left
-
-
-def bipartite_double_cover(g: Graph) -> Graph:
-    """Graph on two copies of V: edge {u@side1, v@side2} iff {u, v} is an edge.
-
-    Nodes 0..n-1 are the side-1 copies, nodes n..2n-1 the side-2 copies.
-    The cover of a k-regular graph is k-regular and bipartite.
-    """
-    edges = []
-    for u, v in g.edges():
-        edges.append((u, g.n + v))
-        edges.append((v, g.n + u))
-    return Graph.from_edges(2 * g.n, edges)
-
-
 def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: set[int]) -> bool:
     """Depth-first search for an augmenting path from ``root``, flipped on
     success.  Iterative, so the path length is not bounded by the recursion
@@ -424,58 +352,30 @@ def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: s
     return False
 
 
-def one_factorization(g: Graph) -> list[Matching]:
-    """Split a k-regular bipartite graph into k disjoint perfect matchings.
-
-    Repeated augmenting-path maximum matching; removing a perfect matching
-    from a regular bipartite graph leaves it regular, so each round succeeds.
-    """
-    k = g.regularity()
-    if k is None:
-        raise MatchingError("graph is not regular")
-    parts = bipartition(g)
-    if parts is None:
-        raise MatchingError("graph is not bipartite")
-    left = sorted(parts[0])
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
-    factors: list[Matching] = []
-    for _ in range(k):
-        match: dict[int, int] = {}
-        for u in left:
-            _augment(adj, u, match, set())
-        edges = frozenset((min(u, v), max(u, v)) for u, v in match.items())
-        factor = Matching(edges)
-        if not factor.is_perfect(g):
-            raise MatchingError("residual graph has no perfect matching")
-        factors.append(factor)
-        for u, v in edges:
-            adj[u].discard(v)
-            adj[v].discard(u)
-    return factors
-
-
 def symmetric_port_numbering(g: Graph) -> PortNumbering:
     """Numbering of a regular graph whose induced model is fully symmetric.
 
-    Factor the bipartite double cover into matchings E_1..E_k and point port i
-    of node v at the unique u with {u@side1, v@side2} in E_i, reusing index i
-    on the receiving side.  Only the diagonal relations of the induced model
-    are then nonempty, which makes all nodes mutually bisimilar.
+    Round i finds a perfect matching of the bipartite double cover, whose
+    left copy of v is v and whose right copy of u is ``g.n + u``, and port i
+    of v feeds port i of v's partner ``match[g.n + v]``; the matched arcs
+    are then dropped.  A k-regular bipartite graph stays regular when a
+    perfect matching is removed, so each of the k rounds succeeds.  Only the
+    diagonal relations of the induced model are nonempty, which makes all
+    nodes mutually bisimilar.
     """
     k = g.regularity()
     if k is None:
         raise MatchingError("graph is not regular")
-    if k == 0:
-        return PortNumbering({})
-    factors = one_factorization(bipartite_double_cover(g))
+    adj = {v: {g.n + u for u in g.adjacency[v]} for v in range(g.n)}
     mapping = {}
-    for i, factor in enumerate(factors, start=1):
-        partner = {}
-        for a, b in factor.edges:
-            u, shifted = (a, b) if b >= g.n else (b, a)
-            partner[shifted - g.n] = u
+    for i in range(1, k + 1):
+        match: dict[int, int] = {}
         for v in range(g.n):
-            mapping[(v, i)] = (partner[v], i)
+            _augment(adj, v, match, set())
+        for v in range(g.n):
+            u = match[g.n + v]
+            mapping[(v, i)] = (u, i)
+            adj[u].discard(g.n + v)
     return PortNumbering(mapping)
 
 

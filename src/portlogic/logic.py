@@ -68,7 +68,6 @@ __all__ = [
     "kripke_model",
     "disjoint_union",
     "eval_formula",
-    "model_to_json",
 ]
 
 STAR = "*"
@@ -646,18 +645,3 @@ def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:
     if problems:
         raise SignatureMismatchError("; ".join(problems))
     return memo[id(formula)]
-
-
-def model_to_json(model: KripkeModel) -> dict:
-    return {
-        "worlds": model.size,
-        "delta": model.delta,
-        "variant": model.variant,
-        "relations": {
-            f"({alpha[0]},{alpha[1]})": [list(pair) for pair in pairs]
-            for alpha, pairs in sorted(model.relations.items(), key=lambda kv: str(kv[0]))
-        },
-        "valuation": {
-            f"q{i}": sorted(ws) for i, ws in sorted(model.valuation.items())
-        },
-    }

@@ -20,7 +20,6 @@ from typing import Callable, Mapping
 
 from .graphs import (
     Graph,
-    PortedGraph,
     disjoint_union,
     has_one_factor,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "odd_odd_machine",
     "parity_separation_pair",
     "parity_union",
-    "local_type",
     "symmetry_break_machine",
     "nonconstant_on_unmatchable",
     "is_unmatchable_odd_regular",
@@ -199,15 +197,6 @@ def parity_union() -> tuple[Graph, int, int]:
     g_one, g_zero, u, w = parity_separation_pair()
     union, offset = disjoint_union(g_one, g_zero)
     return union, u, w + offset
-
-
-def local_type(pg: PortedGraph, v: int, delta: int | None = None) -> tuple[int, ...]:
-    """Neighbour-side port numbers seen from v's ports, zero-padded to delta."""
-    g = pg.graph
-    if delta is None:
-        delta = g.max_degree()
-    entries = [pg.numbering.target(v, i)[1] for i in range(1, g.degree(v) + 1)]
-    return tuple(entries) + (0,) * (delta - g.degree(v))
 
 
 class _SymmetryBreakMachine(Machine):

@@ -21,7 +21,6 @@ from typing import Iterator
 
 from .graphs import (
     Graph,
-    GraphError,
     PortNumbering,
     SearchBoundError,
     numbering_from_orders,
@@ -30,48 +29,12 @@ from .graphs import (
 
 __all__ = [
     "all_graphs",
-    "are_isomorphic",
     "all_port_numberings",
     "count_port_numberings",
     "numberings",
 ]
 
-ISO_NODE_CAP = 8
 MAX_NODES = 7
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Brute-force isomorphism test, capped at 8 nodes per graph."""
-    if g1.n > ISO_NODE_CAP or g2.n > ISO_NODE_CAP:
-        raise GraphError(f"isomorphism search capped at {ISO_NODE_CAP} nodes")
-    if g1.n != g2.n or sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-
-    def profile(g: Graph, v: int) -> tuple:
-        return (g.degree(v), tuple(sorted(g.degree(u) for u in g.adjacency[v])))
-
-    candidates = {
-        v: [w for w in range(g2.n) if profile(g2, w) == profile(g1, v)]
-        for v in range(g1.n)
-    }
-    order = sorted(range(g1.n), key=lambda v: len(candidates[v]))
-    mapping: dict[int, int] = {}
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for w in candidates[v]:
-            if w not in mapping.values() and all(
-                g1.has_edge(v, u) == g2.has_edge(w, x) for u, x in mapping.items()
-            ):
-                mapping[v] = w
-                if extend(idx + 1):
-                    return True
-                del mapping[v]
-        return False
-
-    return extend(0)
 
 
 def _graphs_on(n: int) -> Iterator[Graph]:

@@ -8,7 +8,7 @@ import random
 from hypothesis import settings
 
 from portlogic.encoding import canon, digest
-from portlogic.graphs import Graph, PortNumbering, PortedGraph
+from portlogic.graphs import Graph, GraphError, PortNumbering, PortedGraph
 from portlogic.logic import (
     And,
     Dia,
@@ -162,6 +162,76 @@ def indistinct_nodes(pg: PortedGraph, inboxes) -> int:
         len({m[1:] for m in inbox if m != NO_MESSAGE}) != pg.graph.degree(v)
         for v, inbox in enumerate(inboxes)
     )
+
+
+# ---------------------------------------------------------------------------
+# Graph and numbering oracles
+# ---------------------------------------------------------------------------
+
+ISO_NODE_CAP = 8
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Brute-force isomorphism test, capped at ``ISO_NODE_CAP`` nodes per graph."""
+    if g1.n > ISO_NODE_CAP or g2.n > ISO_NODE_CAP:
+        raise GraphError(f"isomorphism search capped at {ISO_NODE_CAP} nodes")
+    if g1.n != g2.n or sorted(g1.degrees()) != sorted(g2.degrees()):
+        return False
+
+    def profile(g: Graph, v: int) -> tuple:
+        return (g.degree(v), tuple(sorted(g.degree(u) for u in g.adjacency[v])))
+
+    candidates = {
+        v: [w for w in range(g2.n) if profile(g2, w) == profile(g1, v)]
+        for v in range(g1.n)
+    }
+    order = sorted(range(g1.n), key=lambda v: len(candidates[v]))
+    mapping: dict[int, int] = {}
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        v = order[idx]
+        for w in candidates[v]:
+            if w not in mapping.values() and all(
+                (u in g1.adjacency[v]) == (x in g2.adjacency[w]) for u, x in mapping.items()
+            ):
+                mapping[v] = w
+                if extend(idx + 1):
+                    return True
+                del mapping[v]
+        return False
+
+    return extend(0)
+
+
+def is_consistent(p: PortNumbering) -> bool:
+    """True iff p is an involution: p(p((v, i))) = (v, i) for every port."""
+    return all(p.target(*dst) == src for src, dst in p.items())
+
+
+def local_type(pg: PortedGraph, v: int, delta: int | None = None) -> tuple[int, ...]:
+    """Neighbour-side port numbers seen from v's ports, zero-padded to delta."""
+    g = pg.graph
+    if delta is None:
+        delta = g.max_degree()
+    entries = [pg.numbering.target(v, i)[1] for i in range(1, g.degree(v) + 1)]
+    return tuple(entries) + (0,) * (delta - g.degree(v))
+
+
+def model_to_json(model: KripkeModel) -> dict:
+    return {
+        "worlds": model.size,
+        "delta": model.delta,
+        "variant": model.variant,
+        "relations": {
+            f"({alpha[0]},{alpha[1]})": [list(pair) for pair in pairs]
+            for alpha, pairs in sorted(model.relations.items(), key=lambda kv: str(kv[0]))
+        },
+        "valuation": {
+            f"q{i}": sorted(ws) for i, ws in sorted(model.valuation.items())
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,10 @@ from portlogic.cli import separation
 from portlogic.compiler import ModelSuite, compile_formula, decompile_details
 from portlogic.graphs import (
     PortedGraph,
-    bipartite_double_cover,
     complete,
     cycle,
     has_one_factor,
     no_one_factor_cubic,
-    one_factorization,
     star,
     symmetric_port_numbering,
 )
@@ -280,19 +278,14 @@ def test_criterion_5_separation_certificates(demo, expected_class):
 
 
 def test_criterion_6_symmetric_numbering_collapses_everything():
+    # a valid numbering whose every arc keeps its port index is k disjoint
+    # perfect matchings of the bipartite double cover that cover it, one per index
     targets = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), no_one_factor_cubic()]
     for g in targets:
-        cover = bipartite_double_cover(g)
-        factors = one_factorization(cover)
-        assert len(factors) == g.regularity()
-        for m in factors:
-            assert m.is_perfect(cover)
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                assert factors[a].is_disjoint_from(factors[b])
-        assert frozenset().union(*(m.edges for m in factors)) == frozenset(cover.edges())
         p = symmetric_port_numbering(g)
         model = kripke_model(PortedGraph(g, p), "++")
+        assert all(i == j for (_, i), (_, j) in p.items())
+        assert all(i == j for (i, j), pairs in model.relations.items() if pairs)
         partition = coarsest_bisimulation(model)
         assert len(partition.blocks) == 1
     report(6, "symmetric numberings collapse regular graphs", f"{len(targets)} graphs")

@@ -199,6 +199,19 @@ def test_gen_symmetric_numbering_of_a_long_cycle(tmp_path, capsys):
     assert out_path.read_text().startswith("nodes 2000\n")
 
 
+def test_gen_symmetric_numbering_at_the_node_limit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("portlogic.graphs.MAX_GRAPH_NODES", 64)
+    out_path = tmp_path / "c64.pn"
+    code, _ = run_cli(
+        ["gen", "--family", "cycle", "--k", "64", "--numbering", "symmetric",
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0
+    code, _ = run_cli(["verify", "--graph", str(out_path)], capsys)
+    assert code == 0
+
+
 def test_verify_machine_conformance(star3_pn, capsys):
     code, out = run_cli(
         ["verify", "--graph", star3_pn, "--machine", "leaf_election", "--samples", "60",
@@ -465,6 +478,6 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
 def test_readme_budget_table_matches_the_constants():
     rows = re.findall(r"^\| `(\w+)\.([A-Z_]+)` \| (\d+) \|", README.read_text(encoding="utf-8"),
                       re.M)
-    assert len(rows) == 11
+    assert len(rows) == 10
     for module, name, value in rows:
         assert getattr(importlib.import_module(f"portlogic.{module}"), name) == int(value)

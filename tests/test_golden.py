@@ -1,10 +1,12 @@
-"""Golden byte-identity hashes of traces, decompiled formulas and
-``separate --json`` reports.
+"""Golden byte-identity hashes of traces, decompiled formulas, symmetric
+numberings and ``separate --json`` reports.
 
 The trace and report hashes were recorded with the isinstance-chain
 ``canon`` (commit c3293df), before ``canon`` dispatched on the type; the
 decompile hash at commit cf7b3a2, before the decompiler's message memo
-became ``functools.cache``.  Those rewrites promise unchanged output, and so
+became ``functools.cache``; the symmetric-numbering hash at commit 58481f7,
+while ``symmetric_port_numbering`` still built the double cover as a graph.
+Those rewrites promise unchanged output, and so
 does any later change to the encoding, the executor or the decompiler, so a
 hash that moves is a change of output, whatever the reason.  Each test
 states its recipe in full.
@@ -19,7 +21,15 @@ from conftest import random_multiset_machine
 from portlogic import problems
 from portlogic.cli import main
 from portlogic.compiler import ModelSuite, compile_formula, decompile_details, default_decompile_suite
-from portlogic.graphs import PortedGraph, consistent_port_numbering
+from portlogic.graphs import (
+    PortedGraph,
+    complete_bipartite,
+    consistent_port_numbering,
+    cycle,
+    format_ported,
+    no_one_factor_cubic,
+    symmetric_port_numbering,
+)
 from portlogic.logic import VARIANTS, Signature, format_formula, parse
 from portlogic.machines import run, trace_to_json
 from portlogic.simulate import multiset_from_vector, set_from_multiset
@@ -51,6 +61,8 @@ DECOMPILE_FORMULAS = {
 }
 
 DECOMPILE_HASH = "30562a3e82a9696385eda4480ca80415a900ec10c860770da4126e72dcf667aa"
+
+SYMMETRIC_HASH = "aecc654a2c23ad0299955ee0274ba032f7728a842dadc3c89ed8b0be8d46158f"
 
 SEPARATE_HASHES = {
     "star": "f7ae3ba56e47d41b8e993d4371cbe574e78888de6a0d4c5a9d4f7b59341e613e",
@@ -106,6 +118,17 @@ def test_decompiled_formulas_are_byte_identical():
         result = decompile_details(machine, 2, horizon, variant, suites[variant])
         lines.append(f"{variant} {name} {result.table:x} {format_formula(result.formula)}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DECOMPILE_HASH
+
+
+def test_symmetric_numberings_are_byte_identical():
+    # recipe: every regular graph of all_graphs(7), then no_one_factor_cubic(),
+    # complete_bipartite(4, 4) and cycle(101); sha256 of the format_ported
+    # text of each under symmetric_port_numbering, joined with ""
+    graphs = [g for g in all_graphs(7) if g.regularity() is not None]
+    graphs += [no_one_factor_cubic(), complete_bipartite(4, 4), cycle(101)]
+    assert len(graphs) == 29
+    text = "".join(format_ported(PortedGraph(g, symmetric_port_numbering(g))) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYMMETRIC_HASH
 
 
 @pytest.mark.parametrize("demo", sorted(SEPARATE_HASHES))

@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import _mix, indistinct_nodes, preamble_trace, random_multiset_machine, sweep
+from conftest import (
+    _mix,
+    incoming_renumberings,
+    indistinct_nodes,
+    preamble_trace,
+    random_multiset_machine,
+    sweep,
+)
 from portlogic.encoding import canon
 from portlogic.graphs import (
     PortedGraph,
@@ -226,7 +233,6 @@ def test_history_wrapper_realises_a_compatible_incoming_numbering():
         name="vector_probe",
     )
     wrapped = multiset_from_vector(base)
-    from conftest import incoming_renumberings
 
     for g in (path(3), star(3), cycle(4)):
         variants = list(incoming_renumberings(g))
@@ -249,6 +255,28 @@ def test_bcast_wrapper_matches_multiset_invariant_base():
             r0 = run(base, pg, 6)
             r1 = run(wrapped, pg, 6)
             assert r0.outputs == r1.outputs and r0.rounds == r1.rounds
+
+
+def test_bcast_wrapper_runs_the_base_under_some_incoming_renumbering():
+    # MB = VB: the wrapped run's base states, round by round, are those of a
+    # base run under one incoming renumbering of the graph; a broadcast base
+    # sends the same on every port, so the outgoing order cannot matter.  The
+    # base hashes its whole inbox vector and stops after 1-4 rounds.
+    order_sensitive = 0
+    for seed in range(6):
+        base = _staggered_machine(seed, broadcast=True)
+        wrapped = bcast_multiset_from_broadcast(base)
+        for gi, g in enumerate(all_graphs(4, max_degree=3)):
+            got = run(wrapped, PortedGraph(g, random_port_numbering(g, 100 * seed + gi)), 5)
+            assert got.stopped
+            simulated = [[s[1] for s in snap] for snap in got.trace.states]
+            realised = {
+                tuple(map(tuple, run(base, PortedGraph(g, p), 5).trace.states))
+                for p in incoming_renumberings(g)
+            }
+            assert tuple(map(tuple, simulated)) in realised
+            order_sensitive += len(realised) > 1
+    assert order_sensitive
 
 
 def test_bcast_wrapper_constant_broadcast_machine():
