@@ -3,7 +3,9 @@
 Refinement starts from the valuation profile and repeatedly splits blocks by
 the signature a world shows to the current partition: for each relation index
 the set of successor blocks (plain), or the successor count into each block
-(graded).  Models here have at most a few hundred worlds, so the naive
+(graded).  Each round numbers the worlds by the first occurrence of their
+signature, and the fixpoint's numbering is the ``Partition`` itself: one block
+label per world.  Models here have at most a few hundred worlds, so the naive
 refinement wins on simplicity and auditability over Paige-Tarjan.
 
 ``verify_bisimulation`` checks an explicitly given relation directly against
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable
 
 from .graphs import Graph, PortNumbering, PortedGraph, PortlogicError
 from .logic import KripkeModel, disjoint_union, kripke_model
@@ -70,32 +73,31 @@ class RelationRangeError(PortlogicError, ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty blocks covering 0..n-1, in canonical order."""
+    """A partition of worlds 0..n-1 as per-world block labels.
 
-    blocks: tuple[tuple[int, ...], ...]
+    ``labels[w]`` is the block of world w; blocks are numbered in the order
+    of their least world, so equal partitions have equal labels.
+    """
 
-    @classmethod
-    def from_assignment(cls, assignment: Mapping[int, object]) -> "Partition":
-        grouped: dict[object, list[int]] = {}
-        for world in sorted(assignment):
-            grouped.setdefault(assignment[world], []).append(world)
-        blocks = sorted((tuple(ws) for ws in grouped.values()), key=lambda b: b[0])
-        return cls(tuple(blocks))
+    labels: tuple[int, ...]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's worlds in ascending order, blocks in label order."""
+        grouped: dict[int, list[int]] = {}  # first-occurrence order is label order
+        for world, k in enumerate(self.labels):
+            grouped.setdefault(k, []).append(world)
+        return tuple(map(tuple, grouped.values()))
 
     def block_index(self, world: int) -> int:
-        for k, block in enumerate(self.blocks):
-            if world in block:
-                return k
-        raise KeyError(world)
-
-    def assignment(self) -> dict[int, int]:
-        return {w: k for k, block in enumerate(self.blocks) for w in block}
+        return self.labels[world]
 
     def refines(self, other: "Partition") -> bool:
-        coarse = other.assignment()
-        return all(
-            len({coarse[w] for w in block}) == 1 for block in self.blocks
-        )
+        if len(self.labels) != len(other.labels):
+            raise PortlogicError(
+                f"partitions of {len(self.labels)} and {len(other.labels)} worlds"
+            )
+        return len(set(zip(self.labels, other.labels))) == len(set(self.labels))
 
     def as_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -106,11 +108,9 @@ class Partition:
         """Partition with blocks a and b merged (for maximality checks)."""
         if a == b:
             return self
-        label = self.assignment()
-        into = label[self.blocks[a][0]]  # a itself, or IndexError like blocks[b]
-        for w in self.blocks[b]:
-            label[w] = into
-        return Partition.from_assignment(label)
+        indices = range(len(self.blocks))  # negatives and IndexError as in blocks[a]
+        a, b = indices[a], indices[b]
+        return Partition(tuple(_numbered([a if k == b else k for k in self.labels])))
 
     def to_json(self) -> list[list[int]]:
         return [list(block) for block in self.blocks]
@@ -143,7 +143,7 @@ def _refine(model: KripkeModel, graded: bool) -> Partition:
         # same partition again reproduces ``current`` exactly.
         refined = _numbered(keys)
         if refined == current:
-            return Partition.from_assignment(dict(enumerate(current)))
+            return Partition(tuple(current))
         current = refined
 
 

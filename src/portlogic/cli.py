@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
         "machine": machine.name,
         "class": machine.tag.code,
         "rounds": result.rounds,
-        "timed_out": result.timed_out,
+        "timed_out": not result.stopped,
         "outputs": None
         if result.outputs is None
         else {str(v): result.outputs[v] for v in sorted(result.outputs)},
@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
     if args.trace:
         doc["trace"] = trace_to_json(result)
     code = _report(args, doc)
-    if result.timed_out:
+    if not result.stopped:
         return EXIT_TIMEOUT
     return code
 

@@ -234,10 +234,11 @@ def validate_port_numbering(g: Graph, p: PortNumbering) -> None:
         if missing:
             raise PortNumberingError(f"domain: port {sorted(missing)[0]} has no image")
         raise PortNumberingError(f"domain: port {sorted(dom - ports)[0]} does not belong to the graph")
-    bad = sorted({p.target(v, i) for (v, i) in ports} - ports)
+    images = p._map  # its keys are exactly the ports now
+    bad = sorted(set(images.values()) - ports)
     if bad:
         raise PortNumberingError(f"range: image {bad[0]} is not a port of the graph")
-    induced = {(v, p.target(v, i)[0]) for (v, i) in ports}
+    induced = {(v, u) for (v, _), (u, _) in images.items()}
     arcs = g.arcs()
     if induced != arcs:
         wrong = sorted(induced - arcs) + sorted(arcs - induced)

@@ -241,10 +241,6 @@ class RunResult:
     outputs: dict[int, object] | None
     trace: Trace
 
-    @property
-    def timed_out(self) -> bool:
-        return not self.stopped
-
 
 def _gather(indices: tuple[int, ...]) -> Callable[[list], tuple]:
     """``gather(flat)`` is ``tuple(flat[i] for i in indices)``."""
@@ -379,9 +375,12 @@ class ConformanceViolation:
 
 @dataclass
 class ConformanceReport:
-    ok: bool
     probes: int
     violations: list[ConformanceViolation] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -444,11 +443,10 @@ def check_class_conformance(
                         observations.append((state, inbox))
                         live_states.setdefault(canon(state), state)
 
-    report = ConformanceReport(ok=True, probes=0)
+    report = ConformanceReport(probes=0)
     for kind, classes in met.items():
         for by_code in classes.values():
             if len(by_code) > 1:
-                report.ok = False
                 report.violations.append(
                     ConformanceViolation("encoding", None, {kind: tuple(by_code.values())})
                 )
@@ -458,7 +456,6 @@ def check_class_conformance(
             msgs = [machine.emit(state, i) for i in range(1, machine.delta_max + 1)]
             codes = {canon(m) for m in msgs}
             if len(codes) > 1:
-                report.ok = False
                 report.violations.append(
                     ConformanceViolation("broadcast", state, {"messages": msgs})
                 )
@@ -484,7 +481,6 @@ def check_class_conformance(
             for alt in variants:
                 other = machine.transition(state, alt)
                 if canon(base) != canon(other):
-                    report.ok = False
                     report.violations.append(
                         ConformanceViolation(
                             machine.tag.inbox,

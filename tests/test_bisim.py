@@ -62,6 +62,14 @@ def test_union_of_c4_and_c8_is_one_block():
     assert len(coarsest_bisimulation(model).blocks) == 1
 
 
+def test_union_of_c4_and_c8_labels_number_blocks_by_least_world():
+    union, _ = disjoint_union(cycle(4), cycle(8))
+    model = cached_model(PortedGraph(union, consistent_port_numbering(union, 0)), "++", 2)
+    part = coarsest_bisimulation(model)
+    assert part.labels == (0, 1, 2, 3, 4, 4, 5, 6, 7, 7, 6, 5)
+    assert part.blocks == ((0,), (1,), (2,), (3,), (4, 5), (6, 11), (7, 10), (8, 9))
+
+
 def test_graded_star_blocks():
     g = star(3)
     model = cached_model(PortedGraph(g, consistent_port_numbering(g, 0)), "--", 3)
@@ -89,7 +97,7 @@ def test_graded_always_refines_plain():
 
 
 def test_partition_helpers():
-    part = Partition(((0, 2), (1,), (3,)))
+    part = Partition((0, 1, 0, 2))
     assert part.block_index(2) == 0
     assert part.block_index(0) == 0 and part.block_index(1) == 1
     merged = part.merge(0, 2)
@@ -97,6 +105,20 @@ def test_partition_helpers():
     assert part.refines(merged)
     assert not merged.refines(part)
     assert part.to_json() == [[0, 2], [1], [3]]
+    with pytest.raises(IndexError):
+        part.merge(0, 3)
+
+
+def test_merge_is_symmetric():
+    part = Partition((0, 1, 0, 2))
+    assert part.merge(2, 0) == part.merge(0, 2) == Partition((0, 1, 0, 0))
+
+
+def test_refines_refuses_different_world_counts():
+    with pytest.raises(PortlogicError):
+        Partition((0, 1, 0)).refines(Partition((0, 1, 0, 2)))
+    with pytest.raises(PortlogicError):
+        Partition((0, 1, 0, 2)).refines(Partition((0, 1, 0)))
 
 
 def test_verify_explicit_relation_on_star():

