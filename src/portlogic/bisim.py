@@ -81,6 +81,14 @@ class Partition:
 
     labels: tuple[int, ...]
 
+    def __post_init__(self):
+        fresh = 0  # the label the next new block must take
+        for k in self.labels:
+            if k == fresh:
+                fresh += 1
+            elif not 0 <= k < fresh:
+                raise PortlogicError("partition labels must number blocks by their least world")
+
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Each block's worlds in ascending order, blocks in label order."""

@@ -58,22 +58,17 @@ def _graphs_on(n: int) -> Iterator[Graph]:
 
 
 @lru_cache(maxsize=None)
-def all_graphs(
-    max_nodes: int, max_degree: int | None = None, connected: bool = False
-) -> tuple[Graph, ...]:
+def all_graphs(max_nodes: int, max_degree: int | None = None) -> tuple[Graph, ...]:
     """All non-isomorphic graphs with 1..max_nodes nodes (cached).
 
     Each class once, as its least edge mask, by node count and then by mask;
-    the filters only drop classes.  Costs n! images per class plus
+    the degree filter only drops classes.  Costs n! images per class plus
     2^(n(n-1)/2) flag checks per n; above 7 nodes raises ``SearchBoundError``.
     """
     if max_nodes > MAX_NODES:
         raise SearchBoundError(f"graph enumeration capped at {MAX_NODES} nodes")
     graphs = (g for n in range(1, max_nodes + 1) for g in _graphs_on(n))
-    return tuple(
-        g for g in graphs
-        if (max_degree is None or g.max_degree() <= max_degree) and (not connected or g.is_connected())
-    )
+    return tuple(g for g in graphs if max_degree is None or g.max_degree() <= max_degree)
 
 
 def count_port_numberings(g: Graph) -> int:

@@ -65,7 +65,7 @@ def random_formula(rng: random.Random, sig: Signature, max_depth: int = 3, budge
 
 
 # ---------------------------------------------------------------------------
-# Deterministic random multiset machines
+# Deterministic random machines
 # ---------------------------------------------------------------------------
 
 
@@ -111,6 +111,28 @@ def random_multiset_machine(delta: int, seed: int, broadcast: bool = False):
         outputs=frozenset({0, 1}),
         name=f"random_multiset[{seed}]",
     )
+
+
+def staggered_machine(seed: int, broadcast: bool):
+    """Seeded order-sensitive machine that stops after 1 + (degree + seed) % 4
+    rounds, so the neighbours of one node go silent at different rounds."""
+
+    def init(degree):
+        return ("w", 0, degree, _mix(seed, "z", degree) % 3)
+
+    def emit(state, port):
+        _, t, _, z = state
+        return _mix(seed, "m", t, z, 1 if broadcast else port) % 3
+
+    def transition(state, inbox):
+        _, t, degree, z = state
+        z = _mix(seed, "d", t, z, inbox) % 4
+        if t + 1 >= 1 + (degree + seed) % 4:
+            return z % 2
+        return ("w", t + 1, degree, z)
+
+    tag = ClassTag(VECTOR, BROADCAST if broadcast else VECTOR)
+    return SimpleMachine(3, tag, init, emit, transition, lambda s: isinstance(s, int))
 
 
 # ---------------------------------------------------------------------------

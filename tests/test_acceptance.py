@@ -7,11 +7,18 @@ PASS lines.  All tolerances are exact (zero mismatches); sweeps marked
 fall back to a fixed-size seeded sample beyond it.
 """
 
+import itertools
+import math
 import random
 
 import pytest
 
-from conftest import indistinct_nodes, random_formula, random_multiset_machine
+from conftest import (
+    indistinct_nodes,
+    random_formula,
+    random_multiset_machine,
+    staggered_machine,
+)
 from portlogic.bisim import (
     Refutation,
     coarsest_bisimulation,
@@ -21,12 +28,12 @@ from portlogic.bisim import (
 from portlogic.cli import separation
 from portlogic.compiler import ModelSuite, compile_formula, decompile_details
 from portlogic.graphs import (
+    PortNumbering,
     PortedGraph,
     complete,
     cycle,
     has_one_factor,
     no_one_factor_cubic,
-    star,
     symmetric_port_numbering,
 )
 from portlogic.logic import (
@@ -37,9 +44,9 @@ from portlogic.logic import (
     kripke_model,
     subformulas,
 )
-from portlogic.machines import run
-from portlogic.problems import leaf_election, leaf_election_machine, odd_odd_machine
-from portlogic.simulate import multiset_from_vector, set_from_multiset
+from portlogic.machines import NO_MESSAGE, canonical_inbox, run
+from portlogic.problems import leaf_election_machine, odd_odd_machine
+from portlogic.simulate import bcast_multiset_from_broadcast, multiset_from_vector, set_from_multiset
 from portlogic.smallgraphs import all_graphs, numberings
 
 SUITE_SEED = 20240809
@@ -203,43 +210,89 @@ def test_criterion_3_set_from_multiset_collapse():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 4: the multiset-from-vector collapse
+# Criterion 4: VV = MV and VB = MB through the history wrappers
 # ---------------------------------------------------------------------------
 
 
+def _realising_numbering(base, pg: PortedGraph, got):
+    """(numbering, order-sensitive) for ``got``, a run of a history wrapper of
+    ``base`` on ``pg`` recorded with messages.
+
+    The numbering keeps ``pg``'s outgoing ports and orders each node's
+    incoming ports so that ``base``, fed the last message of each history
+    received, reaches the wrapped run's base states (None if some node has
+    no such order).  The base states fix every message, so each node is
+    searched alone.  Order-sensitive: some node rules out some order.
+    """
+    g = pg.graph
+    states = [[s[1] for s in snap] for snap in got.trace.states]
+    mapping, sensitive = {}, False
+    for v in range(g.n):
+        d = g.degree(v)
+        rounds = [
+            (t, [NO_MESSAGE if m == NO_MESSAGE else m[1][-1] for m in inboxes[v]])
+            for t, inboxes in enumerate(got.trace.messages)
+            if not base.is_output(states[t][v])
+        ]
+        fits = [
+            order
+            for order in itertools.permutations(range(d))
+            if all(
+                base.transition(
+                    states[t][v],
+                    canonical_inbox(base.tag.inbox, tuple(current[k] for k in order) + tuple(current[d:])),
+                )
+                == states[t + 1][v]
+                for t, current in rounds
+            )
+        ]
+        if not fits:
+            return None, sensitive
+        sensitive |= len(fits) < math.factorial(d)
+        mapping.update((pg.numbering.source(v, k + 1), (v, j)) for j, k in enumerate(fits[0], start=1))
+    return PortNumbering(mapping), sensitive
+
+
 def test_criterion_4_multiset_from_vector_collapse():
-    problem = leaf_election()
-    extra_rounds = 0
-    invalid = 0
-    cases = 0
-    for k in (2, 3, 4):
-        base = leaf_election_machine(k)
-        wrapped = multiset_from_vector(base)
-        g = star(k)
-        for p in numberings(g, cap=600, samples=20, seed=10 + k):
-            pg = PortedGraph(g, p)
-            r0 = run(base, pg, 6)
-            r1 = run(wrapped, pg, 6)
-            cases += 1
-            if r1.rounds != r0.rounds:
-                extra_rounds += 1
-            if not (r1.stopped and problem.check(g, r1.outputs)):
-                invalid += 1
-    base = leaf_election_machine(3)
-    wrapped = multiset_from_vector(base)
-    for gi, g in enumerate(all_graphs(4, max_degree=3)):
-        for p in numberings(g, cap=64, samples=12, seed=4000 + gi):
-            pg = PortedGraph(g, p)
-            r0 = run(base, pg, 6)
-            r1 = run(wrapped, pg, 6)
-            cases += 1
-            if r1.rounds != r0.rounds:
-                extra_rounds += 1
-            if not (r1.stopped and problem.check(g, r1.outputs)):
-                invalid += 1
-    assert extra_rounds == 0
-    assert invalid == 0
-    report(4, "multiset-from-vector collapse", f"{cases} cases, zero extra rounds")
+    # The paper's VV = MV and VB = MB: a wrapped run stops in the base's
+    # rounds, and its base states, round by round, are those of one base run
+    # under a numbering that keeps the wrapped run's outgoing ports and
+    # renumbers only incoming ones.  The staggered bases hash their whole
+    # inbox vector, so a wrong order shows, and stop at degree-dependent
+    # rounds, so a node keeps hearing neighbours that went silent.
+    counts = []
+    for wrap, broadcast in ((multiset_from_vector, False), (bcast_multiset_from_broadcast, True)):
+        bases = [staggered_machine(seed, broadcast) for seed in range(6)]
+        if not broadcast:
+            bases.append(leaf_election_machine(3))
+        cases = order_sensitive = silences = 0
+        for bi, base in enumerate(bases):
+            wrapped = wrap(base)
+            for gi, g in enumerate(all_graphs(4, max_degree=3)):
+                for p in numberings(g, cap=16, samples=16, seed=100 * bi + gi):
+                    pg = PortedGraph(g, p)
+                    got = run(wrapped, pg, 6, record_messages=True)
+                    numbering, sensitive = _realising_numbering(base, pg, got)
+                    assert got.stopped and numbering is not None
+                    want = run(base, PortedGraph(g, numbering), 6)
+                    assert got.rounds == want.rounds
+                    assert [[s[1] for s in snap] for snap in got.trace.states] == [
+                        list(snap) for snap in want.trace.states
+                    ]
+                    cases += 1
+                    order_sensitive += sensitive
+                    # a neighbour silent for two rounds while its receiver runs
+                    silences += any(
+                        s[0] == "sim" and any(h[-2:] == (NO_MESSAGE,) * 2 for h in s[3])
+                        for snap in got.trace.states
+                        for s in snap
+                    )
+        assert order_sensitive and silences
+        counts.append(
+            f"{wrap.__name__}: {cases} cases, {order_sensitive} order-sensitive, "
+            f"{silences} with two-round silences"
+        )
+    report(4, "history wrappers run the base under an incoming renumbering", "; ".join(counts))
 
 
 # ---------------------------------------------------------------------------

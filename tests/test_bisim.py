@@ -87,7 +87,7 @@ def test_plain_bisimilar_graded_distinct_pair_exists():
 
 def test_graded_always_refines_plain():
     rng = random.Random(4)
-    for g in all_graphs(5, max_degree=3, connected=True):
+    for g in [g for g in all_graphs(5, max_degree=3) if g.is_connected()]:
         p = random_port_numbering(g, rng.randrange(1000))
         for variant in ("--", "++"):
             model = kripke_model(PortedGraph(g, p), variant)
@@ -112,6 +112,13 @@ def test_partition_helpers():
 def test_merge_is_symmetric():
     part = Partition((0, 1, 0, 2))
     assert part.merge(2, 0) == part.merge(0, 2) == Partition((0, 1, 0, 0))
+
+
+def test_partition_refuses_labels_not_numbered_by_least_world():
+    for labels in ((0, 2), (1, 0)):
+        with pytest.raises(PortlogicError, match="^partition labels must number blocks by their least world$"):
+            Partition(labels)
+    assert Partition((0, 1, 0, 2)).blocks == ((0, 2), (1,), (3,))
 
 
 def test_refines_refuses_different_world_counts():
@@ -185,7 +192,7 @@ def test_verify_graded_requires_equivalence():
 
 def test_refinement_partitions_verify_and_are_maximal():
     rng = random.Random(11)
-    for g in all_graphs(4, connected=True):
+    for g in [g for g in all_graphs(4) if g.is_connected()]:
         p = random_port_numbering(g, rng.randrange(999))
         for variant in ("--", "+-", "++"):
             model = kripke_model(PortedGraph(g, p), variant)

@@ -144,6 +144,16 @@ def test_decompile_command(capsys):
     assert (doc["dag_nodes"], doc["tree_size"]) == (5, 6)
 
 
+def test_decompile_past_the_state_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("portlogic.compiler.MAX_STATES", 1)
+    code = main(
+        ["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "--",
+         "--delta", "2", "--node-bound", "3"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: 2 states at round 1 exceed the budget 1\n"
+
+
 def test_unprintable_decompile_exits_2_within_a_second(capsys):
     # a 605-node DAG whose tree has about 4e12 nodes
     started = time.perf_counter()

@@ -379,6 +379,35 @@ def test_decompile_refuses_budget_overrun(monkeypatch):
         decompile_details(machine, 2, 2, "--", node_bound=3)
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [("MAX_STATES", "^2 states at round 1 exceed the budget 1$"),
+     ("MAX_MESSAGES", "^2 distinct messages exceed the budget 1$")],
+)
+def test_decompile_state_and_message_budget_boundaries(budget, message, monkeypatch):
+    # odd_odd on -- reaches 2 states and sends 2 distinct messages in round 1
+    monkeypatch.setattr(f"portlogic.compiler.{budget}", 2)
+    decompile_details(odd_odd_machine(2), 2, 2, "--", node_bound=3)
+    monkeypatch.setattr(f"portlogic.compiler.{budget}", 1)
+    with pytest.raises(DecompileBudgetError, match=message):
+        decompile_details(odd_odd_machine(2), 2, 2, "--", node_bound=3)
+
+
+@pytest.mark.parametrize(
+    "delta, suite, message",
+    [(3, None, "^delta exceeds the machine's declared bound$"),
+     (2, ("-+", 2), "^suite was built for a different signature$"),
+     (2, ("--", 1), "^suite was built for a different signature$")],
+    ids=["delta-above-bound", "other-variant", "other-delta"],
+)
+def test_decompile_refuses_a_delta_or_suite_that_does_not_fit(delta, suite, message):
+    if suite:
+        variant, suite_delta = suite
+        suite = ModelSuite(default_decompile_suite(suite_delta, node_bound=2), variant, suite_delta)
+    with pytest.raises(DecompileError, match=message):
+        decompile_details(odd_odd_machine(2), delta, 2, "--", suite, node_bound=2)
+
+
 def test_decompile_requires_stopping_within_horizon():
     machine = compile_formula(parse("<*,*><*,*>q1"), Signature(2, "--"))
     with pytest.raises(DecompileError):

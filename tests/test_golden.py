@@ -2,7 +2,9 @@
 numberings and ``separate --json`` reports.
 
 The trace and report hashes were recorded with the isinstance-chain
-``canon`` (commit c3293df), before ``canon`` dispatched on the type; the
+``canon`` (commit c3293df), before ``canon`` dispatched on the type, except
+the ``bcast_multiset_from_broadcast`` trace hash, recorded at commit 812edea
+with the one-record history wrapper; the
 decompile hash at commit cf7b3a2, before the decompiler's message memo
 became ``functools.cache``; the symmetric-numbering hash at commit 58481f7,
 while ``symmetric_port_numbering`` still built the double cover as a graph.
@@ -32,7 +34,7 @@ from portlogic.graphs import (
 )
 from portlogic.logic import VARIANTS, Signature, format_formula, parse
 from portlogic.machines import run, trace_to_json
-from portlogic.simulate import multiset_from_vector, set_from_multiset
+from portlogic.simulate import bcast_multiset_from_broadcast, multiset_from_vector, set_from_multiset
 from portlogic.smallgraphs import all_graphs
 
 # one compiled formula per variant, all at delta 3
@@ -44,6 +46,7 @@ FORMULAS = {
 }
 
 TRACE_HASHES = {
+    "bcast_multiset_from_broadcast(odd_odd)": "d71a0033f63835d68241a8e0faf9fde6fe5975e0e5fbd44ac01ccf6551aa80a3",
     "set_from_multiset(odd_odd)": "62ebc5cf609aae621587b07ef6f6b183760d010d0a2d94824e72fbe6de4de56b",
     "multiset_from_vector(leaf_election)": "6f7e9442d3ebae915d805afcbe8d053ac6359feab4eff4a4722d1ea122b2049c",
     "compiled ++": "969d442996c977fc3888e1cb11eff47e146763492eb0b210b46ab5be78177e6d",
@@ -74,6 +77,8 @@ SEPARATE_HASHES = {
 def golden_machine(name: str):
     if name == "set_from_multiset(odd_odd)":
         return set_from_multiset(problems.odd_odd_machine(3))
+    if name == "bcast_multiset_from_broadcast(odd_odd)":
+        return bcast_multiset_from_broadcast(problems.odd_odd_machine(3))
     if name == "multiset_from_vector(leaf_election)":
         return multiset_from_vector(problems.leaf_election_machine(3))
     variant = name.split()[1]
