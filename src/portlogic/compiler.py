@@ -179,6 +179,14 @@ class CompiledMachine(Machine):
     receiving-relevant subformulas, tagged with the outgoing port for the
     variants whose diamonds see it, and the null message acts as the all-zero
     restriction tagged with port 1.
+
+    The machine tabulates its own pure functions for the lifetime of the
+    instance: ``init_state`` per degree, ``emit`` per (state, port) and
+    ``transition`` per (state, inbox), the inbox keyed exactly as passed (so
+    the conformance probe's permuted inboxes each reach the untabulated
+    body).  The untabulated bodies (``_init_state``, ``_emit``,
+    ``_transition``) run only on a miss, and the transition table holds one
+    entry per (state, inbox) pair the instance has been asked about.
     """
 
     def __init__(self, formula: Formula, sig: Signature):
@@ -215,8 +223,29 @@ class CompiledMachine(Machine):
         )
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
+        self._inits: dict[int, tuple] = {}
+        self._emits: dict[tuple, tuple] = {}
+        self._steps: dict[tuple, tuple | int] = {}
 
     def init_state(self, degree: int):
+        state = self._inits.get(degree)
+        if state is None:
+            state = self._inits[degree] = self._init_state(degree)
+        return state
+
+    def emit(self, state, port: int):
+        message = self._emits.get((state, port))
+        if message is None:
+            message = self._emits[state, port] = self._emit(state, port)
+        return message
+
+    def transition(self, state, inbox: tuple):
+        nxt = self._steps.get((state, inbox))
+        if nxt is None:
+            nxt = self._steps[state, inbox] = self._transition(state, inbox)
+        return nxt
+
+    def _init_state(self, degree: int):
         g = [U] * len(self._nodes)
         for k, node in enumerate(self._nodes):
             if node[0] == "q":
@@ -225,12 +254,12 @@ class CompiledMachine(Machine):
                 g[k] = _connective(node, g)
         return tuple(g)
 
-    def emit(self, state, port: int):
+    def _emit(self, state, port: int):
         if self.kind.out_visible:
             return ("f", port, tuple(state[k] for k in self._domains[port]))
         return ("f", tuple(state[k] for k in self._domains[STAR]))
 
-    def transition(self, state, inbox: tuple):
+    def _transition(self, state, inbox: tuple):
         if state[self._root] != U:
             return state[self._root]
         g = list(state)

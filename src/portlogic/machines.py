@@ -30,9 +30,10 @@ run the executor computes ``init_state`` once per degree, ``is_output`` and
 encoding each message once per run through a ``functools.cache`` of
 ``canon`` that the run builds and drops.  ``1 == True`` while their
 encodings differ, so a machine that tells them apart breaks this; the
-conformance probe reports such pairs.  Nothing is cached across runs, apart
-from each ``PortedGraph``'s wiring (which port feeds which), computed on its
-first run.
+conformance probe reports such pairs.  The executor keeps nothing across
+runs, apart from each ``PortedGraph``'s wiring (which port feeds which),
+computed on its first run.  A machine may tabulate its own pure functions
+(``compiler.CompiledMachine`` does, for the lifetime of the instance).
 """
 
 from __future__ import annotations
@@ -135,7 +136,10 @@ class Machine:
     traces, conformance probes and the decompiler use; ``NO_MESSAGE`` is the
     one null message.  ``emit``, ``transition`` and ``is_output`` must be
     pure, and equal states (or messages) must have equal encodings, because
-    the executor memoises them within a run.  ``emit(state, port)`` must
+    the executor memoises them within a run; being pure, they may also be
+    tabulated by the machine itself, across runs, as long as ``transition``
+    is keyed on the inbox exactly as passed (``check_class_conformance``
+    feeds it permuted raw inboxes).  ``emit(state, port)`` must
     answer every port from 1 to ``delta_max``, also beyond the degree of the
     nodes that hold ``state``: ``run`` never asks there, but
     ``compiler.decompile_details`` does for every state it reaches that has

@@ -10,6 +10,7 @@ from conftest import cached_model, random_formula, random_multiset_machine, swee
 from portlogic import compiler
 from portlogic.cli import WRAPPERS
 from portlogic.compiler import (
+    CompiledMachine,
     CompileError,
     DecompileBudgetError,
     DecompileError,
@@ -41,12 +42,14 @@ from portlogic.logic import (
 from portlogic.machines import (
     BROADCAST,
     MULTISET,
+    NO_MESSAGE,
     SET,
     VECTOR,
     ClassTag,
     SimpleMachine,
     check_class_conformance,
     run,
+    trace_to_json,
 )
 from portlogic.problems import MACHINES, odd_odd_machine
 from portlogic.simulate import WrapperError, multiset_from_vector
@@ -168,6 +171,75 @@ def test_compiled_machines_pass_conformance(variant):
     for trial in range(3):
         machine = compile_formula(random_formula(rng, sig), sig)
         assert check_class_conformance(machine, samples=120, seed=trial).ok
+
+
+# one formula per variant, plus graded ones on the two hidden-incoming variants
+TABULATED = [
+    pytest.param("++", 2, "<1,2>(q1 & !<2,1>q2)", id="++"),
+    pytest.param("-+", 2, "<*,1>q1 & !<*,2><*,1>q2", id="-+"),
+    pytest.param("+-", 2, "<2,*>!q1 & <1,*><2,*>q2", id="+-"),
+    pytest.param("--", 3, "<*,*>(q2 & !<*,*>q1)", id="--"),
+    pytest.param("-+", 3, "<*,1;2><*,2>q1", id="-+graded"),
+    pytest.param("--", 3, "<*,*;2>(q3 | <*,*;3>q1)", id="--graded"),
+]
+
+
+def _small_ported(delta: int):
+    """Every graph of at most 4 nodes that fits delta, under 3 numberings each."""
+    for n, g in enumerate(all_graphs(4, max_degree=delta)):
+        for p in sweep(g, cap=3, samples=3, seed=n):
+            yield PortedGraph(g, p)
+
+
+@pytest.mark.parametrize("variant, delta, text", TABULATED)
+def test_tabulated_machine_runs_like_a_fresh_one(variant, delta, text):
+    f, sig = parse(text), Signature(delta, variant)
+    machine = compile_formula(f, sig)
+    for pg in _small_ported(delta):
+        got = run(machine, pg, f.md + 1, record_messages=True)
+        fresh = run(compile_formula(f, sig), pg, f.md + 1, record_messages=True)
+        assert trace_to_json(got) == trace_to_json(fresh)
+
+
+@pytest.mark.parametrize("variant, delta, text", TABULATED)
+def test_tabulated_bodies_run_once_per_key(variant, delta, text):
+    f, sig = parse(text), Signature(delta, variant)
+    machine = compile_formula(f, sig)
+    asked, computed = Counter(), Counter()
+
+    def counting(counter, method, name):
+        def wrapped(*key):
+            counter[name, key] += 1
+            return method(*key)
+        return wrapped
+
+    for name in ("init_state", "emit", "transition"):
+        setattr(machine, name, counting(asked, getattr(machine, name), name))
+        body = "_" + name
+        setattr(machine, body, counting(computed, getattr(machine, body), name))
+    for pg in _small_ported(delta):
+        run(machine, pg, f.md + 1)
+    assert set(computed) == set(asked)
+    assert set(computed.values()) == {1}
+    # the runs asked again for keys an earlier run had met
+    for name in ("init_state", "emit", "transition"):
+        keys = [key for key in computed if key[0] == name]
+        assert sum(asked[key] for key in keys) > len(keys)
+
+
+class _ReadsFirstSlot(CompiledMachine):
+    """Set-tagged, but its untabulated transition reads the first slot."""
+
+    def _transition(self, state, inbox):
+        return 1 if inbox[0] == NO_MESSAGE else super()._transition(state, inbox)
+
+
+def test_tables_keep_conformance_probes_honest():
+    machine = _ReadsFirstSlot(parse("<*,*>q1"), Signature(3, "--"))
+    assert machine.tag.inbox == SET
+    report = check_class_conformance(machine, samples=60, seed=0)
+    assert not report.ok
+    assert {v.kind for v in report.violations} == {SET}
 
 
 def test_decompile_round_trip_small(monkeypatch):
