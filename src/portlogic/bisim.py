@@ -45,7 +45,6 @@ __all__ = [
     "impossibility_check",
     "EnumerationBudgetError",
     "ImpossibilityInputError",
-    "CLASS_VARIANTS",
     "MAX_CANDIDATES",
 ]
 

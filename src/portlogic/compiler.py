@@ -397,8 +397,6 @@ def default_decompile_suite(delta: int, node_bound: int = 5) -> list[PortedGraph
 class DecompileResult:
     formula: Formula
     table: int
-    suite: ModelSuite
-    horizon: int
 
 
 class _Entry(NamedTuple):
@@ -601,7 +599,7 @@ class _Decompiler:
             if value == 1:
                 positive.append((entry.formula, entry.table))
         formula, table = _disjoin(positive)
-        return DecompileResult(formula, table, self.suite, self.horizon)
+        return DecompileResult(formula, table)
 
 
 def _check_variant_fit(machine: Machine, kind: Variant):

@@ -41,7 +41,6 @@ __all__ = [
     "cycle",
     "path",
     "complete",
-    "complete_bipartite",
     "no_one_factor_cubic",
     "disjoint_union",
     "parse_graph",
@@ -191,10 +190,6 @@ class PortNumbering:
     def __setattr__(self, name, value):
         raise AttributeError("PortNumbering is immutable")
 
-    def target(self, v: int, i: int) -> tuple[int, int]:
-        """p((v, i))."""
-        return self._map[(v, i)]
-
     def source(self, v: int, i: int) -> tuple[int, int]:
         """p^{-1}((v, i)): the port whose messages arrive at (v, i)."""
         return self._inverse[(v, i)]
@@ -204,9 +199,6 @@ class PortNumbering:
 
     def domain(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PortNumbering) and self._map == other._map
@@ -424,10 +416,6 @@ def path(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def no_one_factor_cubic() -> Graph:

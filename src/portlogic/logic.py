@@ -121,12 +121,6 @@ class Formula:
 
     __slots__ = ("md", "size")
 
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
-
     def __repr__(self):
         if self.size > MAX_FORMAT_SIZE:
             return (

@@ -234,9 +234,6 @@ class Trace:
     states: list[tuple]
     messages: list[tuple] | None = None
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 @dataclass
 class RunResult:
@@ -385,9 +382,6 @@ class ConformanceReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _default_probe_pool(delta: int) -> list[Graph]:

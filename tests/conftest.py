@@ -193,6 +193,10 @@ def indistinct_nodes(pg: PortedGraph, inboxes) -> int:
 ISO_NODE_CAP = 8
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+
+
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Brute-force isomorphism test, capped at ``ISO_NODE_CAP`` nodes per graph."""
     if g1.n > ISO_NODE_CAP or g2.n > ISO_NODE_CAP:
@@ -229,7 +233,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def is_consistent(p: PortNumbering) -> bool:
     """True iff p is an involution: p(p((v, i))) = (v, i) for every port."""
-    return all(p.target(*dst) == src for src, dst in p.items())
+    return all(p.source(*src) == dst for src, dst in p.items())
 
 
 def local_type(pg: PortedGraph, v: int, delta: int | None = None) -> tuple[int, ...]:
@@ -237,7 +241,8 @@ def local_type(pg: PortedGraph, v: int, delta: int | None = None) -> tuple[int, 
     g = pg.graph
     if delta is None:
         delta = g.max_degree()
-    entries = [pg.numbering.target(v, i)[1] for i in range(1, g.degree(v) + 1)]
+    targets = dict(pg.numbering.items())
+    entries = [targets[(v, i)][1] for i in range(1, g.degree(v) + 1)]
     return tuple(entries) + (0,) * (delta - g.degree(v))
 
 

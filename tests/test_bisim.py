@@ -135,6 +135,8 @@ def test_verify_explicit_relation_on_star():
     assert verify_bisimulation(model, None, relation)
     bad = verify_bisimulation(model, None, [(0, 1)])
     assert not bad.ok and bad.clause == "B1"
+    for graded in (False, True):
+        assert verify_bisimulation(model, None, [], graded=graded) == VerifyResult(False, "empty", ())
 
 
 def test_verify_cross_model():
@@ -188,6 +190,12 @@ def test_verify_graded_requires_equivalence():
     # and a relation that is not closed under transitivity is rejected outright
     with pytest.raises(NonEquivalenceError):
         verify_bisimulation(model, None, [(0, 1), (1, 2)], graded=True)
+    # the full relation on a star is one block, whose least world, the
+    # centre, is the first to differ from a leaf in its degree proposition
+    s = star(2)
+    m2 = kripke_model(PortedGraph(s, consistent_port_numbering(s, 0)), "--")
+    full = [(v, w) for v in range(s.n) for w in range(s.n)]
+    assert verify_bisimulation(m2, None, full, graded=True) == VerifyResult(False, "B1", (0, 1))
 
 
 def test_refinement_partitions_verify_and_are_maximal():

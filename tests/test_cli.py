@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON report round-trips."""
 
+import dataclasses
 import importlib
 import json
 import re
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from portlogic.cli import WRAPPERS, main
+from portlogic.cli import SEPARATIONS, WRAPPERS, main
 from portlogic.graphs import format_graph, format_ported, PortedGraph, consistent_port_numbering, star
+from portlogic.machines import SET, VECTOR, ClassTag, SimpleMachine
 from portlogic.problems import MACHINES
 
 
@@ -104,12 +106,16 @@ def test_bad_port_file_exit_code(tmp_path, capsys):
 
 
 def test_check_command(star3_pn, capsys):
-    code, out = run_cli(
-        ["check", "--graph", star3_pn, "--formula", "<*,*;3>q1", "--variant", "--", "--json"],
-        capsys,
-    )
-    assert code == 0
-    assert parse_json(out)["satisfying_worlds"] == [0]
+    reports = []
+    for variant in (["--variant", "--"], ["--variant=--"]):
+        code, out = run_cli(
+            ["check", "--graph", star3_pn, "--formula", "<*,*;3>q1", *variant, "--json"], capsys
+        )
+        assert code == 0
+        reports.append({k: v for k, v in parse_json(out).items() if k != "timing"})
+    assert reports[0]["satisfying_worlds"] == [0]
+    # the two spellings of --variant give the same report
+    assert reports[0] == reports[1]
 
 
 def test_check_signature_error(star3_pn, capsys):
@@ -252,6 +258,39 @@ def test_separate_demos(demo, capsys):
     assert doc["ok"] is True
     assert doc["positive_runs_valid"] is True
     assert doc["certificate"]["reverified"] is True
+
+
+def test_separate_reports_an_inconclusive_certificate_as_not_ok(monkeypatch, capsys):
+    # the leaves of a consistently numbered star differ under ++, so the
+    # impossibility check cannot refute vv there
+    star_row = dataclasses.replace(SEPARATIONS["star"], refuted_class="vv")
+    monkeypatch.setitem(SEPARATIONS, "star", star_row)
+    code, out = run_cli(["separate", "star", "--json"], capsys)
+    assert code == 1
+    doc = parse_json(out)
+    assert doc["ok"] is False and doc["positive_runs_valid"] is True
+    assert doc["certificate"] == {"inconclusive": "nodes of X are not mutually bisimilar"}
+
+
+def test_verify_exits_2_on_a_machine_that_breaks_its_class(star3_pn, monkeypatch, capsys):
+    def liar(delta):
+        # tagged as reading a set, but the transition reads the first slot
+        return SimpleMachine(
+            delta,
+            ClassTag(SET, VECTOR),
+            init=lambda d: ("go", d),
+            emit=lambda s, i: s[1],
+            transition=lambda s, inbox: ("done", inbox[0]),
+            is_output=lambda s: s[0] == "done",
+            name="liar",
+        )
+
+    monkeypatch.setitem(MACHINES, "liar", liar)
+    code, out = run_cli(["verify", "--graph", star3_pn, "--machine", "liar", "--json"], capsys)
+    assert code == 2
+    doc = parse_json(out)
+    assert doc["conformance"]["ok"] is False and doc["conformance"]["violations"] > 0
+    assert doc["first_violation"].startswith("ConformanceViolation(kind='set'")
 
 
 def test_missing_variant_is_reported(star3_pn, capsys):

@@ -19,13 +19,12 @@ import json
 
 import pytest
 
-from conftest import random_multiset_machine
+from conftest import complete_bipartite, random_multiset_machine
 from portlogic import problems
 from portlogic.cli import main
 from portlogic.compiler import ModelSuite, compile_formula, decompile_details, default_decompile_suite
 from portlogic.graphs import (
     PortedGraph,
-    complete_bipartite,
     consistent_port_numbering,
     cycle,
     format_ported,

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import are_isomorphic, is_consistent
+from conftest import are_isomorphic, complete_bipartite, is_consistent
 from portlogic.graphs import (
     MAX_GRAPH_NODES,
     Graph,
@@ -20,7 +20,6 @@ from portlogic.graphs import (
     PortlogicError,
     SearchBoundError,
     complete,
-    complete_bipartite,
     consistent_port_numbering,
     cycle,
     disjoint_union,
@@ -75,7 +74,7 @@ def test_four_node_numbering_validates_against_bruteforce():
             (3, 2): (2, 1),
         }
     )
-    induced = {(u, p.target(u, i)[0]) for (u, i) in g.ports()}
+    induced = {(src[0], dst[0]) for src, dst in p.items()}
     assert induced == set(g.arcs())
     validate_port_numbering(g, p)
 
@@ -389,19 +388,13 @@ def test_all_graphs_lists_least_mask_of_each_orbit_in_order():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("connected", [False, True])
 @pytest.mark.parametrize("max_degree", [None, 1, 2, 3])
 @pytest.mark.parametrize("max_nodes", range(1, 7))
-def test_all_graphs_filters_the_unfiltered_enumeration(max_nodes, max_degree, connected):
-    # a caller that needs connected graphs filters on is_connected itself
+def test_all_graphs_filters_the_unfiltered_enumeration(max_nodes, max_degree):
     expected = tuple(
-        g
-        for g in all_graphs(max_nodes)
-        if (max_degree is None or g.max_degree() <= max_degree)
-        and (not connected or g.is_connected())
+        g for g in all_graphs(max_nodes) if max_degree is None or g.max_degree() <= max_degree
     )
-    got = all_graphs(max_nodes, max_degree=max_degree)
-    assert tuple(g for g in got if not connected or g.is_connected()) == expected
+    assert all_graphs(max_nodes, max_degree=max_degree) == expected
 
 
 def _first_of_class(n: int, max_degree: int | None) -> list[Graph]:

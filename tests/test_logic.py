@@ -33,7 +33,6 @@ from portlogic.logic import (
     SignatureError,
     SignatureMismatchError,
     STAR,
-    Prop,
     alphas_for,
     conj,
     dia,
@@ -122,47 +121,6 @@ def test_format_formula_refuses_trees_above_max_format_size():
         f"tree size {f.size}>)"
     )
     assert repr(neg(prop(1))) == "Formula(!q1)"
-
-
-def recursive_format(formula):
-    """The recursive renderer ``format_formula`` used before it became
-    iterative, kept verbatim (without the size check) as a reference."""
-    memo: dict[int, str] = {}
-
-    def render(node) -> str:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, Prop):
-            text = f"q{node.index}"
-        elif isinstance(node, And):
-            text = f"({render(node.left)} & {render(node.right)})"
-        elif isinstance(node, Not):
-            text = "!" + render(node.sub)
-        else:
-            a, b = node.alpha
-            grade = f";{node.grade}" if node.grade > 1 else ""
-            text = f"<{a},{b}{grade}>" + render(node.sub)
-        memo[id(node)] = text
-        return text
-
-    return render(formula)
-
-
-def test_format_formula_matches_the_recursive_renderer():
-    checked = 0
-    for variant in VARIANTS:
-        for delta in (1, 2, 3):
-            sig = Signature(delta, variant)
-            rng = random.Random(f"format/{variant}/{delta}")
-            for budget in (1, 4, 8, 24, 60):
-                for _ in range(40):
-                    f = random_formula(rng, sig, max_depth=4, budget=budget)
-                    # sharing: the same subformula under both sides of a conjunction
-                    for g in (f, conj(f, neg(f)), dia(alphas_for(variant, delta)[0], conj(f, f))):
-                        assert format_formula(g) == recursive_format(g)
-                        checked += 1
-    assert checked == 4 * 3 * 5 * 40 * 3
 
 
 @pytest.mark.parametrize("wrap", [neg, lambda f: dia((STAR, STAR), f), lambda f: conj(f, prop(2))])
@@ -395,62 +353,6 @@ def test_disjoint_union_of_many_models_nests_pairwise():
         disjoint_union([])
 
 
-# ---------------------------------------------------------------------------
-# Differential guard: the one-pass evaluator against the two-pass one it
-# replaced, copied here verbatim (validation walk, then evaluation walk)
-# ---------------------------------------------------------------------------
-
-
-def _two_pass_validate(formula, sig):
-    problems: list[str] = []
-    legal = set(alphas_for(sig.variant, sig.delta))
-    for node in subformulas(formula):
-        if isinstance(node, Prop) and node.index > sig.delta:
-            problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
-        elif isinstance(node, Dia):
-            if node.alpha not in legal:
-                problems.append(
-                    f"modality index {node.alpha} not legal for variant {sig.variant}"
-                    f" with delta {sig.delta}"
-                )
-            if node.grade > 1 and not sig.allows_grading:
-                problems.append(
-                    f"grade {node.grade} requires a graded variant (-+ or --)"
-                )
-    return problems
-
-
-def _two_pass_eval(model, formula):
-    problems = _two_pass_validate(formula, model.signature())
-    if problems:
-        raise SignatureMismatchError("; ".join(problems))
-    memo = {}
-    for node in subformulas(formula):
-        if isinstance(node, Prop):
-            result = model.sat_prop(node.index)
-        elif isinstance(node, And):
-            result = memo[id(node.left)] & memo[id(node.right)]
-        elif isinstance(node, Not):
-            result = frozenset(range(model.size)) - memo[id(node.sub)]
-        else:
-            target = memo[id(node.sub)]
-            if node.grade == 1:
-                result = frozenset(
-                    v
-                    for v in range(model.size)
-                    if any(w in target for w in model.successor_table(node.alpha)[v])
-                )
-            else:
-                result = frozenset(
-                    v
-                    for v in range(model.size)
-                    if sum(1 for w in model.successor_table(node.alpha)[v] if w in target)
-                    >= node.grade
-                )
-        memo[id(node)] = result
-    return memo[id(formula)]
-
-
 def _outcome(evaluate, model, formula):
     try:
         return evaluate(model, formula)
@@ -474,11 +376,10 @@ def _loose_formula(rng, delta, depth):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_eval_matches_the_two_pass_evaluator(variant):
+def test_eval_lists_every_signature_problem_and_matches_the_suite_table(variant):
     rng = random.Random(700 + VARIANTS.index(variant))
     pools = {}
     ported = {delta: [] for delta in range(1, 5)}
-    compared = mismatches = rejected = several = 0
     for delta in range(1, 5):
         sig = Signature(delta, variant)
         signed = [random_formula(rng, sig, max_depth=3, budget=10) for _ in range(25)]
@@ -497,32 +398,35 @@ def test_eval_matches_the_two_pass_evaluator(variant):
         delta = max(1, g.max_degree())
         for p in (consistent_port_numbering(g, 0), random_port_numbering(g, gi)):
             ported[delta].append(PortedGraph(g, p))
-            model = kripke_model(ported[delta][-1], variant, delta)
-            for formula in pools[delta]:
-                compared += 1
-                got = _outcome(eval_formula, model, formula)
-                mismatches += got != _outcome(_two_pass_eval, model, formula)
-                rejected += isinstance(got, str)
-                several += isinstance(got, str) and "; " in got
-    # ModelSuite.table, which shares nothing with eval_formula but the
-    # per-node signature rules, on the same pools: equal tables, equal errors
+    compared = mismatches = rejected = several = 0
     for delta, graphs in ported.items():
         suite = ModelSuite(graphs, variant, delta)
         for formula in pools[delta]:
-            compared += 1
-            mismatches += _outcome(lambda s, f: s.table(f), suite, formula) != _packed_eval(
-                suite, formula
+            # eval_formula raises exactly when validate_signature lists
+            # problems, and its message is all of them in that order
+            problems = validate_signature(formula, suite.sig)
+            expected = "; ".join(problems) if problems else None
+            outcomes = [_outcome(eval_formula, model, formula) for model in suite.models]
+            mismatches += sum(
+                (got if isinstance(got, str) else None) != expected for got in outcomes
             )
+            # ModelSuite.table, which shares nothing with eval_formula but the
+            # per-node signature rules: equal tables, equal errors
+            compared += 1
+            mismatches += _outcome(lambda s, f: s.table(f), suite, formula) != _packed(
+                suite, outcomes
+            )
+            rejected += bool(problems)
+            several += len(problems) > 1
     assert mismatches == 0
     # both outcomes, and messages listing several problems, were compared
     assert 0 < several < rejected < compared
 
 
-def _packed_eval(suite, formula):
-    """eval_formula over the suite's models, packed as ModelSuite.table packs."""
+def _packed(suite, outcomes):
+    """Per-model eval_formula outcomes, packed as ModelSuite.table packs."""
     table = 0
-    for model, offset in zip(suite.models, suite.offsets):
-        worlds = _outcome(eval_formula, model, formula)
+    for worlds, offset in zip(outcomes, suite.offsets):
         if isinstance(worlds, str):
             return worlds
         for v in worlds:

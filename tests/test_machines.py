@@ -348,7 +348,7 @@ def test_run_keeps_no_state_across_runs():
     for _ in range(2):
         calls.clear()
         result = run(counting, pg, 8)
-        assert result.stopped and result.rounds == 3 and len(result.trace) == 4
+        assert result.stopped and result.rounds == 3 and len(result.trace.states) == 4
         per_run.append((calls["emit"], calls["transition"], result.outputs))
     assert per_run[0] == per_run[1]
     assert per_run[0][0] > 0 and per_run[0][1] > 0
