@@ -388,13 +388,34 @@ def test_all_graphs_lists_least_mask_of_each_orbit_in_order():
     assert keys == sorted(keys)
 
 
+def _one_component(g: Graph) -> bool:
+    # union-find over the edge list, apart from Graph.is_connected's search
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        root[find(u)] = find(v)
+    return len({find(v) for v in range(g.n)}) <= 1
+
+
+@pytest.mark.parametrize("connected", [False, True])
 @pytest.mark.parametrize("max_degree", [None, 1, 2, 3])
 @pytest.mark.parametrize("max_nodes", range(1, 7))
-def test_all_graphs_filters_the_unfiltered_enumeration(max_nodes, max_degree):
+def test_all_graphs_filters_the_unfiltered_enumeration(max_nodes, max_degree, connected):
+    # a caller that needs connected graphs filters on is_connected itself; the
+    # connected ids hold that filter to a union-find count of components
     expected = tuple(
-        g for g in all_graphs(max_nodes) if max_degree is None or g.max_degree() <= max_degree
+        g
+        for g in all_graphs(max_nodes)
+        if (max_degree is None or g.max_degree() <= max_degree)
+        and (not connected or _one_component(g))
     )
-    assert all_graphs(max_nodes, max_degree=max_degree) == expected
+    got = all_graphs(max_nodes, max_degree=max_degree)
+    assert tuple(g for g in got if not connected or g.is_connected()) == expected
 
 
 def _first_of_class(n: int, max_degree: int | None) -> list[Graph]:
