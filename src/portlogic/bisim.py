@@ -31,6 +31,7 @@ from typing import Iterable
 
 from .graphs import Graph, PortNumbering, PortedGraph, PortlogicError
 from .logic import KripkeModel, disjoint_union, kripke_model
+from .machines import CLASSES
 
 __all__ = [
     "Partition",
@@ -48,7 +49,8 @@ __all__ = [
     "MAX_CANDIDATES",
 ]
 
-CLASS_VARIANTS = {"vv": "++", "vb": "+-", "sb": "--"}
+# the classes whose invariance is plain bisimulation, by lower-case code
+CLASS_VARIANTS = {code.lower(): tag.variant for code, tag in CLASSES.items() if not tag.graded}
 
 # candidate solutions impossibility_check may enumerate (outputs ** nodes)
 MAX_CANDIDATES = 1 << 20

@@ -56,7 +56,6 @@ from .logic import (
     Prop,
     Signature,
     SignatureMismatchError,
-    Variant,
     conj,
     conj_all,
     dia,
@@ -68,16 +67,7 @@ from .logic import (
     validate_signature,
     _node_problems,
 )
-from .machines import (
-    BROADCAST,
-    MULTISET,
-    NO_MESSAGE,
-    SET,
-    VECTOR,
-    ClassTag,
-    Machine,
-    canonical_inbox,
-)
+from .machines import CLASSES, NO_MESSAGE, Machine, canonical_inbox, message_on
 from .smallgraphs import all_graphs
 
 __all__ = [
@@ -216,11 +206,8 @@ class CompiledMachine(Machine):
                 sub = index[id(f.sub)]
                 pos = self._domains[f.alpha[1]].index(sub)
                 self._nodes.append(("<>", f.alpha, f.grade, sub, pos))
-        graded = any(isinstance(f, Dia) and f.grade > 1 for f in order)
-        self.tag = ClassTag(
-            VECTOR if self.kind.in_visible else (MULTISET if graded else SET),
-            VECTOR if self.kind.out_visible else BROADCAST,
-        )
+        row = (sig.variant, any(isinstance(f, Dia) and f.grade > 1 for f in order))
+        self.tag = next(t for t in CLASSES.values() if (t.variant, t.graded) == row)
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
         self._inits: dict[int, tuple] = {}
@@ -458,14 +445,15 @@ class _Decompiler:
 
     def _messages(self, live: list[_Entry]) -> dict[bytes, tuple]:
         """Distinct non-null messages sent from live states: code -> (message,
-        senders by outgoing port).  A stopped state sends nothing."""
+        senders by shown outgoing index).  A stopped state sends nothing."""
         machine = self.machine
+        shown = range(1, self.delta + 1) if self.kind.out_visible else (STAR,)
         pool: dict[bytes, tuple] = {}
         for entry in live:
             if machine.is_output(entry.state):
                 continue
-            for j in range(1, self.delta + 1):
-                m = machine.emit(entry.state, j)
+            for j in shown:
+                m = message_on(machine, entry.state, 1 if j == STAR else j)
                 if m != NO_MESSAGE:
                     pool.setdefault(self.code(m), (m, {}))[1].setdefault(j, []).append(entry)
         if len(pool) > MAX_MESSAGES:
@@ -482,13 +470,6 @@ class _Decompiler:
         mask = self.suite.diamond_mask(alpha, grade, table)
         return self._intern(dia(alpha, formula, grade), mask)
 
-    def _sender_groups(self, senders: dict) -> list[tuple]:
-        """(hidden-or-visible outgoing port, senders) pairs of one message."""
-        if self.kind.out_visible:
-            return sorted(senders.items())
-        unique = {id(e.formula): e for group in senders.values() for e in group}
-        return [(STAR, list(unique.values()))]
-
     # -- inbox slots --------------------------------------------------------
     # A slot maps the number of messages placed so far to its options:
     # (pin formula, pin table, messages the option places).
@@ -498,7 +479,7 @@ class _Decompiler:
             return [self._port_slot(i, pool) for i in range(1, self.delta + 1)]
         grades = {}
         for code, (_, senders) in pool.items():
-            for j, group in self._sender_groups(senders):
+            for j, group in sorted(senders.items()):
                 theta = self._theta(group)
                 grades[code, j] = [
                     self._chi((STAR, j), k, theta) for k in range(1, self.delta + 1)
@@ -510,7 +491,7 @@ class _Decompiler:
         pins = {
             code: self._intern(*_disjoin([
                 self._chi((i, j), 1, self._theta(group))
-                for j, group in self._sender_groups(senders)
+                for j, group in sorted(senders.items())
             ]))
             for code, (_, senders) in pool.items()
         }
@@ -602,15 +583,6 @@ class _Decompiler:
         return DecompileResult(formula, table)
 
 
-def _check_variant_fit(machine: Machine, kind: Variant):
-    if not kind.in_visible and machine.tag.inbox == VECTOR:
-        raise DecompileError(
-            "count-based decompilation needs a multiset- or set-invariant machine"
-        )
-    if not kind.out_visible and machine.tag.outbox != BROADCAST:
-        raise DecompileError("variants hiding the outgoing port need a broadcast machine")
-
-
 def decompile_details(
     machine: Machine,
     delta: int,
@@ -631,7 +603,8 @@ def decompile_details(
     if delta > machine.delta_max:
         raise DecompileError("delta exceeds the machine's declared bound")
     sig = Signature(delta, variant)
-    _check_variant_fit(machine, sig.kind)
+    if any(seen == "+" and shown == "-" for seen, shown in zip(machine.tag.variant, variant)):
+        raise DecompileError(f"variant {variant} hides a port that class {machine.tag.code} sees")
     if suite is None:
         suite = ModelSuite(default_decompile_suite(delta, node_bound), variant, delta)
     if suite.variant != variant or suite.delta != delta:

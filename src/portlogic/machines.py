@@ -5,14 +5,16 @@ encoded by ``encoding.canon`` and nothing else.  The executor only ever
 materialises states that are actually reached, so infinite state or message
 spaces are fine.  Each machine carries a class tag declaring its inbox
 discipline (vector / multiset / set) and outbox discipline (vector /
-broadcast).
+broadcast), one of the six in ``CLASSES``.
 
 Execution follows the synchronous recursion: the message arriving at port
 (u, i) in round t+1 is emit(x_t(v), j) where (v, j) is the port wired to
 (u, i); the inbox is always padded to length delta with the null message, so
 set views may legitimately contain the null message.  Nodes whose state is a
 stopping state are absorbing: they emit the null message and never change
-state again (enforced here, not left to machine authors).
+state again (enforced here, not left to machine authors).  Every caller
+asks a broadcast machine for one message, on port 1 (``message_on``), and
+sends it on every port, so no run sees a broadcast machine's ports.
 
 For multiset- and set-tagged machines the executor canonicalises the inbox
 into a fixed realisation of the declared view (sorted by message encoding,
@@ -25,10 +27,10 @@ and reduplicated inboxes to the transition function directly.
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
 messages) equal under ``==`` must have equal ``canon`` encodings: within one
 run the executor computes ``init_state`` once per degree, ``is_output`` and
-``emit`` on ports 1..d once per (state, degree d), and ``transition`` once per
-(state, inbox as received).  Only on such a miss does it realise the inbox,
-encoding each message once per run through a ``functools.cache`` of
-``canon`` that the run builds and drops.  ``1 == True`` while their
+the messages on ports 1..d once per (state, degree d), and ``transition``
+once per (state, inbox as received).  Only on such a miss does it realise
+the inbox, encoding each message once per run through a ``functools.cache``
+of ``canon`` that the run builds and drops.  ``1 == True`` while their
 encodings differ, so a machine that tells them apart breaks this; the
 conformance probe reports such pairs.  The executor keeps nothing across
 runs, apart from each ``PortedGraph``'s wiring (which port feeds which),
@@ -55,6 +57,7 @@ __all__ = [
     "SET",
     "BROADCAST",
     "ClassTag",
+    "CLASSES",
     "Machine",
     "SimpleMachine",
     "ExecutionError",
@@ -63,6 +66,7 @@ __all__ = [
     "MaxRoundsError",
     "SamplesError",
     "canonical_inbox",
+    "message_on",
     "run",
     "Trace",
     "RunResult",
@@ -108,7 +112,9 @@ class ClassTag:
 
     The six combinations map onto the machine classes: inbox
     vector/multiset/set crossed with outbox vector/broadcast, coded
-    VV, MV, SV, VB, MB, SB.
+    VV, MV, SV, VB, MB, SB.  ``variant`` is the signature variant the class
+    sees (a bit is ``+`` iff that side is a vector), and ``graded`` marks a
+    multiset inbox, whose logic counts successors.
     """
 
     inbox: str
@@ -122,9 +128,18 @@ class ClassTag:
 
     @property
     def code(self) -> str:
-        first = {VECTOR: "V", MULTISET: "M", SET: "S"}[self.inbox]
-        second = {VECTOR: "V", BROADCAST: "B"}[self.outbox]
-        return first + second
+        return (self.inbox[0] + self.outbox[0]).upper()
+
+    @property
+    def variant(self) -> str:
+        return "".join("+" if kind == VECTOR else "-" for kind in (self.inbox, self.outbox))
+
+    @property
+    def graded(self) -> bool:
+        return self.inbox == MULTISET
+
+
+CLASSES = {t.code: t for t in (ClassTag(i, o) for o in _OUTBOX_KINDS for i in _INBOX_KINDS)}
 
 
 class Machine:
@@ -139,9 +154,11 @@ class Machine:
     the executor memoises them within a run; being pure, they may also be
     tabulated by the machine itself, across runs, as long as ``transition``
     is keyed on the inbox exactly as passed (``check_class_conformance``
-    feeds it permuted raw inboxes).  ``emit(state, port)`` must
-    answer every port from 1 to ``delta_max``, also beyond the degree of the
-    nodes that hold ``state``: ``run`` never asks there, but
+    feeds it permuted raw inboxes).  Every caller but that probe asks through
+    ``message_on``, which asks a broadcast machine for one message, on port
+    1.  A vector-outbox machine's ``emit(state, port)`` must answer every
+    port from 1 to ``delta_max``, also beyond the degree of the nodes that
+    hold ``state``: ``run`` never asks there, but
     ``compiler.decompile_details`` does for every state it reaches that has
     not stopped, and it expects a message (``NO_MESSAGE`` will do) or a
     ``PortlogicError``.  ``output_value`` maps a stopping state to the
@@ -227,6 +244,11 @@ def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = ca
     return distinct + distinct[-1:] * (len(inbox) - len(distinct))
 
 
+def message_on(machine: Machine, state, port: int):
+    """What ``state`` sends on ``port``: a broadcast machine is asked on port 1."""
+    return machine.emit(state, 1 if machine.tag.outbox == BROADCAST else port)
+
+
 @dataclass
 class Trace:
     """Per-round snapshots; index 0 is the initial state vector."""
@@ -281,7 +303,7 @@ def run(
         )
     pad = sum(degrees)  # the flat outbox's last entry is NO_MESSAGE
     gathers = [_gather(src + (pad,) * (delta - len(src))) for src in sources]
-    emit, is_output, transition = machine.emit, machine.is_output, machine.transition
+    is_output, transition = machine.is_output, machine.transition
     kind = machine.tag.inbox
     if kind != VECTOR:
         key = cache(canon)
@@ -292,7 +314,9 @@ def run(
 
     def send(s, d):
         """Messages on ports 1..d from state s, or None once s has stopped."""
-        sent = sends[s, d] = None if is_output(s) else [emit(s, j) for j in range(1, d + 1)]
+        sent = sends[s, d] = (
+            None if is_output(s) else [message_on(machine, s, j) for j in range(1, d + 1)]
+        )
         return sent
 
     init = {d: machine.init_state(d) for d in set(degrees)}

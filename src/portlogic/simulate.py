@@ -47,6 +47,7 @@ from .machines import (
     ClassTag,
     Machine,
     canonical_inbox,
+    message_on,
 )
 
 __all__ = [
@@ -134,7 +135,7 @@ class _SetFromMultiset(_Simulation):
             _, _, cert, degree = state
             return ("pre", cert, degree, port)
         _, sim, cert, degree = state
-        return ("pay", cert, degree, port, self.base.emit(sim, port))
+        return ("pay", cert, degree, port, message_on(self.base, sim, port))
 
     def transition(self, state, inbox: tuple):
         if state[0] == "pre":
@@ -179,13 +180,13 @@ class _HistoryWrapper(_Simulation):
         return self._simulating(self.base.init_state(degree), histories, ((),) * degree, degree)
 
     def _sent(self, sim, histories, port: int) -> tuple:
-        if self.broadcast:
-            return histories[0] + (self.base.emit(sim, 1),)
-        return histories[port - 1] + (self.base.emit(sim, port),)
+        return histories[port - 1] + (message_on(self.base, sim, port),)
 
     def emit(self, state, port: int):
         _, sim, histories, _, degree = state
-        if port > degree and not self.broadcast:
+        if self.broadcast:
+            port = 1  # one history; the conformance probe asks every port
+        elif port > degree:
             # A node has no port beyond its degree, so it keeps no history
             # there; the decompiler asks every port up to delta.
             return NO_MESSAGE
@@ -204,8 +205,7 @@ class _HistoryWrapper(_Simulation):
         if len(full) != degree:
             raise WrapperError("history reconstruction lost track of a neighbour")
         full.sort(key=_history_key)
-        ports = (1,) if self.broadcast else range(1, degree + 1)
-        sent = tuple(self._sent(sim, histories, i) for i in ports)
+        sent = tuple(self._sent(sim, histories, i) for i in range(1, len(histories) + 1))
         return self._step(sim, [h[-1] for h in full], sent, tuple(full), degree)
 
 

@@ -113,6 +113,29 @@ def random_multiset_machine(delta: int, seed: int, broadcast: bool = False):
     )
 
 
+def port_reading_broadcast_machine(delta: int):
+    """A machine tagged multiset-broadcast whose ``emit`` sends the port it is
+    asked about, so it breaks its class.  Every library caller asks a
+    broadcast machine on port 1 only, which keeps its runs in the class.  It
+    stops after two rounds with a binary output."""
+
+    def transition(state, inbox):
+        t, seen = state
+        bag = tuple(sorted(inbox, key=canon))
+        return _mix(seen, bag) % 2 if t == 1 else (1, bag)
+
+    return SimpleMachine(
+        delta,
+        ClassTag(MULTISET, BROADCAST),
+        init=lambda degree: (0, degree),
+        emit=lambda state, port: port,
+        transition=transition,
+        is_output=lambda s: isinstance(s, int),
+        outputs=frozenset({0, 1}),
+        name="port_reader",
+    )
+
+
 def staggered_machine(seed: int, broadcast: bool):
     """Seeded order-sensitive machine that stops after 1 + (degree + seed) % 4
     rounds, so the neighbours of one node go silent at different rounds."""

@@ -339,6 +339,28 @@ def test_impossibility_rejects_unknown_class():
     assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
 
 
+def _sv_solved_instance(name: str):
+    """(graph, X, problem) of a separate demo whose problem SV solves."""
+    if name == "star":
+        return star(3), [1, 2, 3], leaf_election()
+    union, u, w = parity_union()
+    return union, [u, w], odd_odd()
+
+
+@pytest.mark.parametrize("instance", ["star", "parity"])
+def test_impossibility_accepts_sv_and_finds_no_refutation_where_it_solves(instance):
+    g, x_nodes, problem = _sv_solved_instance(instance)
+    result = impossibility_check(g, x_nodes, problem, "sv", consistent_port_numbering(g, 0))
+    assert result == Inconclusive("nodes of X are not mutually bisimilar")
+
+
+@pytest.mark.parametrize("machine_class", ["mv", "mb"])
+def test_impossibility_refuses_the_graded_classes(machine_class):
+    g = star(3)
+    with pytest.raises(ImpossibilityInputError):
+        impossibility_check(g, [1], leaf_election(), machine_class, consistent_port_numbering(g, 0))
+
+
 def test_impossibility_rejects_empty_x():
     g = star(2)
     with pytest.raises(ImpossibilityInputError) as caught:

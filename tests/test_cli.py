@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from portlogic.cli import SEPARATIONS, WRAPPERS, main
 from portlogic.graphs import format_graph, format_ported, PortedGraph, consistent_port_numbering, star
-from portlogic.machines import SET, VECTOR, ClassTag, SimpleMachine
+from portlogic.machines import CLASSES, SET, VECTOR, ClassTag, SimpleMachine
 from portlogic.problems import MACHINES
 
 
@@ -505,6 +505,24 @@ def test_cli_keeps_its_exit_contract(data, star3_g, star3_pn, malformed, tmp_pat
     assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("argv, code", [
+    # an SV machine reads the outgoing port, which "--" hides
+    (["decompile", "--machine", "leaf_election", "--horizon", "2", "--variant", "--",
+      "--delta", "3"], 2),
+    # an MB machine sees no port, so it fits every variant
+    (["decompile", "--machine", "odd_odd", "--horizon", "2", "--variant", "+-",
+      "--delta", "2"], 0),
+], ids=["SV-in-variant--", "MB-in-variant+-"])
+def test_decompile_keeps_the_exit_contract_on_the_class_fit(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "SV" in err[0] and " -- " in err[0]
+    else:
+        assert err == []
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -522,6 +540,16 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
     assert len(commands) == 13
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_readme_class_table_matches_the_class_table():
+    rows = re.findall(r"^\| ([A-Z]{2}) \| (\w+) \| (\w+) \| `([+-]{2})` \| (yes|no) \|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    assert {code: (inbox, outbox, variant, graded == "yes")
+            for code, inbox, outbox, variant, graded in rows} == {
+        code: (tag.inbox, tag.outbox, tag.variant, tag.graded) for code, tag in CLASSES.items()
+    }
+    assert len(rows) == len(CLASSES)
 
 
 def test_readme_budget_table_matches_the_constants():

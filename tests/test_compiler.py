@@ -6,7 +6,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import cached_model, random_formula, random_multiset_machine, sweep
+from conftest import (
+    cached_model,
+    port_reading_broadcast_machine,
+    random_formula,
+    random_multiset_machine,
+    sweep,
+)
 from portlogic import compiler
 from portlogic.cli import WRAPPERS
 from portlogic.compiler import (
@@ -31,6 +37,7 @@ from portlogic.graphs import (
     star,
 )
 from portlogic.logic import (
+    Dia,
     Signature,
     VARIANTS,
     eval_formula,
@@ -38,6 +45,7 @@ from portlogic.logic import (
     kripke_model,
     parse,
     prop,
+    subformulas,
 )
 from portlogic.machines import (
     BROADCAST,
@@ -93,6 +101,23 @@ def test_compiled_class_tags():
     m = compile_formula(parse("<*,*>q1"), Signature(2, "--"))
     assert m.tag.inbox == SET and m.tag.outbox == BROADCAST
     assert compile_formula(parse("<1,*>q1"), Signature(2, "+-")).tag.outbox == BROADCAST
+
+
+CLASS_CODES = {"++": {"VV"}, "-+": {"MV", "SV"}, "+-": {"VB"}, "--": {"MB", "SB"}}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compiled_tags_read_the_class_table(variant):
+    rng = random.Random(11)
+    sig = Signature(3, variant)
+    seen = set()
+    for _ in range(40):
+        formula = random_formula(rng, sig)
+        tag = compile_formula(formula, sig).tag
+        assert tag.variant == variant
+        assert tag.graded == any(isinstance(f, Dia) and f.grade > 1 for f in subformulas(formula))
+        seen.add(tag.code)
+    assert seen == CLASS_CODES[variant]
 
 
 def test_compile_atom_runs_one_round():
@@ -315,6 +340,20 @@ def test_decompile_history_wrapper_skips_ports_beyond_the_degree():
     result = decompile_details(machine, delta, 2, variant, suite=suite)
     for pg, model in zip(suite.ported, suite.models):
         assert set(eval_formula(model, result.formula)) == _ones(run(machine, pg, 4))
+
+
+def test_decompile_of_a_port_reading_broadcast_machine_agrees_with_run():
+    # the decompiler asks a broadcast machine on port 1 only, as run does
+    machine = port_reading_broadcast_machine(3)
+    formula = decompile_details(machine, 3, 2, "--").formula
+    graphs = all_graphs(4, max_degree=3)
+    disagreeing = 0
+    for g in graphs:
+        for seed in (0, 1):
+            pg = PortedGraph(g, random_port_numbering(g, seed))
+            worlds = set(eval_formula(kripke_model(pg, "--", 3), formula))
+            disagreeing += worlds != _ones(run(machine, pg, 4))
+    assert disagreeing == 0, f"of {2 * len(graphs)} ported graphs"
 
 
 def test_decompile_depth_matches_horizon():

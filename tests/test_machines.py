@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     incoming_renumberings,
     outgoing_renumberings,
+    port_reading_broadcast_machine,
     random_formula,
     random_multiset_machine,
     sweep,
@@ -23,12 +24,14 @@ from portlogic.graphs import (
     PortlogicError,
     consistent_port_numbering,
     cycle,
+    numbering_from_orders,
     path,
     star,
 )
 from portlogic.logic import STAR, VARIANTS, Signature, dia, neg, prop
 from portlogic.machines import (
     BROADCAST,
+    CLASSES,
     MULTISET,
     NO_MESSAGE,
     SET,
@@ -231,6 +234,58 @@ def test_broadcast_machines_ignore_outgoing_renumbering(seed):
             result = run(machine, PortedGraph(g, p), 16)
             outputs.add(tuple(sorted(result.outputs.items())))
         assert len(outputs) == 1
+
+
+def test_class_table():
+    assert {code: (tag.variant, tag.graded) for code, tag in CLASSES.items()} == {
+        "VV": ("++", False),
+        "MV": ("-+", True),
+        "SV": ("-+", False),
+        "VB": ("+-", False),
+        "MB": ("--", True),
+        "SB": ("--", False),
+    }
+    assert all(tag.code == code for code, tag in CLASSES.items())
+
+
+def _outgoing_reshuffles(g: Graph) -> list[PortedGraph]:
+    """Three numberings of g that keep every node's incoming map and reshuffle
+    the order in which its outgoing ports reach its neighbours."""
+    in_port = [{u: i for i, u in enumerate(g.adjacency[v], start=1)} for v in range(g.n)]
+    ported = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        out_order = [rng.sample(g.adjacency[v], g.degree(v)) for v in range(g.n)]
+        ported.append(PortedGraph(g, numbering_from_orders(out_order, in_port)))
+    return ported
+
+
+BROADCAST_MACHINES = {
+    "port_reader": port_reading_broadcast_machine,
+    "odd_odd": problems.odd_odd_machine,
+    "random_multiset": lambda delta: random_multiset_machine(delta, seed=5, broadcast=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROADCAST_MACHINES))
+def test_broadcast_runs_ignore_the_outgoing_port_order(name):
+    # a broadcast machine is asked on port 1 only, so not even one whose emit
+    # reads the port can tell these numberings apart; odd_odd and the random
+    # machine are honest controls
+    machine = BROADCAST_MACHINES[name](3)
+    wrapped = set_from_multiset(machine)
+    graphs = all_graphs(5, max_degree=3)
+    traces_changed = outputs_changed = 0  # graphs on which the order shows
+    for g in graphs:
+        ported = _outgoing_reshuffles(g)
+        traces = {
+            json.dumps(trace_to_json(run(machine, pg, 8, record_messages=True)))
+            for pg in ported
+        }
+        outputs = {tuple(sorted(run(wrapped, pg, 16).outputs.items())) for pg in ported}
+        traces_changed += len(traces) > 1
+        outputs_changed += len(outputs) > 1
+    assert (traces_changed, outputs_changed) == (0, 0), f"of {len(graphs)} graphs"
 
 
 def test_conformance_passes_for_honest_machines():
