@@ -17,9 +17,10 @@ bipartite matching arguments and are out of scope.
 
 ``impossibility_check`` packages the bisimulation route to unsolvability: if
 all nodes of X are mutually bisimilar in the model variant a machine class
-can see, and every valid solution assigns X two different values, the
-problem is unsolvable in that class.  The audit enumerates all candidate
-solutions, so it is strictly a desk-scale certificate.
+can see, every machine of that class gives them one output, so the problem
+is unsolvable in that class when no valid solution is constant on X.  The
+audit enumerates exactly the candidate solutions constant on X,
+|O|^(n-|X|+1) of them, so it is strictly a desk-scale certificate.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ __all__ = [
 # the classes whose invariance is plain bisimulation, by lower-case code
 CLASS_VARIANTS = {code.lower(): tag.variant for code, tag in CLASSES.items() if not tag.graded}
 
-# candidate solutions impossibility_check may enumerate (outputs ** nodes)
+# X-constant candidate solutions impossibility_check may enumerate
+# (outputs ** (nodes - |X| + 1))
 MAX_CANDIDATES = 1 << 20
 
 
@@ -288,7 +290,7 @@ class Refutation:
     variant: str
     x_nodes: tuple[int, ...]
     partition: Partition
-    audited_solutions: int
+    audited_candidates: int  # X-constant candidates audited, every one invalid
     model: KripkeModel
 
     def to_json(self) -> dict:
@@ -298,7 +300,7 @@ class Refutation:
             "problem": self.problem,
             "x_nodes": list(self.x_nodes),
             "partition": self.partition.to_json(),
-            "audited_solutions": self.audited_solutions,
+            "audited_candidates": self.audited_candidates,
         }
 
 
@@ -325,11 +327,16 @@ def impossibility_check(
 
     Builds the Kripke variant the class can observe, tests the X nodes
     mutually bisimilar via refinement, and audits by exhaustive enumeration
-    that every valid solution assigns X at least two values.  Whether the
-    problem applies to ``g`` is decided once; where it does not, every
-    candidate is valid and the verifier is never called.  Returns a
-    ``Refutation`` certificate or an ``Inconclusive`` with the failing
-    hypothesis.
+    that no candidate solution constant on X is valid.  A candidate has one
+    value shared by X, placed at X's least node, and one value per other
+    node; enumerating these variables in node order visits the X-constant
+    solutions in the lexicographic order of all solutions, so the first
+    valid one (the ``Inconclusive`` witness) is the first that a full
+    enumeration would meet.  Whether the problem applies to ``g`` is decided
+    once; where it does not, the first candidate is valid and the verifier
+    is never called.  ``MAX_CANDIDATES`` bounds the number of X-constant
+    candidates.  Returns a ``Refutation`` certificate or an ``Inconclusive``
+    with the failing hypothesis.
     """
     if machine_class not in CLASS_VARIANTS:
         raise ImpossibilityInputError(f"machine class must be one of {sorted(CLASS_VARIANTS)}")
@@ -342,19 +349,20 @@ def impossibility_check(
     if len({partition.block_index(v) for v in xs}) != 1:
         return Inconclusive("nodes of X are not mutually bisimilar")
     outputs = list(problem.outputs)
-    total = len(outputs) ** g.n
+    total = len(outputs) ** (g.n - len(xs) + 1)
     if total > MAX_CANDIDATES:
         raise EnumerationBudgetError(
             f"{total} candidate solutions exceed the budget {MAX_CANDIDATES}"
         )
+    # one variable per node outside X and one for all of X, at its least node
+    shared = set(xs)
+    variables = [v for v in range(g.n) if v == xs[0] or v not in shared]
+    slot = {v: k for k, v in enumerate(variables)}
+    slots = [slot[xs[0] if v in shared else v] for v in range(g.n)]
     applies = problem.applies(g)
-    audited = 0
-    for values in itertools.product(outputs, repeat=g.n):
-        solution = dict(enumerate(values))
-        if applies and not problem.verifier(g, solution):
-            continue
-        audited += 1
-        if len({solution[v] for v in xs}) == 1:
+    for values in itertools.product(outputs, repeat=len(variables)):
+        solution = {v: values[k] for v, k in enumerate(slots)}
+        if not applies or problem.verifier(g, solution):
             return Inconclusive(
                 "a valid solution is constant on X", {v: solution[v] for v in xs}
             )
@@ -364,6 +372,6 @@ def impossibility_check(
         variant=variant,
         x_nodes=xs,
         partition=partition,
-        audited_solutions=audited,
+        audited_candidates=total,
         model=model,
     )

@@ -29,12 +29,15 @@ digest, so equality tests are exact while messages stay small.  Histories are
 kept verbatim (no compression), and the ``canon`` encoding of each history
 message may take at most ``HISTORY_BYTE_BUDGET`` bytes.  Every wrapper hands
 its base machine the inbox ``machines.canonical_inbox`` realises for the
-base's discipline, as the executor would, in one step (``_Simulation._step``).
+base's discipline, as the executor would, in one step (``_Simulation._step``),
+encoding each payload once per wrapper instance through its own
+``functools.cache`` of ``canon``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 from .encoding import canon, digest
 from .graphs import PortlogicError
@@ -93,6 +96,7 @@ class _Simulation(Machine):
         self.outputs = base.outputs
         self.name = f"{kind}({base.name})"
         self.tag = tag
+        self._key = cache(canon)  # the payload encoding, memoised per instance
 
     def _simulating(self, sim, *fields):
         if self.base.is_output(sim):
@@ -102,7 +106,7 @@ class _Simulation(Machine):
     def _step(self, sim, payloads: list, *fields):
         """One base round on ``payloads``, padded and realised as ``run`` would."""
         padded = tuple(payloads) + (NO_MESSAGE,) * (self.delta_max - len(payloads))
-        realised = canonical_inbox(self.base.tag.inbox, padded)
+        realised = canonical_inbox(self.base.tag.inbox, padded, self._key)
         return self._simulating(self.base.transition(sim, realised), *fields)
 
     def is_output(self, state) -> bool:

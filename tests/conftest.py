@@ -182,6 +182,28 @@ def naive_holds(model: KripkeModel, world: int, formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Full-enumeration reference for the impossibility audit
+# ---------------------------------------------------------------------------
+
+
+def full_audit(g: Graph, x_nodes, problem):
+    """"refuted", or X's values in the first valid solution constant on X.
+
+    Walks all |O|^n solutions in ``itertools.product`` order, with no
+    shortcut over X.
+    """
+    xs = sorted(set(x_nodes))
+    applies = problem.applies(g)
+    for values in itertools.product(list(problem.outputs), repeat=g.n):
+        solution = dict(enumerate(values))
+        if applies and not problem.verifier(g, solution):
+            continue
+        if len({solution[v] for v in xs}) == 1:
+            return {v: solution[v] for v in xs}
+    return "refuted"
+
+
+# ---------------------------------------------------------------------------
 # The set_from_multiset preamble, read off the wrapper's own run
 # ---------------------------------------------------------------------------
 

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from conftest import cached_model, random_formula, sweep
+from conftest import cached_model, full_audit, random_formula, sweep
 from portlogic.bisim import (
+    CLASS_VARIANTS,
     EnumerationBudgetError,
     ImpossibilityInputError,
     Inconclusive,
@@ -32,7 +33,8 @@ from portlogic.graphs import (
     star,
     symmetric_port_numbering,
 )
-from portlogic import logic
+from portlogic import logic, problems
+from portlogic.cli import SEPARATIONS
 from portlogic.logic import Signature, eval_formula, kripke_model
 from portlogic.problems import (
     leaf_election,
@@ -259,7 +261,7 @@ def test_impossibility_star_vb():
     )
     assert isinstance(result, Refutation)
     assert result.variant == "+-"
-    assert result.audited_solutions == 3
+    assert result.audited_candidates == 4
     assert verify_bisimulation(result.model, None, result.partition.as_pairs())
 
 
@@ -269,7 +271,7 @@ def test_impossibility_parity_sb():
         union, [u, w], odd_odd(), "sb", consistent_port_numbering(union, 0)
     )
     assert isinstance(result, Refutation)
-    assert result.audited_solutions == 1  # the unique valid solution
+    assert result.audited_candidates == 1024  # 11 nodes, 2 of them in X
 
 
 def test_impossibility_regular_vv():
@@ -321,15 +323,50 @@ def test_impossibility_decides_applies_once():
 def test_impossibility_budget(monkeypatch):
     monkeypatch.setattr("portlogic.bisim.MAX_CANDIDATES", 1000)
     g = no_one_factor_cubic()
-    message = "^65536 candidate solutions exceed the budget 1000$"
+    p = symmetric_port_numbering(g)
+    message = "^32768 candidate solutions exceed the budget 1000$"
     with pytest.raises(EnumerationBudgetError, match=message):
-        impossibility_check(
-            g,
-            range(g.n),
-            nonconstant_on_unmatchable(),
-            "vv",
-            symmetric_port_numbering(g),
-        )
+        impossibility_check(g, [0, 1], nonconstant_on_unmatchable(), "vv", p)
+    result = impossibility_check(g, range(g.n), nonconstant_on_unmatchable(), "vv", p)
+    assert result.audited_candidates == 2
+
+
+def _audit_outcome(g, x_nodes, problem, machine_class, p):
+    """impossibility_check's verdict, held to the full-enumeration reference."""
+    result = impossibility_check(g, x_nodes, problem, machine_class, p)
+    expected = full_audit(g, x_nodes, problem)
+    if expected == "refuted":
+        assert isinstance(result, Refutation)
+        assert result.audited_candidates == len(problem.outputs) ** (g.n - len(set(x_nodes)) + 1)
+        return "refuted"
+    assert result == Inconclusive("a valid solution is constant on X", expected)
+    return f"witness {set(expected.values())}"
+
+
+def test_impossibility_agrees_with_the_full_audit():
+    # X is a refinement block or one of its 1- and 2-node prefixes, so the
+    # bisimilarity hypothesis holds and the audit decides the verdict.  The
+    # seeded pseudo-random valid set over three outputs makes the witness
+    # depend on the enumeration order, which the shipped problems do not.
+    scattered = problems.GraphProblem(
+        "scattered", (0, 1, 2), lambda g: True,
+        lambda g, solution: random.Random(repr(sorted(solution.items()))).random() < 0.2,
+    )
+    tried = [odd_odd(), leaf_election(), nonconstant_on_unmatchable(), scattered]
+    outcomes = set()
+    for gi, g in enumerate(all_graphs(4)):
+        for p in (consistent_port_numbering(g, gi), random_port_numbering(g, gi)):
+            for machine_class, variant in CLASS_VARIANTS.items():
+                blocks = coarsest_bisimulation(kripke_model(PortedGraph(g, p), variant)).blocks
+                for x_nodes in sorted({x for b in blocks for x in (b, b[:1], b[:2])}):
+                    for problem in tried:
+                        outcomes.add(_audit_outcome(g, x_nodes, problem, machine_class, p))
+    for spec in SEPARATIONS.values():
+        g, *x_nodes = spec.instance()
+        problem = getattr(problems, spec.problem)()
+        p = spec.refuting_numbering(g, 0)
+        assert _audit_outcome(g, x_nodes, problem, spec.refuted_class, p) == "refuted"
+    assert outcomes == {"refuted", "witness {0}", "witness {1}", "witness {2}"}
 
 
 def test_impossibility_rejects_unknown_class():

@@ -12,6 +12,15 @@ Those rewrites promise unchanged output, and so
 does any later change to the encoding, the executor or the decompiler, so a
 hash that moves is a change of output, whatever the reason.  Each test
 states its recipe in full.
+
+The report hashes were re-derived at commit 4893ebd, whose audit still
+enumerated every solution, when the certificate's ``audited_solutions``
+became ``audited_candidates``: each report of that commit, made by the
+recipe of ``test_separate_reports_are_byte_identical``, with
+``"audited_solutions": N`` replaced by
+``"audited_candidates": 2 ** (n - |X| + 1)`` (4 for star, 1024 for parity
+and 2 for regular; n nodes, X the demo's X, 2 outputs), then dumped and
+hashed by that recipe.
 """
 
 import hashlib
@@ -67,9 +76,9 @@ DECOMPILE_HASH = "30562a3e82a9696385eda4480ca80415a900ec10c860770da4126e72dcf667
 SYMMETRIC_HASH = "aecc654a2c23ad0299955ee0274ba032f7728a842dadc3c89ed8b0be8d46158f"
 
 SEPARATE_HASHES = {
-    "star": "f7ae3ba56e47d41b8e993d4371cbe574e78888de6a0d4c5a9d4f7b59341e613e",
-    "parity": "e6632b6ea0101c02de1a530084dc25597c33265f1db25d87acb0501c5c0a5162",
-    "regular": "b2580fbbf5ae3ecbcd2c6025ba604170e0a58080806024f8bf7d4f808d908827",
+    "star": "be3f165d78f45951edc6f9cc9617e9c360865473f4eb44c6489b5823973ca5db",
+    "parity": "43eae2269a272b48e233a6d46e39dd6aa72e8f8e1780c93a40bc5c9d6f31c6cc",
+    "regular": "de925003544b1c1f705baf1ddd45572201ff2418ae39edd6b036067fdad051d4",
 }
 
 

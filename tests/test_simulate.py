@@ -10,6 +10,8 @@ from conftest import (
     random_multiset_machine,
     sweep,
 )
+from portlogic import simulate
+from portlogic.encoding import canon
 from portlogic.graphs import (
     PortedGraph,
     consistent_port_numbering,
@@ -26,6 +28,7 @@ from portlogic.machines import (
     SET,
     SimpleMachine,
     VECTOR,
+    canonical_inbox,
     check_class_conformance,
     run,
 )
@@ -225,3 +228,38 @@ def test_history_budget_guard(monkeypatch):
     pg = PortedGraph(g, consistent_port_numbering(g, 0))
     with pytest.raises(HistoryBudgetError, match="^history message exceeds 8 bytes$"):
         run(wrapped, pg, 6)
+
+
+@pytest.mark.parametrize(
+    "wrap, base",
+    [
+        (set_from_multiset, odd_odd_machine),
+        (multiset_from_vector, leaf_election_machine),
+        (bcast_multiset_from_broadcast, odd_odd_machine),
+    ],
+)
+def test_wrapper_encodes_each_payload_once(wrap, base, monkeypatch):
+    # the canon calls made while a base inbox is realised, over every run of
+    # one wrapper instance: at most one per distinct payload
+    encoded = []
+    realising = []
+
+    def counted(message):
+        if realising:
+            encoded.append(message)
+        return canon(message)
+
+    def spy(kind, inbox, key):
+        realising.append(kind)
+        try:
+            return canonical_inbox(kind, inbox, key)
+        finally:
+            realising.pop()
+
+    monkeypatch.setattr(simulate, "canon", counted)
+    monkeypatch.setattr(simulate, "canonical_inbox", spy)
+    wrapped = wrap(base(3))
+    for gi, g in enumerate(all_graphs(4)):
+        assert run(wrapped, PortedGraph(g, consistent_port_numbering(g, gi)), 32).stopped
+    assert encoded
+    assert len(encoded) == len({canon(m) for m in encoded})
