@@ -71,10 +71,9 @@ def _load_ported(name: str, args) -> PortedGraph:
         g = load_graph(name)
     except (OSError, GraphError) as exc:
         raise CliError(f"cannot load graph: {exc}") from exc
-    seed = getattr(args, "seed", 0) or 0
     if getattr(args, "consistent", False):
-        return PortedGraph(g, consistent_port_numbering(g, seed))
-    return PortedGraph(g, random_port_numbering(g, seed))
+        return PortedGraph(g, consistent_port_numbering(g, args.seed))
+    return PortedGraph(g, random_port_numbering(g, args.seed))
 
 
 def _delta(args, pg: PortedGraph) -> int:
@@ -114,7 +113,7 @@ def _report(args, doc: dict) -> int:
     """Print ``doc`` with the command name and the time since ``main``
     dispatched the command."""
     doc = {"command": args.command, **doc, "timing": round(time.perf_counter() - args.started, 6)}
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for key, value in doc.items():
@@ -129,7 +128,7 @@ def cmd_run(args) -> int:
     machine = _machine_for(args, _delta(args, pg))
     result = run_machine(machine, pg, args.max_rounds, record_messages=args.trace)
     doc = {
-        "inputs": {"graph": args.graph, "nodes": pg.graph.n, "seed": getattr(args, "seed", 0)},
+        "inputs": {"graph": args.graph, "nodes": pg.graph.n, "seed": args.seed},
         "machine": machine.name,
         "class": machine.tag.code,
         "rounds": result.rounds,
@@ -162,7 +161,7 @@ def cmd_check(args) -> int:
 def cmd_compile(args) -> int:
     formula = parse(args.formula)
     machine = compiler_mod.compile_formula(formula, Signature(args.delta, args.variant))
-    report = check_class_conformance(machine, samples=100, seed=args.seed)
+    report = check_class_conformance(machine, seed=args.seed)
     return _report(
         args,
         {
@@ -334,8 +333,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise CliError("--samples must be at least 1")
     doc: dict = {"inputs": {"graph": args.graph}}
     try:
         pg = load_ported(args.graph)
@@ -345,7 +342,7 @@ def cmd_verify(args) -> int:
     report = None
     if args.machine or args.formula:
         machine = _machine_for(args, delta)
-        report = check_class_conformance(machine, samples=args.samples, seed=args.seed)
+        report = check_class_conformance(machine, seed=args.seed)
         doc["conformance"] = {
             "machine": machine.name,
             "class": machine.tag.code,
@@ -406,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", metavar="{++,-+,+-,--}", default=None)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--node-bound", type=int, default=5, dest="node_bound")
-    common(p)
+    p.add_argument("--json", action="store_true", help="print the full JSON report")
     p.set_defaults(func=cmd_decompile)
 
     p = sub.add_parser("bisim", help="coarsest (graded) bisimulation partition")
@@ -430,16 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     p.add_argument("--out", help="output file (stdout if omitted)")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="validate a .pn file and optionally a machine's class tag")
+    p = sub.add_parser("verify", help="validate a .pn file and optionally probe a machine's memo contract")
     p.add_argument("--graph", required=True)
     p.add_argument("--machine")
     p.add_argument("--formula")
     p.add_argument("--variant", metavar="{++,-+,+-,--}", default="--")
     p.add_argument("--delta", type=int)
-    p.add_argument("--samples", type=int, default=200)
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -172,9 +172,9 @@ class CompiledMachine(Machine):
 
     The machine tabulates its own pure functions for the lifetime of the
     instance: ``init_state`` per degree, ``emit`` per (state, port) and
-    ``transition`` per (state, inbox), the inbox keyed exactly as passed (so
-    the conformance probe's permuted inboxes each reach the untabulated
-    body).  The untabulated bodies (``_init_state``, ``_emit``,
+    ``transition`` per (state, inbox), the inbox keyed as passed, which is
+    already its realised view (every caller realises it through
+    ``canonical_inbox``).  The untabulated bodies (``_init_state``, ``_emit``,
     ``_transition``) run only on a miss, and the transition table holds one
     entry per (state, inbox) pair the instance has been asked about.
     """

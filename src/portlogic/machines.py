@@ -19,10 +19,9 @@ sends it on every port, so no run sees a broadcast machine's ports.
 For multiset- and set-tagged machines the executor canonicalises the inbox
 into a fixed realisation of the declared view (sorted by message encoding,
 with set views deduplicated) before calling transition, so executions are
-deterministic and respect the discipline.  Whether a machine's *transition
-function* genuinely has the declared invariance is checked separately by
-randomised probing (``check_class_conformance``), which feeds raw permuted
-and reduplicated inboxes to the transition function directly.
+deterministic and respect the discipline.  The class tag is thus enforced by
+construction: every caller hands ``transition`` that realisation, so no
+transition can see the order or (for sets) the multiplicities the view hides.
 
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
 messages) equal under ``==`` must have equal ``canon`` encodings: within one
@@ -31,10 +30,11 @@ the messages on ports 1..d once per (state, degree d), and ``transition``
 once per (state, inbox as received).  Only on such a miss does it realise
 the inbox, encoding each message once per run through a ``functools.cache``
 of ``canon`` that the run builds and drops.  ``1 == True`` while their
-encodings differ, so a machine that tells them apart breaks this; the
-conformance probe reports such pairs.  The executor keeps nothing across
-runs, apart from each ``PortedGraph``'s wiring (which port feeds which),
-computed on its first run.  A machine may tabulate its own pure functions
+encodings differ, so a machine that tells them apart breaks this, and equal
+inboxes would no longer realise equally; ``check_class_conformance`` reports
+such pairs.  The executor keeps nothing across runs, apart from each
+``PortedGraph``'s wiring (which port feeds which), computed on its first
+run.  A machine may tabulate its own pure functions
 (``compiler.CompiledMachine`` does, for the lifetime of the instance).
 """
 
@@ -64,7 +64,6 @@ __all__ = [
     "DegreeError",
     "ClassTagError",
     "MaxRoundsError",
-    "SamplesError",
     "canonical_inbox",
     "message_on",
     "run",
@@ -100,10 +99,6 @@ class ClassTagError(PortlogicError, ValueError):
 
 class MaxRoundsError(PortlogicError, ValueError):
     """A negative round budget."""
-
-
-class SamplesError(PortlogicError, ValueError):
-    """A conformance probe asked for fewer than one sample."""
 
 
 @dataclass(frozen=True)
@@ -152,9 +147,8 @@ class Machine:
     one null message.  ``emit``, ``transition`` and ``is_output`` must be
     pure, and equal states (or messages) must have equal encodings, because
     the executor memoises them within a run; being pure, they may also be
-    tabulated by the machine itself, across runs, as long as ``transition``
-    is keyed on the inbox exactly as passed (``check_class_conformance``
-    feeds it permuted raw inboxes).  Every caller but that probe asks through
+    tabulated by the machine itself, across runs.  Every caller hands
+    ``transition`` the inbox ``canonical_inbox`` realises and asks through
     ``message_on``, which asks a broadcast machine for one message, on port
     1.  A vector-outbox machine's ``emit(state, port)`` must answer every
     port from 1 to ``delta_max``, also beyond the degree of the nodes that
@@ -387,14 +381,13 @@ def trace_to_json(result: RunResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Class-conformance probing
+# Class-conformance probing: the memo contract
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ConformanceViolation:
     kind: str
-    state: object
     detail: dict
 
 
@@ -420,94 +413,38 @@ def _default_probe_pool(delta: int) -> list[Graph]:
 _PROBE_ROUNDS = 16  # the round budget of each observation run
 
 
-def check_class_conformance(
-    machine: Machine, samples: int = 300, seed: int = 0
-) -> ConformanceReport:
-    """Randomised probe of the machine's declared inbox/outbox discipline.
+def check_class_conformance(machine: Machine, seed: int = 0) -> ConformanceReport:
+    """Probe of the memo contract, the one condition that class conformance
+    by construction still needs: equal inboxes must realise equally.
 
-    Observations are gathered by running the machine on a pool of small
-    ported graphs; probes then permute (multiset) or reduplicate (set) the
-    observed raw inboxes and compare transition results, and check
-    port-independence of emit for broadcast machines.  Every observed state
-    and message is also checked against the executor's memo contract: two
-    values equal under ``==`` must have the same ``canon`` encoding
-    (``1 == True`` but they encode differently).  Reports every
-    counterexample found.  ``samples`` must be at least 1.
+    The machine runs on a pool of small graphs, each under three port
+    numberings drawn from ``seed``, and every state and message it reaches
+    is checked: two values equal under ``==`` must have the same ``canon``
+    encoding (``1 == True`` but they encode differently).  Each class of
+    equal values with more than one encoding is reported as an
+    ``"encoding"`` violation; ``probes`` counts the distinct states and
+    messages checked.
     """
-    import random as _random
-
-    if samples < 1:
-        raise SamplesError(f"samples must be at least 1, got {samples}")
-
-    rng = _random.Random(seed)
-    observations: list[tuple[object, tuple]] = []
-    live_states: dict[bytes, object] = {}
     # per kind, per class of values equal under ==: encoding -> value
     met: dict[str, dict] = {"states": {}, "messages": {}}
-
-    def meet(kind: str, value):
-        met[kind].setdefault(value, {}).setdefault(canon(value), value)
-
     for gi, g in enumerate(_default_probe_pool(machine.delta_max)):
         for k in range(3):
             pg = PortedGraph(g, smallgraphs.numberings(g, cap=1, samples=1, seed=seed + 31 * gi + k)[0])
-            result = run(machine, pg, _PROBE_ROUNDS, record_messages=True)
-            for snapshot in result.trace.states:
-                for state in snapshot:
-                    meet("states", state)
-            for t, round_msgs in enumerate(result.trace.messages):
-                snapshot = result.trace.states[t]
-                for u, inbox in enumerate(round_msgs):
-                    for m in inbox:
-                        meet("messages", m)
-                    state = snapshot[u]
-                    if not machine.is_output(state):
-                        observations.append((state, inbox))
-                        live_states.setdefault(canon(state), state)
+            trace = run(machine, pg, _PROBE_ROUNDS, record_messages=True).trace
+            reached = {
+                "states": chain.from_iterable(trace.states),
+                "messages": chain.from_iterable(chain.from_iterable(trace.messages)),
+            }
+            for kind, values in reached.items():
+                for value in values:
+                    met[kind].setdefault(value, {}).setdefault(canon(value), value)
 
     report = ConformanceReport(probes=0)
     for kind, classes in met.items():
         for by_code in classes.values():
+            report.probes += len(by_code)
             if len(by_code) > 1:
                 report.violations.append(
-                    ConformanceViolation("encoding", None, {kind: tuple(by_code.values())})
+                    ConformanceViolation("encoding", {kind: tuple(by_code.values())})
                 )
-    if machine.tag.outbox == BROADCAST:
-        for state in live_states.values():
-            report.probes += 1
-            msgs = [machine.emit(state, i) for i in range(1, machine.delta_max + 1)]
-            codes = {canon(m) for m in msgs}
-            if len(codes) > 1:
-                report.violations.append(
-                    ConformanceViolation("broadcast", state, {"messages": msgs})
-                )
-
-    if machine.tag.inbox in (MULTISET, SET) and observations:
-        for _ in range(samples):
-            state, inbox = observations[rng.randrange(len(observations))]
-            base = machine.transition(state, inbox)
-            variants = []
-            shuffled = list(inbox)
-            rng.shuffle(shuffled)
-            variants.append(tuple(shuffled))
-            if machine.tag.inbox == SET:
-                # the realisation's distinct entries come first, in order
-                distinct = list(canonical_inbox(SET, inbox)[: len({canon(m) for m in inbox})])
-                extra = len(inbox) - len(distinct)
-                redistributed = distinct + [
-                    distinct[rng.randrange(len(distinct))] for _ in range(extra)
-                ]
-                rng.shuffle(redistributed)
-                variants.append(tuple(redistributed))
-            report.probes += 1
-            for alt in variants:
-                other = machine.transition(state, alt)
-                if canon(base) != canon(other):
-                    report.violations.append(
-                        ConformanceViolation(
-                            machine.tag.inbox,
-                            state,
-                            {"inbox": inbox, "variant": alt, "results": (base, other)},
-                        )
-                    )
     return report

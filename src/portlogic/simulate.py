@@ -31,7 +31,8 @@ message may take at most ``HISTORY_BYTE_BUDGET`` bytes.  Every wrapper hands
 its base machine the inbox ``machines.canonical_inbox`` realises for the
 base's discipline, as the executor would, in one step (``_Simulation._step``),
 encoding each payload once per wrapper instance through its own
-``functools.cache`` of ``canon``.
+``functools.cache`` of ``canon``; the history wrappers sort histories
+through the same cache.
 """
 
 from __future__ import annotations
@@ -161,17 +162,13 @@ def set_from_multiset(base: Machine) -> Machine:
     return _SetFromMultiset(base)
 
 
-def _history_key(history: tuple) -> tuple:
-    return tuple(canon(m) for m in history)
-
-
 class _HistoryWrapper(_Simulation):
     """Shared machinery for the two history-based reconstructions.
 
     State per node: ("sim", base state, send histories, heard, degree).  The
     send histories are one per port (one in all for broadcast); ``heard`` is
     the one record of the neighbours, the virtual histories of all ``degree``
-    of them after the last round, sorted by ``_history_key``.
+    of them after the last round, sorted by their messages' encodings.
     """
 
     def __init__(self, base: Machine, broadcast: bool):
@@ -187,10 +184,8 @@ class _HistoryWrapper(_Simulation):
         return histories[port - 1] + (message_on(self.base, sim, port),)
 
     def emit(self, state, port: int):
-        _, sim, histories, _, degree = state
-        if self.broadcast:
-            port = 1  # one history; the conformance probe asks every port
-        elif port > degree:
+        _, sim, histories, _, _ = state
+        if port > len(histories):
             # A node has no port beyond its degree, so it keeps no history
             # there; the decompiler asks every port up to delta.
             return NO_MESSAGE
@@ -208,7 +203,7 @@ class _HistoryWrapper(_Simulation):
         full = received + [h + (NO_MESSAGE,) for h in silent.elements()]
         if len(full) != degree:
             raise WrapperError("history reconstruction lost track of a neighbour")
-        full.sort(key=_history_key)
+        full.sort(key=lambda history: tuple(map(self._key, history)))
         sent = tuple(self._sent(sim, histories, i) for i in range(1, len(histories) + 1))
         return self._step(sim, [h[-1] for h in full], sent, tuple(full), degree)
 

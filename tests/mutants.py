@@ -1,0 +1,225 @@
+"""Mutation runner: each row breaks one snippet of ``src`` and names the tests
+that must fail on it.
+
+Run it with ``python tests/mutants.py`` (pytest does not collect this file).
+The runner first runs every row's tests on an unmutated copy of ``src``,
+where they must all pass.  Then, for each row, it copies ``src`` to a
+temporary directory, replaces the row's old snippet with its new one and
+runs the row's tests against that copy.  A row is *killed* when every one of
+its tests fails, *survived* when one of them passes, and *stale* when its old
+snippet does not occur exactly once in its file.  The tests run with
+``PYTHONHASHSEED=0``, so set iteration order cannot decide a row.  The exit
+status is 0 only when every row is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    id: str
+    what: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "M1",
+        "the multiset view left unsorted",
+        "src/portlogic/machines.py",
+        "        return tuple(sorted(inbox, key=key))\n",
+        "        return tuple(inbox)\n",
+        (
+            "tests/test_machines.py::test_inbox_views",
+            "tests/test_machines.py::test_views_are_order_insensitive",
+            "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MV]",
+            "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MB]",
+        ),
+    ),
+    Mutant(
+        "M2",
+        "the set view keeping multiplicities",
+        "src/portlogic/machines.py",
+        "    if kind == MULTISET:\n",
+        "    if kind in (MULTISET, SET):\n",
+        (
+            "tests/test_machines.py::test_inbox_views",
+            "tests/test_machines.py::test_set_view_hides_multiplicities_at_the_parity_hubs",
+        ),
+    ),
+    Mutant(
+        "M3",
+        "message_on asking a broadcast machine port by port",
+        "src/portlogic/machines.py",
+        "    return machine.emit(state, 1 if machine.tag.outbox == BROADCAST else port)\n",
+        "    return machine.emit(state, port)\n",
+        ("tests/test_machines.py::test_broadcast_runs_ignore_the_outgoing_port_order[port_reader]",),
+    ),
+    Mutant(
+        "M4",
+        "run passing the raw inbox",
+        "src/portlogic/machines.py",
+        "                view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)\n",
+        "                view = inbox\n",
+        (
+            "tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",
+            "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MV]",
+            "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MB]",
+            "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[SV]",
+            "tests/test_machines.py::test_set_view_hides_multiplicities_at_the_parity_hubs",
+        ),
+    ),
+    Mutant(
+        "M5",
+        "_Simulation._step skipping the realisation",
+        "src/portlogic/simulate.py",
+        "        realised = canonical_inbox(self.base.tag.inbox, padded, self._key)\n",
+        "        realised = padded\n",
+        (
+            "tests/test_simulate.py::test_wrapper_encodes_each_payload_once"
+            "[set_from_multiset-odd_odd_machine]",
+            "tests/test_simulate.py::test_wrapper_encodes_each_payload_once"
+            "[multiset_from_vector-leaf_election_machine]",
+            "tests/test_simulate.py::test_wrapper_encodes_each_payload_once"
+            "[bcast_multiset_from_broadcast-odd_odd_machine]",
+            "tests/test_machines.py::test_wrappers_hand_their_base_the_realised_view"
+            "[set_from_multiset-MV]",
+            "tests/test_machines.py::test_wrappers_hand_their_base_the_realised_view"
+            "[set_from_multiset-MB]",
+        ),
+    ),
+    Mutant(
+        "M6",
+        "the decompiler's _enumerate skipping the realisation",
+        "src/portlogic/compiler.py",
+        "                    realised = canonical_inbox(machine.tag.inbox, inbox, self.code)\n",
+        "                    realised = inbox\n",
+        ("tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",),
+    ),
+    Mutant(
+        "M7",
+        "the memo probe keyed on the encoding",
+        "src/portlogic/machines.py",
+        "                    met[kind].setdefault(value, {}).setdefault(canon(value), value)\n",
+        "                    met[kind].setdefault(canon(value), {}).setdefault(canon(value), value)\n",
+        (
+            "tests/test_machines.py::test_conformance_catches_equal_values_with_different_encodings",
+            "tests/test_cli.py::test_verify_exits_2_on_a_machine_that_breaks_its_class",
+        ),
+    ),
+    Mutant(
+        "M8",
+        "the compiled transition reading only the first message behind a hidden incoming port",
+        "src/portlogic/compiler.py",
+        "                for m in ((inbox[i - 1],) if in_visible else inbox)\n",
+        "                for m in ((inbox[i - 1],) if in_visible else inbox[:1])\n",
+        (
+            "tests/test_compiler.py::test_compile_matches_eval_random_suite[-+]",
+            "tests/test_compiler.py::test_compile_matches_eval_random_suite[--]",
+            "tests/test_acceptance.py::test_criterion_1_compiler_checker_equivalence",
+        ),
+    ),
+)
+
+
+def _junit_id(case: ET.Element) -> str:
+    """The pytest node id of a junit test case (test modules sit in ``tests``)."""
+    module = case.get("classname").replace(".", "/")
+    return f"{module}.py::{case.get('name')}"
+
+
+def run_tests(src: Path, tests, scratch: Path) -> dict[str, str]:
+    """Run ``tests`` against the package in ``src``: node id -> "passed",
+    "failed" or "skipped".  A test that did not run is missing."""
+    report = scratch / "report.xml"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
+         f"--junitxml={report}", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False,
+    )
+    if not report.exists():
+        return {}
+    cases = ET.parse(report).getroot().iter("testcase")
+    outcome = {}
+    for case in cases:
+        tags = {child.tag for child in case}
+        outcome[_junit_id(case)] = (
+            "failed" if tags & {"failure", "error"} else "skipped" if "skipped" in tags else "passed"
+        )
+    report.unlink()
+    return outcome
+
+
+def imported_from(src: Path) -> Path:
+    """Where ``portlogic`` is imported from with ``src`` on the path."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import portlogic; print(portlogic.__file__)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    return Path(out.stdout.strip()).parent
+
+
+def mutate(mutant: Mutant, scratch: Path) -> Path | None:
+    """A fresh copy of ``src`` with the mutant applied, or None when stale."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = scratch / mutant.file
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return None
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="portlogic-mutants-") as tmp:
+        scratch = Path(tmp)
+        plain = scratch / "plain"
+        shutil.copytree(ROOT / "src", plain, ignore=shutil.ignore_patterns("__pycache__"))
+        if imported_from(plain) != plain / "portlogic":
+            print("error: the copy of src is not the package the tests import")
+            return 1
+        every = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        baseline = run_tests(plain, every, scratch)
+        broken = [test for test in every if baseline.get(test) != "passed"]
+        if broken:
+            for test in broken:
+                print(f"baseline: {test} does not pass on the unmutated source")
+            return 1
+        counts = {"killed": 0, "survived": 0, "stale": 0}
+        for mutant in MUTANTS:
+            src = mutate(mutant, scratch)
+            if src is None:
+                verdict, detail = "stale", f"the old snippet does not occur once in {mutant.file}"
+            else:
+                outcome = run_tests(src, mutant.tests, scratch)
+                unfailed = [test for test in mutant.tests if outcome.get(test) != "failed"]
+                verdict = "survived" if unfailed else "killed"
+                detail = (
+                    "not failed: " + ", ".join(unfailed)
+                    if unfailed
+                    else f"{len(mutant.tests)} of {len(mutant.tests)} tests failed"
+                )
+            counts[verdict] += 1
+            print(f"{mutant.id} {verdict}: {mutant.what} ({detail})")
+        print(", ".join(f"{n} {verdict}" for verdict, n in counts.items()))
+        return 0 if counts["killed"] == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from conftest import (
 from portlogic import compiler
 from portlogic.cli import WRAPPERS
 from portlogic.compiler import (
-    CompiledMachine,
     CompileError,
     DecompileBudgetError,
     DecompileError,
@@ -50,7 +49,6 @@ from portlogic.logic import (
 from portlogic.machines import (
     BROADCAST,
     MULTISET,
-    NO_MESSAGE,
     SET,
     VECTOR,
     ClassTag,
@@ -195,7 +193,7 @@ def test_compiled_machines_pass_conformance(variant):
     sig = Signature(2, variant)
     for trial in range(3):
         machine = compile_formula(random_formula(rng, sig), sig)
-        assert check_class_conformance(machine, samples=120, seed=trial).ok
+        assert check_class_conformance(machine, seed=trial).ok
 
 
 # one formula per variant, plus graded ones on the two hidden-incoming variants
@@ -250,21 +248,6 @@ def test_tabulated_bodies_run_once_per_key(variant, delta, text):
     for name in ("init_state", "emit", "transition"):
         keys = [key for key in computed if key[0] == name]
         assert sum(asked[key] for key in keys) > len(keys)
-
-
-class _ReadsFirstSlot(CompiledMachine):
-    """Set-tagged, but its untabulated transition reads the first slot."""
-
-    def _transition(self, state, inbox):
-        return 1 if inbox[0] == NO_MESSAGE else super()._transition(state, inbox)
-
-
-def test_tables_keep_conformance_probes_honest():
-    machine = _ReadsFirstSlot(parse("<*,*>q1"), Signature(3, "--"))
-    assert machine.tag.inbox == SET
-    report = check_class_conformance(machine, samples=60, seed=0)
-    assert not report.ok
-    assert {v.kind for v in report.violations} == {SET}
 
 
 def test_decompile_round_trip_small(monkeypatch):

@@ -90,7 +90,7 @@ def test_odd_odd_machine_matches_unique_solution():
 
 
 def test_odd_odd_machine_conformance():
-    report = check_class_conformance(odd_odd_machine(3), samples=300, seed=0)
+    report = check_class_conformance(odd_odd_machine(3), seed=0)
     assert report.ok
 
 
@@ -186,5 +186,5 @@ def test_machines_carry_declared_classes():
 def test_shipped_machines_pass_conformance():
     for name, build in MACHINES.items():
         machine = build(3)
-        report = check_class_conformance(machine, samples=200, seed=42)
+        report = check_class_conformance(machine, seed=42)
         assert report.ok, (name, report.violations[:1])
