@@ -290,7 +290,9 @@ class ModelSuite:
 
     Worlds of all models are packed into one bit position space, so a truth
     table is a single int and Boolean combination of tables is int
-    arithmetic.  Diamond application walks precomputed successor masks.
+    arithmetic.  For the lifetime of the suite, each alpha keeps the
+    (world bit, successor mask) pairs of its worlds that have a successor,
+    and each diamond keeps its table per (alpha, grade, sub table) asked.
     """
 
     def __init__(self, ported: Sequence[PortedGraph], variant: str, delta: int):
@@ -313,35 +315,41 @@ class ModelSuite:
                 self._degree_masks[d] = self._degree_masks.get(d, 0) | (
                     1 << (offset + v)
                 )
-        self._succ_masks: dict[tuple, list[int]] = {}
+        self._succ_masks: dict[tuple, list[tuple[int, int]]] = {}
+        self._diamonds: dict[tuple, int] = {}
 
     def degree_mask(self, degree: int) -> int:
         return self._degree_masks.get(degree, 0)
 
-    def _successor_masks(self, alpha: tuple) -> list[int]:
-        masks = self._succ_masks.get(alpha)
-        if masks is None:
-            masks = [0] * self.total_worlds
+    def _successor_masks(self, alpha: tuple) -> list[tuple[int, int]]:
+        """(world bit, successor mask) of each world with an alpha-successor."""
+        pairs = self._succ_masks.get(alpha)
+        if pairs is None:
+            pairs = []
             for model, offset in zip(self.models, self.offsets):
                 for v, succ in enumerate(model.successor_table(alpha)):
                     acc = 0
                     for w in succ:
                         acc |= 1 << (offset + w)
-                    masks[offset + v] = acc
-            self._succ_masks[alpha] = masks
-        return masks
+                    if acc:
+                        pairs.append((1 << (offset + v), acc))
+            self._succ_masks[alpha] = pairs
+        return pairs
 
     def diamond_mask(self, alpha: tuple, grade: int, sub_mask: int) -> int:
-        masks = self._successor_masks(alpha)
-        out = 0
-        if grade == 1:
-            for pos in range(self.total_worlds):
-                if masks[pos] & sub_mask:
-                    out |= 1 << pos
-        else:
-            for pos in range(self.total_worlds):
-                if (masks[pos] & sub_mask).bit_count() >= grade:
-                    out |= 1 << pos
+        key = (alpha, grade, sub_mask)
+        out = self._diamonds.get(key)
+        if out is None:
+            out = 0
+            if grade == 1:
+                for bit, succ in self._successor_masks(alpha):
+                    if succ & sub_mask:
+                        out |= bit
+            else:
+                for bit, succ in self._successor_masks(alpha):
+                    if (succ & sub_mask).bit_count() >= grade:
+                        out |= bit
+            self._diamonds[key] = out
         return out
 
     def table(self, formula: Formula) -> int:
@@ -421,25 +429,32 @@ class _Decompiler:
             raise DecompileBudgetError(f"transition enumeration exceeded {MAX_VISITS} visits")
 
     def _intern(self, formula: Formula, table: int) -> tuple[Formula, int]:
-        """Semantic deduplication: one formula per (modal depth, truth table)."""
+        """Semantic deduplication: one formula per (modal depth, truth table),
+        the first one met.  ``_level`` looks its key up before it builds a
+        formula, so a disjunction whose key is taken is never built."""
         return self.interned.setdefault((formula.md, table), formula), table
 
     def _level(self, terms: list[tuple]) -> list[_Entry]:
-        """One entry per state: the disjunction of its (state, term, table)s."""
+        """One entry per state: the disjunction of its (state, conjuncts,
+        table)s, built only when its (modal depth, table) is new."""
         by_state: dict[bytes, list] = {}
-        for state, term, table in terms:
+        for state, conjuncts, table in terms:
             group = by_state.setdefault(canon(state), [state, [], 0])
-            group[1].append(term)
+            group[1].append(conjuncts)
             group[2] |= table
-        return [
-            _Entry(state, *self._intern(disj_all(parts), table))
-            for state, parts, table in by_state.values()
-        ]
+        level = []
+        for state, parts, table in by_state.values():
+            md = max(f.md for conjuncts in parts for f in conjuncts)
+            formula = self.interned.get((md, table))
+            if formula is None:
+                formula, _ = self._intern(disj_all([conj_all(p) for p in parts]), table)
+            level.append(_Entry(state, formula, table))
+        return level
 
     def _initial_level(self) -> list[_Entry]:
         no_degree = conj_all([neg(prop(i)) for i in range(1, self.delta + 1)])
         return self._level([
-            (self.machine.init_state(d), prop(d) if d else no_degree, self.suite.degree_mask(d))
+            (self.machine.init_state(d), [prop(d) if d else no_degree], self.suite.degree_mask(d))
             for d in range(self.delta + 1)
         ])
 
@@ -507,22 +522,24 @@ class _Decompiler:
     def _count_slot(self, message, grades: list[tuple[Formula, int]]):
         """One (message, outgoing index) behind a hidden incoming port: place
         it 0..(delta - placed) times, pinned exactly by the graded at-least
-        diamonds ``grades``.  The pins are built as the enumeration asks for
-        them: interning keeps the first formula met per table, so this order
-        picks the formulas that get printed."""
+        diamonds ``grades``.  Each count's pin is built and interned once,
+        when the enumeration first asks for it: interning keeps the first
+        formula met per table, so this order picks the formulas that get
+        printed."""
         full = self.suite.full_mask
+
+        @cache
+        def pin(count: int) -> tuple[Formula, int]:
+            if count == 0:
+                return self._intern(neg(grades[0][0]), full & ~grades[0][1])
+            if count == self.delta:
+                return self._intern(*grades[-1])
+            (lo, lo_table), (hi, hi_table) = grades[count - 1 : count + 1]
+            return self._intern(conj(lo, neg(hi)), lo_table & ~hi_table)
 
         def options(placed: int):
             for count in range(self.delta - placed + 1):
-                if count == 0:
-                    pin = neg(grades[0][0]), full & ~grades[0][1]
-                elif count == self.delta:
-                    pin = grades[-1]
-                else:
-                    (lo, lo_table), (hi, hi_table) = grades[count - 1 : count + 1]
-                    pin = conj(lo, neg(hi)), lo_table & ~hi_table
-                formula, table = self._intern(*pin)
-                yield formula, table, (message,) * count
+                yield *pin(count), (message,) * count
 
         return options
 
@@ -539,7 +556,7 @@ class _Decompiler:
                     inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
                     realised = canonical_inbox(machine.tag.inbox, inbox, self.code)
                     state = machine.transition(state, realised)
-                terms.append((state, conj_all(parts), table))
+                terms.append((state, parts, table))
                 return
             for formula, pin_table, messages in slots[idx](len(placed)):
                 narrowed = table & pin_table

@@ -14,9 +14,10 @@ orbit costs n! images per class plus 2^(n(n-1)/2) flag checks, hence a 7-node ca
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from functools import lru_cache
 from math import factorial
-from operator import or_
 from typing import Iterator
 
 from .graphs import (
@@ -42,16 +43,24 @@ def _graphs_on(n: int) -> Iterator[Graph]:
     pairs = list(itertools.combinations(range(n), 2))
     index = {pair: k for k, pair in enumerate(pairs)}
     perms = list(itertools.permutations(range(n)))
-    # images[k][p]: the bit of pair k's image under the p-th vertex permutation
-    images = [[1 << index[min(p[u], p[v]), max(p[u], p[v])] for p in perms] for u, v in pairs]
+    # lanes[k]: the bit of pair k's image under each vertex permutation, one
+    # 4-byte lane per permutation, so ORing two of these ints ORs every lane
+    lanes = [
+        int.from_bytes(
+            array("I", [1 << index[min(p[u], p[v]), max(p[u], p[v])] for p in perms]).tobytes(),
+            sys.byteorder,
+        )
+        for u, v in pairs
+    ]
+    width = 4 * len(perms)
     seen = bytearray(1 << len(pairs))
     mask = 0
     while mask >= 0:
         bits = [k for k in range(len(pairs)) if mask >> k & 1]
-        orbit = [0] * len(perms)
+        orbit = 0
         for k in bits:
-            orbit = list(map(or_, orbit, images[k]))
-        for image in orbit:
+            orbit |= lanes[k]
+        for image in set(memoryview(orbit.to_bytes(width, sys.byteorder)).cast("I")):
             seen[image] = 1
         yield Graph.from_edges(n, [pairs[k] for k in bits])
         mask = seen.find(0, mask + 1)

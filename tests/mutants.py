@@ -132,6 +132,46 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_1_compiler_checker_equivalence",
         ),
     ),
+    Mutant(
+        "M9",
+        "the suite's diamond memo keyed without the grade",
+        "src/portlogic/compiler.py",
+        "        key = (alpha, grade, sub_mask)\n",
+        "        key = (alpha, sub_mask)\n",
+        (
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-2]",
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[---3]",
+            "tests/test_compiler.py::test_decompile_output_is_stable",
+            "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
+            "tests/test_logic.py::test_eval_lists_every_signature_problem_and_matches_the_suite_table[--]",
+        ),
+    ),
+    Mutant(
+        "M10",
+        "the suite's diamond memo keyed without the alpha",
+        "src/portlogic/compiler.py",
+        "        key = (alpha, grade, sub_mask)\n",
+        "        key = (grade, sub_mask)\n",
+        (
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-2]",
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[+--3]",
+            "tests/test_compiler.py::test_decompile_output_is_stable",
+            "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
+            "tests/test_logic.py::test_eval_lists_every_signature_problem_and_matches_the_suite_table[++]",
+        ),
+    ),
+    Mutant(
+        "M11",
+        "_level looking a state up at the depth of its previous formula, without the round's pins",
+        "src/portlogic/compiler.py",
+        "            md = max(f.md for conjuncts in parts for f in conjuncts)\n",
+        "            md = parts[0][0].md\n",
+        (
+            "tests/test_compiler.py::test_decompile_depth_matches_horizon",
+            "tests/test_compiler.py::test_decompile_output_is_stable",
+            "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
+        ),
+    ),
 )
 
 

@@ -39,6 +39,7 @@ from portlogic.logic import (
     Dia,
     Signature,
     VARIANTS,
+    alphas_for,
     eval_formula,
     format_formula,
     kripke_model,
@@ -248,6 +249,32 @@ def test_tabulated_bodies_run_once_per_key(variant, delta, text):
     for name in ("init_state", "emit", "transition"):
         keys = [key for key in computed if key[0] == name]
         assert sum(asked[key] for key in keys) > len(keys)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_diamond_mask_matches_a_per_world_recount(variant, delta):
+    suite = ModelSuite(default_decompile_suite(delta, node_bound=4), variant, delta)
+    rng = random.Random(delta)
+    subs = [suite.degree_mask(d) for d in range(delta + 1)] + [suite.full_mask, 0]
+    subs += [rng.getrandbits(suite.total_worlds) for _ in range(4)]
+
+    def recount(alpha, grade, sub):
+        out = 0
+        for model, offset in zip(suite.models, suite.offsets):
+            for v, succ in enumerate(model.successor_table(alpha)):
+                if sum(sub >> (offset + w) & 1 for w in set(succ)) >= grade:
+                    out |= 1 << (offset + v)
+        return out
+
+    # each sub table under every alpha and grade in a row, each key twice, so
+    # a memo key that drops a field hands back another key's table
+    for sub in subs:
+        for alpha in alphas_for(variant, delta):
+            for grade in range(1, delta + 1):
+                expected = recount(alpha, grade, sub)
+                assert suite.diamond_mask(alpha, grade, sub) == expected
+                assert suite.diamond_mask(alpha, grade, sub) == expected
 
 
 def test_decompile_round_trip_small(monkeypatch):
