@@ -19,7 +19,8 @@ Reverse direction: a finite-horizon binary-output machine becomes a formula
 built from three families per round: state formulas ("the node is in state z
 after round t"), send formulas ("the node sends message m in round t"), and
 receive formulas (diamonds over send formulas).  State formulas are canonical
-DNF over the previous level: one term per (state, inbox) pair.  One
+DNF over the previous level: one term per (state, inbox) pair, and a stopped
+state keeps its formula, as a run keeps a stopped node.  One
 enumerator builds the inboxes, slot by slot.  A slot maps the number of
 messages placed so far to its options, each a pin formula with the messages
 it places.  A visible incoming port is one slot per port, with a null pin
@@ -210,6 +211,7 @@ class CompiledMachine(Machine):
         self.tag = next(t for t in CLASSES.values() if (t.variant, t.graded) == row)
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
+        # plain dicts: a functools.cache of a bound method would leave a cycle for the GC
         self._inits: dict[int, tuple] = {}
         self._emits: dict[tuple, tuple] = {}
         self._steps: dict[tuple, tuple | int] = {}
@@ -290,9 +292,9 @@ class ModelSuite:
 
     Worlds of all models are packed into one bit position space, so a truth
     table is a single int and Boolean combination of tables is int
-    arithmetic.  For the lifetime of the suite, each alpha keeps the
-    (world bit, successor mask) pairs of its worlds that have a successor,
-    and each diamond keeps its table per (alpha, grade, sub table) asked.
+    arithmetic.  For the lifetime of the suite, ``functools.cache`` keeps
+    each alpha's (world bit, successor mask) pairs for the worlds with a
+    successor, and each diamond's table per (alpha, grade, sub table).
     """
 
     def __init__(self, ported: Sequence[PortedGraph], variant: str, delta: int):
@@ -315,41 +317,29 @@ class ModelSuite:
                 self._degree_masks[d] = self._degree_masks.get(d, 0) | (
                     1 << (offset + v)
                 )
-        self._succ_masks: dict[tuple, list[tuple[int, int]]] = {}
-        self._diamonds: dict[tuple, int] = {}
+        self._successor_masks = cache(self._successor_masks)
+        self.diamond_mask = cache(self.diamond_mask)
 
     def degree_mask(self, degree: int) -> int:
         return self._degree_masks.get(degree, 0)
 
     def _successor_masks(self, alpha: tuple) -> list[tuple[int, int]]:
         """(world bit, successor mask) of each world with an alpha-successor."""
-        pairs = self._succ_masks.get(alpha)
-        if pairs is None:
-            pairs = []
-            for model, offset in zip(self.models, self.offsets):
-                for v, succ in enumerate(model.successor_table(alpha)):
-                    acc = 0
-                    for w in succ:
-                        acc |= 1 << (offset + w)
-                    if acc:
-                        pairs.append((1 << (offset + v), acc))
-            self._succ_masks[alpha] = pairs
+        pairs = []
+        for model, offset in zip(self.models, self.offsets):
+            for v, succ in enumerate(model.successor_table(alpha)):
+                acc = 0
+                for w in succ:
+                    acc |= 1 << (offset + w)
+                if acc:
+                    pairs.append((1 << (offset + v), acc))
         return pairs
 
     def diamond_mask(self, alpha: tuple, grade: int, sub_mask: int) -> int:
-        key = (alpha, grade, sub_mask)
-        out = self._diamonds.get(key)
-        if out is None:
-            out = 0
-            if grade == 1:
-                for bit, succ in self._successor_masks(alpha):
-                    if succ & sub_mask:
-                        out |= bit
-            else:
-                for bit, succ in self._successor_masks(alpha):
-                    if (succ & sub_mask).bit_count() >= grade:
-                        out |= bit
-            self._diamonds[key] = out
+        out = 0
+        for bit, succ in self._successor_masks(alpha):
+            if (succ & sub_mask).bit_count() >= grade:
+                out |= bit
         return out
 
     def table(self, formula: Formula) -> int:
@@ -398,7 +388,7 @@ class _Entry(NamedTuple):
     """A state reachable after some round, its state formula and its table."""
 
     state: object
-    formula: Formula
+    formula: Formula | None
     table: int
 
 
@@ -434,20 +424,25 @@ class _Decompiler:
         formula, so a disjunction whose key is taken is never built."""
         return self.interned.setdefault((formula.md, table), formula), table
 
-    def _level(self, terms: list[tuple]) -> list[_Entry]:
-        """One entry per state: the disjunction of its (state, conjuncts,
-        table)s, built only when its (modal depth, table) is new."""
-        by_state: dict[bytes, list] = {}
+    def _level(self, terms: list[tuple], t: int) -> list[_Entry]:
+        """One entry per state after round t: the disjunction of its (state,
+        conjuncts, table)s, built only when its (modal depth, table) is new.
+        After the last round only a state that outputs 1 gets a formula, the
+        only kind ``build`` keeps; the others carry None."""
+        machine = self.machine
+        by_state: dict[object, list] = {}
         for state, conjuncts, table in terms:
-            group = by_state.setdefault(canon(state), [state, [], 0])
-            group[1].append(conjuncts)
-            group[2] |= table
+            group = by_state.setdefault(state, [[], 0])
+            group[0].append(conjuncts)
+            group[1] |= table
         level = []
-        for state, parts, table in by_state.values():
-            md = max(f.md for conjuncts in parts for f in conjuncts)
-            formula = self.interned.get((md, table))
-            if formula is None:
-                formula, _ = self._intern(disj_all([conj_all(p) for p in parts]), table)
+        for state, (parts, table) in by_state.items():
+            formula = None
+            if t < self.horizon or machine.is_output(state) and machine.output_value(state) == 1:
+                md = max(f.md for conjuncts in parts for f in conjuncts)
+                formula = self.interned.get((md, table))
+                if formula is None:
+                    formula, _ = self._intern(disj_all([conj_all(p) for p in parts]), table)
             level.append(_Entry(state, formula, table))
         return level
 
@@ -456,7 +451,7 @@ class _Decompiler:
         return self._level([
             (self.machine.init_state(d), [prop(d) if d else no_degree], self.suite.degree_mask(d))
             for d in range(self.delta + 1)
-        ])
+        ], 0)
 
     def _messages(self, live: list[_Entry]) -> dict[bytes, tuple]:
         """Distinct non-null messages sent from live states: code -> (message,
@@ -544,19 +539,19 @@ class _Decompiler:
         return options
 
     def _enumerate(self, entry: _Entry, slots: list, terms: list):
-        """One (next state, term, table) per inbox the slots leave satisfiable."""
+        """One (next state, term, table) per inbox the slots leave satisfiable.
+        A stopped entry is kept as it is, as ``run`` keeps a stopped node."""
         machine = self.machine
-        stopped = machine.is_output(entry.state)
+        if machine.is_output(entry.state):
+            terms.append((entry.state, [entry.formula], entry.table))
+            return
 
         def recurse(idx: int, table: int, parts: list[Formula], placed: tuple):
             self._charge()
             if idx == len(slots):
-                state = entry.state
-                if not stopped:
-                    inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
-                    realised = canonical_inbox(machine.tag.inbox, inbox, self.code)
-                    state = machine.transition(state, realised)
-                terms.append((state, parts, table))
+                inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
+                realised = canonical_inbox(machine.tag.inbox, inbox, self.code)
+                terms.append((machine.transition(entry.state, realised), parts, table))
                 return
             for formula, pin_table, messages in slots[idx](len(placed)):
                 narrowed = table & pin_table
@@ -571,7 +566,7 @@ class _Decompiler:
         terms: list[tuple] = []
         for entry in live:
             self._enumerate(entry, slots, terms)
-        level = self._level(terms)
+        level = self._level(terms, t)
         if len(level) > MAX_STATES:
             raise DecompileBudgetError(
                 f"{len(level)} states at round {t} exceed the budget {MAX_STATES}"

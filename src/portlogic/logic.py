@@ -23,8 +23,9 @@ Concrete grammar (whitespace insignificant)::
 Disjunction, T and F are sugar eliminated at parse time; F is the fixed
 contradiction (q1 & !q1) and T its negation.  Negations, diamonds and
 parentheses nest at most ``MAX_NESTING`` levels deep.  Nodes are
-hash-consed, so structurally equal formulas are the same object and big
-shared structures (such as decompiled formulas) stay compact.  Printing
+hash-consed through one ``functools.cache`` per node class, so structurally
+equal formulas are the same object and big shared structures (such as
+decompiled formulas) stay compact; the caches never shrink.  Printing
 expands that sharing into a tree, so ``format_formula`` refuses formulas
 of more than ``MAX_FORMAT_SIZE`` tree nodes.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable
 
 from .graphs import PortedGraph, PortlogicError
@@ -169,29 +171,23 @@ class Dia(Formula):
         self.size = sub.size + 1
 
 
-_interned: dict[tuple, Formula] = {}
-
-
-def _intern(key: tuple, build) -> Formula:
-    node = _interned.get(key)
-    if node is None:
-        node = build()
-        _interned[key] = node
-    return node
+# One cache per node class.  Children compare by identity (Formula has no __eq__);
+# calls are positional, since a keyword call gets its own key and a second node.
+_prop, _conj, _neg, _dia = cache(Prop), cache(And), cache(Not), cache(Dia)
 
 
 def prop(index: int) -> Formula:
     if index < 1:
         raise FormulaError("proposition indices start at 1")
-    return _intern(("q", index), lambda: Prop(index))
+    return _prop(index)
 
 
 def conj(left: Formula, right: Formula) -> Formula:
-    return _intern(("&", id(left), id(right)), lambda: And(left, right))
+    return _conj(left, right)
 
 
 def neg(sub: Formula) -> Formula:
-    return _intern(("!", id(sub)), lambda: Not(sub))
+    return _neg(sub)
 
 
 def dia(alpha: tuple, sub: Formula, grade: int = 1) -> Formula:
@@ -199,7 +195,7 @@ def dia(alpha: tuple, sub: Formula, grade: int = 1) -> Formula:
         raise FormulaError("grades start at 1")
     if len(alpha) != 2 or not all(x == STAR or isinstance(x, int) for x in alpha):
         raise FormulaError(f"bad modality index {alpha!r}")
-    return _intern(("<>", tuple(alpha), grade, id(sub)), lambda: Dia(tuple(alpha), grade, sub))
+    return _dia(tuple(alpha), grade, sub)
 
 
 def disj(left: Formula, right: Formula) -> Formula:

@@ -301,6 +301,7 @@ def run(
     kind = machine.tag.inbox
     if kind != VECTOR:
         key = cache(canon)
+    # plain dicts: a functools.cache wrapper per run costs more than most runs take
     steps: dict = {}
     steps_get = steps.get
     sends: dict = {}

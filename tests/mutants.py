@@ -105,8 +105,8 @@ MUTANTS = (
         "M6",
         "the decompiler's _enumerate skipping the realisation",
         "src/portlogic/compiler.py",
-        "                    realised = canonical_inbox(machine.tag.inbox, inbox, self.code)\n",
-        "                    realised = inbox\n",
+        "                realised = canonical_inbox(machine.tag.inbox, inbox, self.code)\n",
+        "                realised = inbox\n",
         ("tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",),
     ),
     Mutant(
@@ -134,30 +134,16 @@ MUTANTS = (
     ),
     Mutant(
         "M9",
-        "the suite's diamond memo keyed without the grade",
+        "the suite's diamond_mask ignoring the grade",
         "src/portlogic/compiler.py",
-        "        key = (alpha, grade, sub_mask)\n",
-        "        key = (alpha, sub_mask)\n",
+        "            if (succ & sub_mask).bit_count() >= grade:\n",
+        "            if (succ & sub_mask).bit_count() >= 1:\n",
         (
             "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-2]",
             "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[---3]",
             "tests/test_compiler.py::test_decompile_output_is_stable",
             "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
             "tests/test_logic.py::test_eval_lists_every_signature_problem_and_matches_the_suite_table[--]",
-        ),
-    ),
-    Mutant(
-        "M10",
-        "the suite's diamond memo keyed without the alpha",
-        "src/portlogic/compiler.py",
-        "        key = (alpha, grade, sub_mask)\n",
-        "        key = (grade, sub_mask)\n",
-        (
-            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-2]",
-            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[+--3]",
-            "tests/test_compiler.py::test_decompile_output_is_stable",
-            "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
-            "tests/test_logic.py::test_eval_lists_every_signature_problem_and_matches_the_suite_table[++]",
         ),
     ),
     Mutant(
@@ -170,6 +156,30 @@ MUTANTS = (
             "tests/test_compiler.py::test_decompile_depth_matches_horizon",
             "tests/test_compiler.py::test_decompile_output_is_stable",
             "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
+        ),
+    ),
+    Mutant(
+        "M12",
+        "conjunctions built without hash-consing",
+        "src/portlogic/logic.py",
+        "cache(And)",
+        "And",
+        (
+            "tests/test_logic.py::test_hash_consing_gives_one_node_whatever_the_call_shape",
+            "tests/test_logic.py::test_print_parse_roundtrip",
+            "tests/test_logic.py::test_parse_reads_back_printed_formulas_only_up_to_max_nesting",
+        ),
+    ),
+    Mutant(
+        "M13",
+        "the decompiler charging a stopped entry an enumeration visit again",
+        "src/portlogic/compiler.py",
+        "            terms.append((entry.state, [entry.formula], entry.table))\n            return\n",
+        "            terms.append((entry.state, [entry.formula], entry.table))\n"
+        "            return self._charge()\n",
+        tuple(
+            f"tests/test_compiler.py::test_decompile_keeps_a_stopped_state_without_enumerating_it[{seed}]"
+            for seed in range(6)
         ),
     ),
 )

@@ -493,6 +493,21 @@ def test_decompile_visit_budget_boundary(machine, variant, visits, monkeypatch):
         decompile_details(machine(), 2, 3, variant, node_bound=4)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_decompile_keeps_a_stopped_state_without_enumerating_it(seed, monkeypatch):
+    # run keeps a stopped node as it is: a horizon past the stopping round
+    # costs no visit and returns the very formula of the stopping round
+    machine = random_multiset_machine(2, seed)
+    g = path(2)
+    stop = run(machine, PortedGraph(g, consistent_port_numbering(g)), 4).rounds
+    suite = ModelSuite(default_decompile_suite(2), "-+", 2)
+    worker = compiler._Decompiler(machine, Signature(2, "-+"), stop, suite)
+    formula = worker.build().formula
+    monkeypatch.setattr("portlogic.compiler.MAX_VISITS", worker.visits)
+    for horizon in range(stop, 5):
+        assert decompile_details(machine, 2, horizon, "-+", suite).formula is formula
+
+
 def test_decompile_refuses_budget_overrun(monkeypatch):
     monkeypatch.setattr("portlogic.compiler.MAX_VISITS", 3)
     machine = odd_odd_machine(2)

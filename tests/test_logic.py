@@ -90,6 +90,15 @@ def test_modal_depth():
     assert parse("<*,*;4>q1").md == 1  # grades do not add depth
 
 
+def test_hash_consing_gives_one_node_whatever_the_call_shape():
+    f = prop(2)
+    assert dia([1, 2], f) is dia((1, 2), f, 1) is dia((1, 2), f, grade=1)
+    assert dia(alpha=(1, 2), sub=f) is dia((1, 2), f)
+    assert conj(prop(1), f) is conj(prop(1), f) is conj(left=prop(1), right=f)
+    assert neg(f) is neg(sub=f)
+    assert prop(1) is parse("q1") is prop(index=1)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_print_parse_roundtrip(seed):
     rng = random.Random(seed)
