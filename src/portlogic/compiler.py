@@ -177,7 +177,10 @@ class CompiledMachine(Machine):
     already its realised view (every caller realises it through
     ``canonical_inbox``).  The untabulated bodies (``_init_state``, ``_emit``,
     ``_transition``) run only on a miss, and the transition table holds one
-    entry per (state, inbox) pair the instance has been asked about.
+    entry per (state, inbox) pair the instance has been asked about.  Its
+    ``run_memo`` is an instance dict, so ``machines.run`` keeps its step memo
+    (keyed by the inbox as received) across every run of the instance, and
+    drops it with the instance.
     """
 
     def __init__(self, formula: Formula, sig: Signature):
@@ -215,6 +218,7 @@ class CompiledMachine(Machine):
         self._inits: dict[int, tuple] = {}
         self._emits: dict[tuple, tuple] = {}
         self._steps: dict[tuple, tuple | int] = {}
+        self.run_memo = {}
 
     def init_state(self, degree: int):
         state = self._inits.get(degree)

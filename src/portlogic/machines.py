@@ -24,18 +24,24 @@ construction: every caller hands ``transition`` that realisation, so no
 transition can see the order or (for sets) the multiplicities the view hides.
 
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
-messages) equal under ``==`` must have equal ``canon`` encodings: within one
-run the executor computes ``init_state`` once per degree, ``is_output`` and
-the messages on ports 1..d once per (state, degree d), and ``transition``
-once per (state, inbox as received).  Only on such a miss does it realise
-the inbox, encoding each message once per run through a ``functools.cache``
-of ``canon`` that the run builds and drops.  ``1 == True`` while their
-encodings differ, so a machine that tells them apart breaks this, and equal
-inboxes would no longer realise equally; ``check_class_conformance`` reports
-such pairs.  The executor keeps nothing across runs, apart from each
+messages) equal under ``==`` must have equal ``canon`` encodings: the
+executor asks ``init_state`` once per degree in each run, and keeps a memo
+with, per degree d, ``is_output`` and the messages on ports 1..d per state,
+and the next state (with what it sends) per (state, inbox as received).  It
+asks the machine only on a miss, and only then realises the inbox, encoding
+each message once per run through a ``functools.cache`` of ``canon`` that
+the run builds and drops.  ``1 == True`` while their encodings differ, so a
+machine that tells them apart breaks this, and equal inboxes would no
+longer realise equally; ``check_class_conformance`` reports such pairs.
+
+The memo is ``machine.run_memo`` when the machine offers one, and lives as
+long as the machine: ``compiler.CompiledMachine`` does, so every run of one
+compiled instance shares it.  Other machines (``run_memo`` ``None``, as in
+``SimpleMachine`` and the ``simulate`` wrappers) get a fresh memo per run,
+so for them the executor keeps nothing across runs, apart from each
 ``PortedGraph``'s wiring (which port feeds which), computed on its first
-run.  A machine may tabulate its own pure functions
-(``compiler.CompiledMachine`` does, for the lifetime of the instance).
+run.  A machine may also tabulate its own pure functions, as
+``CompiledMachine`` does for the lifetime of the instance.
 """
 
 from __future__ import annotations
@@ -146,8 +152,11 @@ class Machine:
     traces, conformance probes and the decompiler use; ``NO_MESSAGE`` is the
     one null message.  ``emit``, ``transition`` and ``is_output`` must be
     pure, and equal states (or messages) must have equal encodings, because
-    the executor memoises them within a run; being pure, they may also be
-    tabulated by the machine itself, across runs.  Every caller hands
+    the executor memoises them; being pure, they may also be tabulated by
+    the machine itself, across runs.  ``run_memo`` is where ``run`` keeps
+    that memo: ``None`` (the default) gives each run a fresh one, and a
+    subclass that sets it to ``{}`` per instance has every run of the
+    instance share it, for as long as the instance lives.  Every caller hands
     ``transition`` the inbox ``canonical_inbox`` realises and asks through
     ``message_on``, which asks a broadcast machine for one message, on port
     1.  A vector-outbox machine's ``emit(state, port)`` must answer every
@@ -163,6 +172,7 @@ class Machine:
     tag: ClassTag
     outputs: frozenset | None = None
     name: str = ""
+    run_memo: dict | None = None
 
     def init_state(self, degree: int):
         raise NotImplementedError
@@ -284,8 +294,9 @@ def run(
     first-class result (``stopped=False``, outputs ``None``), not an error.
     Each round concatenates every node's messages into one flat outbox, and
     each live node gathers its inbox from it through ``ported.wiring``.
-    Stopped nodes are never stepped again.  The memos (see the module
-    docstring) live for this call only.
+    Stopped nodes are never stepped again.  The memo (see the module
+    docstring) is ``machine.run_memo`` when the machine keeps one, and a
+    dict that lives for this call only otherwise.
     """
     if max_rounds < 0:
         raise MaxRoundsError(f"max_rounds must be at least 0, got {max_rounds}")
@@ -301,33 +312,44 @@ def run(
     kind = machine.tag.inbox
     if kind != VECTOR:
         key = cache(canon)
-    # plain dicts: a functools.cache wrapper per run costs more than most runs take
-    steps: dict = {}
-    steps_get = steps.get
-    sends: dict = {}
-    sends_get = sends.get
+    memo = machine.run_memo
+    if memo is None:
+        memo = {}
+    # per degree d: {(state, inbox as received): (next state, what it sends)}
+    # and {state: its messages on ports 1..d, or None once stopped}; plain
+    # dicts, since a functools.cache wrapper per run costs more than most runs take
+    tables = {d: memo.setdefault(d, ({}, {})) for d in set(degrees)}
 
     def send(s, d):
         """Messages on ports 1..d from state s, or None once s has stopped."""
-        sent = sends[s, d] = (
-            None if is_output(s) else [message_on(machine, s, j) for j in range(1, d + 1)]
-        )
+        sends = tables[d][1]
+        sent = sends.get(s, _MISSING)
+        if sent is _MISSING:
+            sent = sends[s] = (
+                None if is_output(s) else [message_on(machine, s, j) for j in range(1, d + 1)]
+            )
         return sent
 
-    init = {d: machine.init_state(d) for d in set(degrees)}
+    def step(s, inbox, d):
+        """s's next state on hearing inbox, and what that state sends."""
+        view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)
+        nxt = transition(s, view)
+        found = tables[d][0][s, inbox] = (nxt, send(nxt, d))
+        return found
+
+    init = {d: machine.init_state(d) for d in tables}
+    first = {d: send(s, d) for d, s in init.items()}
     states = [init[d] for d in degrees]
     live = []
     outbox = []
     for v, d in enumerate(degrees):
-        s = states[v]
-        sent = sends_get((s, d), _MISSING)
-        if sent is _MISSING:
-            sent = send(s, d)
+        sent = first[d]
         if sent is None:
             outbox.append([NO_MESSAGE] * d)
         else:
             outbox.append(sent)
             live.append(v)
+    lookups = [tables[d][0].get for d in degrees]
     trace = Trace(states=[tuple(states)], messages=[] if record_messages else None)
     rounds = 0
     for t in range(1, max_rounds + 1):
@@ -340,17 +362,12 @@ def run(
         for v in live:
             s = states[v]
             inbox = gathers[v](flat)
-            nxt = steps_get((s, inbox), _MISSING)
-            if nxt is _MISSING:
-                view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)
-                nxt = steps[s, inbox] = transition(s, view)
-            states[v] = nxt
-            d = degrees[v]
-            sent = sends_get((nxt, d), _MISSING)
-            if sent is _MISSING:
-                sent = send(nxt, d)
+            found = lookups[v]((s, inbox))
+            if found is None:
+                found = step(s, inbox, degrees[v])
+            states[v], sent = found
             if sent is None:
-                outbox[v] = [NO_MESSAGE] * d
+                outbox[v] = [NO_MESSAGE] * degrees[v]
             else:
                 outbox[v] = sent
                 still.append(v)

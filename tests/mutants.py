@@ -72,8 +72,8 @@ MUTANTS = (
         "M4",
         "run passing the raw inbox",
         "src/portlogic/machines.py",
-        "                view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)\n",
-        "                view = inbox\n",
+        "        view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)\n",
+        "        view = inbox\n",
         (
             "tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",
             "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MV]",
@@ -180,6 +180,33 @@ MUTANTS = (
         tuple(
             f"tests/test_compiler.py::test_decompile_keeps_a_stopped_state_without_enumerating_it[{seed}]"
             for seed in range(6)
+        ),
+    ),
+    Mutant(
+        "M14",
+        "run's memo keyed without the degree",
+        "src/portlogic/machines.py",
+        "    tables = {d: memo.setdefault(d, ({}, {})) for d in set(degrees)}\n",
+        "    tables = {d: memo.setdefault(0, ({}, {})) for d in set(degrees)}\n",
+        (
+            *(
+                "tests/test_machines.py::test_compiled_reruns_on_mixed_degrees_match_the_reference"
+                f"[{variant}]"
+                for variant in ("++", "-+", "+-", "--")
+            ),
+            "tests/test_machines.py::test_run_matches_the_unmemoised_executor[compiled]",
+            "tests/test_compiler.py::test_tabulated_machine_runs_like_a_fresh_one[--]",
+        ),
+    ),
+    Mutant(
+        "M15",
+        "run keeping a memo for a machine whose run_memo is None",
+        "src/portlogic/machines.py",
+        "        memo = {}\n",
+        "        memo = machine.run_memo = {}\n",
+        (
+            "tests/test_machines.py::test_run_keeps_no_state_across_runs",
+            "tests/test_machines.py::test_compiled_machines_share_no_run_memo",
         ),
     ),
 )

@@ -405,6 +405,13 @@ def test_impossibility_rejects_empty_x():
     assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
 
 
+@pytest.mark.parametrize("xs", [[3], [1, 3], [-1]], ids=["n", "node-and-n", "negative"])
+def test_impossibility_rejects_x_outside_the_graph(xs):
+    g = star(2)  # nodes 0, 1, 2
+    with pytest.raises(ImpossibilityInputError, match="X must be a nonempty set of graph nodes"):
+        impossibility_check(g, xs, leaf_election(), "vb", consistent_port_numbering(g, 0))
+
+
 # ---------------------------------------------------------------------------
 # Differential guard: the plain verifier against the pairwise one it replaced,
 # copied here verbatim (an any(...) over successors for each zig-zag clause)

@@ -243,6 +243,14 @@ def test_graph_invariants_enforced():
             Graph(len(adjacency), adjacency)
 
 
+def test_from_edges_rejects_an_endpoint_equal_to_n():
+    # out of range by one: a GraphError, not an IndexError from the adjacency
+    for n in (2, 3):
+        for u, v in ((0, n), (n, 0)):
+            with pytest.raises(GraphError, match=re.escape(f"edge ({u},{v}) out of range")):
+                Graph.from_edges(n, [(u, v)])
+
+
 def test_graph_size_is_bounded_before_allocation():
     def never_consumed():
         raise AssertionError("edges consumed before the size check")
@@ -362,6 +370,13 @@ def test_numbering_enumeration_count():
     assert len({p.items() for p in seen}) == 4
     for p in seen:
         validate_port_numbering(g, p)
+
+
+def test_numberings_are_equal_exactly_when_their_maps_are():
+    seen = list(all_port_numberings(path(3)))
+    for p, q in itertools.product(seen, repeat=2):
+        same = p.items() == q.items()
+        assert (p == q) is same and (p != q) is not same
 
 
 def test_all_graphs_enumeration_counts():

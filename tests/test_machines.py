@@ -594,3 +594,55 @@ def test_run_matches_the_unmemoised_executor(family):
                         trace_to_json(expected)
                     ), where
                     assert actual.outputs == expected.outputs, where
+
+
+# ---------------------------------------------------------------------------
+# The run memo a compiled machine keeps across runs
+# ---------------------------------------------------------------------------
+
+
+def test_compiled_machines_share_no_run_memo():
+    sig = Signature(3, "--")
+    f = dia((STAR, STAR), prop(1))
+    a, b = compile_formula(f, sig), compile_formula(f, sig)
+    assert a.run_memo == {} and b.run_memo == {} and a.run_memo is not b.run_memo
+    g = star(3)
+    run(a, PortedGraph(g, consistent_port_numbering(g, 0)), f.md + 1)
+    assert a.run_memo and b.run_memo == {}
+    # machines that keep no memo get a fresh one per run
+    base = problems.odd_odd_machine(3)
+    for machine in (base, set_from_multiset(base)):
+        run(machine, PortedGraph(g, consistent_port_numbering(g, 0)), 16)
+        assert machine.run_memo is None
+
+
+# degrees 3, 1, 1, 2, 1 and 2, 2, 3, 3, 1, 1: states a formula cannot tell
+# apart by degree meet at nodes of different degrees
+_MIXED_A = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+_MIXED_B = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 5)])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compiled_reruns_on_mixed_degrees_match_the_reference(variant):
+    sig = Signature(3, variant)
+    rng = random.Random(f"rerun/{variant}")
+    a, b = (
+        PortedGraph(g, numberings(g, cap=1, samples=1, seed=k)[0])
+        for k, g in enumerate((_MIXED_A, _MIXED_B))
+    )
+    formulas = [f for f in (random_formula(rng, sig, max_depth=3) for _ in range(12)) if f.md >= 1]
+    assert len(formulas) >= 4
+    for f in formulas:
+        machine, fresh = compile_formula(f, sig), compile_formula(f, sig)
+        h = f.md + 1  # a compiled machine stops after exactly h rounds
+        # A, B and A again, each with and without messages; B first times out
+        for pg, rounds, record in [
+            (a, h, True), (a, h, False),
+            (b, h - 1, True), (b, h, False),
+            (a, h, False), (a, h, True),
+        ]:
+            got = run(machine, pg, rounds, record_messages=record)
+            expected = reference_run(fresh, pg, rounds, record_messages=record)
+            assert got.stopped is (rounds == h)
+            assert json.dumps(trace_to_json(got)) == json.dumps(trace_to_json(expected))
+            assert got.outputs == expected.outputs
