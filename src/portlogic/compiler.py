@@ -68,7 +68,7 @@ from .logic import (
     validate_signature,
     _node_problems,
 )
-from .machines import CLASSES, NO_MESSAGE, Machine, canonical_inbox, message_on
+from .machines import CLASSES, NO_MESSAGE, Machine, canonical_inbox, message_on, next_state
 from .smallgraphs import all_graphs
 
 __all__ = [
@@ -171,16 +171,10 @@ class CompiledMachine(Machine):
     variants whose diamonds see it, and the null message acts as the all-zero
     restriction tagged with port 1.
 
-    The machine tabulates its own pure functions for the lifetime of the
-    instance: ``init_state`` per degree, ``emit`` per (state, port) and
-    ``transition`` per (state, inbox), the inbox keyed as passed, which is
-    already its realised view (every caller realises it through
-    ``canonical_inbox``).  The untabulated bodies (``_init_state``, ``_emit``,
-    ``_transition``) run only on a miss, and the transition table holds one
-    entry per (state, inbox) pair the instance has been asked about.  Its
-    ``run_memo`` is an instance dict, so ``machines.run`` keeps its step memo
-    (keyed by the inbox as received) across every run of the instance, and
-    drops it with the instance.
+    Its ``run_memo`` is an instance dict, so the executor's memo (see
+    ``machines``) answers every run of the instance, and the decompiler's
+    transitions through ``machines.next_state``, for as long as the instance
+    lives; the machine keeps no table of its own.
     """
 
     def __init__(self, formula: Formula, sig: Signature):
@@ -214,31 +208,9 @@ class CompiledMachine(Machine):
         self.tag = next(t for t in CLASSES.values() if (t.variant, t.graded) == row)
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
-        # plain dicts: a functools.cache of a bound method would leave a cycle for the GC
-        self._inits: dict[int, tuple] = {}
-        self._emits: dict[tuple, tuple] = {}
-        self._steps: dict[tuple, tuple | int] = {}
         self.run_memo = {}
 
     def init_state(self, degree: int):
-        state = self._inits.get(degree)
-        if state is None:
-            state = self._inits[degree] = self._init_state(degree)
-        return state
-
-    def emit(self, state, port: int):
-        message = self._emits.get((state, port))
-        if message is None:
-            message = self._emits[state, port] = self._emit(state, port)
-        return message
-
-    def transition(self, state, inbox: tuple):
-        nxt = self._steps.get((state, inbox))
-        if nxt is None:
-            nxt = self._steps[state, inbox] = self._transition(state, inbox)
-        return nxt
-
-    def _init_state(self, degree: int):
         g = [U] * len(self._nodes)
         for k, node in enumerate(self._nodes):
             if node[0] == "q":
@@ -247,12 +219,12 @@ class CompiledMachine(Machine):
                 g[k] = _connective(node, g)
         return tuple(g)
 
-    def _emit(self, state, port: int):
+    def emit(self, state, port: int):
         if self.kind.out_visible:
             return ("f", port, tuple(state[k] for k in self._domains[port]))
         return ("f", tuple(state[k] for k in self._domains[STAR]))
 
-    def _transition(self, state, inbox: tuple):
+    def transition(self, state, inbox: tuple):
         if state[self._root] != U:
             return state[self._root]
         g = list(state)
@@ -555,7 +527,7 @@ class _Decompiler:
             if idx == len(slots):
                 inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
                 realised = canonical_inbox(machine.tag.inbox, inbox, self.code)
-                terms.append((machine.transition(entry.state, realised), parts, table))
+                terms.append((next_state(machine, entry.state, realised), parts, table))
                 return
             for formula, pin_table, messages in slots[idx](len(placed)):
                 narrowed = table & pin_table

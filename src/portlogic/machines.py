@@ -25,23 +25,25 @@ transition can see the order or (for sets) the multiplicities the view hides.
 
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
 messages) equal under ``==`` must have equal ``canon`` encodings: the
-executor asks ``init_state`` once per degree in each run, and keeps a memo
-with, per degree d, ``is_output`` and the messages on ports 1..d per state,
-and the next state (with what it sends) per (state, inbox as received).  It
-asks the machine only on a miss, and only then realises the inbox, encoding
-each message once per run through a ``functools.cache`` of ``canon`` that
-the run builds and drops.  ``1 == True`` while their encodings differ, so a
-machine that tells them apart breaks this, and equal inboxes would no
-longer realise equally; ``check_class_conformance`` reports such pairs.
+executor keeps a memo with, per degree d, the initial state, ``is_output``
+and the messages on ports 1..d per state, and the next state (with what it
+sends) per (state, inbox as received); and one view table, for all degrees,
+with the next state per (state, realised view), which only ``next_state``
+reads and fills.  It asks the machine only on a miss, and only then realises
+the inbox, encoding each message once per run through a ``functools.cache``
+of ``canon`` that the run builds and drops.  ``1 == True`` while their
+encodings differ, so a machine that tells them apart breaks this, and equal
+inboxes would no longer realise equally; ``check_class_conformance`` reports
+such pairs.
 
 The memo is ``machine.run_memo`` when the machine offers one, and lives as
 long as the machine: ``compiler.CompiledMachine`` does, so every run of one
-compiled instance shares it.  Other machines (``run_memo`` ``None``, as in
-``SimpleMachine`` and the ``simulate`` wrappers) get a fresh memo per run,
-so for them the executor keeps nothing across runs, apart from each
-``PortedGraph``'s wiring (which port feeds which), computed on its first
-run.  A machine may also tabulate its own pure functions, as
-``CompiledMachine`` does for the lifetime of the instance.
+compiled instance, and every decompilation of it, shares that one cache of
+the machine's answers.  Other machines (``run_memo`` ``None``, as in
+``SimpleMachine`` and the ``simulate`` wrappers) get a fresh memo per run
+and no view table, so for them the executor keeps nothing across runs,
+apart from each ``PortedGraph``'s wiring (which port feeds which), computed
+on its first run.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ __all__ = [
     "MaxRoundsError",
     "canonical_inbox",
     "message_on",
+    "next_state",
     "run",
     "Trace",
     "RunResult",
@@ -152,20 +155,20 @@ class Machine:
     traces, conformance probes and the decompiler use; ``NO_MESSAGE`` is the
     one null message.  ``emit``, ``transition`` and ``is_output`` must be
     pure, and equal states (or messages) must have equal encodings, because
-    the executor memoises them; being pure, they may also be tabulated by
-    the machine itself, across runs.  ``run_memo`` is where ``run`` keeps
-    that memo: ``None`` (the default) gives each run a fresh one, and a
-    subclass that sets it to ``{}`` per instance has every run of the
-    instance share it, for as long as the instance lives.  Every caller hands
-    ``transition`` the inbox ``canonical_inbox`` realises and asks through
-    ``message_on``, which asks a broadcast machine for one message, on port
-    1.  A vector-outbox machine's ``emit(state, port)`` must answer every
-    port from 1 to ``delta_max``, also beyond the degree of the nodes that
-    hold ``state``: ``run`` never asks there, but
-    ``compiler.decompile_details`` does for every state it reaches that has
-    not stopped, and it expects a message (``NO_MESSAGE`` will do) or a
-    ``PortlogicError``.  ``output_value`` maps a stopping state to the
-    reported output; wrappers override it to unwrap their own markers.
+    the executor memoises them.  ``run_memo`` is that memo, the one cache of
+    the machine's answers: ``None`` (the default) gives each run a fresh
+    one, and a subclass that sets it to ``{}`` per instance has every run
+    and decompilation of the instance share it, for as long as the instance
+    lives.  Every caller hands ``transition`` the inbox ``canonical_inbox``
+    realises and asks through ``message_on``, which asks a broadcast machine
+    for one message, on port 1.  A vector-outbox machine's
+    ``emit(state, port)`` must answer every port from 1 to ``delta_max``,
+    also beyond the degree of the nodes that hold ``state``: ``run`` never
+    asks there, but ``compiler.decompile_details`` does for every state it
+    reaches that has not stopped, and it expects a message (``NO_MESSAGE``
+    will do) or a ``PortlogicError``.  ``output_value`` maps a stopping
+    state to the reported output; wrappers override it to unwrap their own
+    markers.
     """
 
     delta_max: int
@@ -282,6 +285,25 @@ def _gather(indices: tuple[int, ...]) -> Callable[[list], tuple]:
 _MISSING = object()
 
 
+def next_state(machine: Machine, state, view: tuple):
+    """``machine.transition(state, view)``, ``view`` being a realised inbox.
+
+    With a ``run_memo`` the answer is kept in its view table, keyed by
+    (state, view), so the machine is asked once per pair for as long as the
+    memo lives, by ``run`` and the decompiler alike; without one the machine
+    is asked every time.
+    """
+    memo = machine.run_memo
+    if memo is None:
+        return machine.transition(state, view)
+    views = memo.setdefault("views", {})
+    key = (state, view)
+    nxt = views.get(key, _MISSING)
+    if nxt is _MISSING:
+        nxt = views[key] = machine.transition(state, view)
+    return nxt
+
+
 def run(
     machine: Machine,
     ported: PortedGraph,
@@ -296,7 +318,9 @@ def run(
     each live node gathers its inbox from it through ``ported.wiring``.
     Stopped nodes are never stepped again.  The memo (see the module
     docstring) is ``machine.run_memo`` when the machine keeps one, and a
-    dict that lives for this call only otherwise.
+    dict that lives for this call only otherwise; ``init_state`` is asked
+    once per degree per memo, and ``transition`` only through
+    ``next_state``.
     """
     if max_rounds < 0:
         raise MaxRoundsError(f"max_rounds must be at least 0, got {max_rounds}")
@@ -308,21 +332,25 @@ def run(
         )
     pad = sum(degrees)  # the flat outbox's last entry is NO_MESSAGE
     gathers = [_gather(src + (pad,) * (delta - len(src))) for src in sources]
-    is_output, transition = machine.is_output, machine.transition
+    is_output = machine.is_output
     kind = machine.tag.inbox
     if kind != VECTOR:
         key = cache(canon)
     memo = machine.run_memo
     if memo is None:
         memo = {}
-    # per degree d: {(state, inbox as received): (next state, what it sends)}
-    # and {state: its messages on ports 1..d, or None once stopped}; plain
-    # dicts, since a functools.cache wrapper per run costs more than most runs take
-    tables = {d: memo.setdefault(d, ({}, {})) for d in set(degrees)}
+    # per degree d: (its initial state, {(state, inbox as received): (next
+    # state, what it sends)}, {state: its messages on ports 1..d, or None once
+    # stopped}); plain dicts, since a functools.cache wrapper per run costs
+    # more than most runs take
+    tables = {
+        d: memo.get(d) or memo.setdefault(d, (machine.init_state(d), {}, {}))
+        for d in set(degrees)
+    }
 
     def send(s, d):
         """Messages on ports 1..d from state s, or None once s has stopped."""
-        sends = tables[d][1]
+        sends = tables[d][2]
         sent = sends.get(s, _MISSING)
         if sent is _MISSING:
             sent = sends[s] = (
@@ -333,13 +361,12 @@ def run(
     def step(s, inbox, d):
         """s's next state on hearing inbox, and what that state sends."""
         view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)
-        nxt = transition(s, view)
-        found = tables[d][0][s, inbox] = (nxt, send(nxt, d))
+        nxt = next_state(machine, s, view)
+        found = tables[d][1][s, inbox] = (nxt, send(nxt, d))
         return found
 
-    init = {d: machine.init_state(d) for d in tables}
-    first = {d: send(s, d) for d, s in init.items()}
-    states = [init[d] for d in degrees]
+    first = {d: send(table[0], d) for d, table in tables.items()}
+    states = [tables[d][0] for d in degrees]
     live = []
     outbox = []
     for v, d in enumerate(degrees):
@@ -349,7 +376,7 @@ def run(
         else:
             outbox.append(sent)
             live.append(v)
-    lookups = [tables[d][0].get for d in degrees]
+    lookups = [tables[d][1].get for d in degrees]
     trace = Trace(states=[tuple(states)], messages=[] if record_messages else None)
     rounds = 0
     for t in range(1, max_rounds + 1):

@@ -186,8 +186,8 @@ MUTANTS = (
         "M14",
         "run's memo keyed without the degree",
         "src/portlogic/machines.py",
-        "    tables = {d: memo.setdefault(d, ({}, {})) for d in set(degrees)}\n",
-        "    tables = {d: memo.setdefault(0, ({}, {})) for d in set(degrees)}\n",
+        "        d: memo.get(d) or memo.setdefault(d, (machine.init_state(d), {}, {}))\n",
+        "        d: memo.get(0) or memo.setdefault(0, (machine.init_state(d), {}, {}))\n",
         (
             *(
                 "tests/test_machines.py::test_compiled_reruns_on_mixed_degrees_match_the_reference"
@@ -208,6 +208,46 @@ MUTANTS = (
             "tests/test_machines.py::test_run_keeps_no_state_across_runs",
             "tests/test_machines.py::test_compiled_machines_share_no_run_memo",
         ),
+    ),
+    Mutant(
+        "M16",
+        "the view table keyed without the state",
+        "src/portlogic/machines.py",
+        "    key = (state, view)\n",
+        "    key = view\n",
+        (
+            "tests/test_machines.py::test_run_matches_the_unmemoised_executor[compiled]",
+            "tests/test_machines.py::test_compiled_reruns_on_mixed_degrees_match_the_reference[++]",
+            "tests/test_compiler.py::test_decompile_after_runs_on_the_suite_asks_no_transition[--]",
+            "tests/test_golden.py::test_traces_are_byte_identical[compiled ++]",
+        ),
+    ),
+    Mutant(
+        "M17",
+        "the parser's unary leaving its level open",
+        "src/portlogic/logic.py",
+        "            node = dia(alpha, self.unary(), grade)\n        self.depth -= 1\n",
+        "            node = dia(alpha, self.unary(), grade)\n",
+        (
+            "tests/test_logic.py::test_parse_bounds_nesting[!-]",
+            "tests/test_logic.py::test_parse_bounds_nesting[<*,*>-]",
+        ),
+    ),
+    Mutant(
+        "M18",
+        "has_one_factor refusing a graph of exactly MATCHING_NODE_CAP nodes",
+        "src/portlogic/graphs.py",
+        "    if g.n > MATCHING_NODE_CAP:\n",
+        "    if g.n >= MATCHING_NODE_CAP:\n",
+        ("tests/test_graphs.py::test_has_one_factor_cap",),
+    ),
+    Mutant(
+        "M19",
+        "format_formula refusing a tree of exactly MAX_FORMAT_SIZE nodes",
+        "src/portlogic/logic.py",
+        "    if formula.size > MAX_FORMAT_SIZE:\n",
+        "    if formula.size >= MAX_FORMAT_SIZE:\n",
+        ("tests/test_logic.py::test_format_formula_refuses_trees_above_max_format_size",),
     ),
 )
 

@@ -229,28 +229,52 @@ def test_tabulated_machine_runs_like_a_fresh_one(variant, delta, text):
 def test_tabulated_bodies_run_once_per_key(variant, delta, text):
     f, sig = parse(text), Signature(delta, variant)
     machine = compile_formula(f, sig)
-    asked, computed = Counter(), Counter()
+    asked = Counter()
 
-    def counting(counter, method, name):
+    def counting(method, name):
         def wrapped(*key):
-            counter[name, key] += 1
+            asked[name, key] += 1
             return method(*key)
         return wrapped
 
     for name in ("init_state", "emit", "transition"):
-        setattr(machine, name, counting(asked, getattr(machine, name), name))
-        body = "_" + name
-        setattr(machine, body, counting(computed, getattr(machine, body), name))
-    first = [trace_to_json(run(machine, pg, f.md + 1)) for pg in _small_ported(delta)]
-    assert set(computed) == set(asked)
-    assert set(computed.values()) == {1}
-    # the run memo the instance keeps answers a second pass over the same
-    # graphs: the machine is asked only for its initial states again
+        setattr(machine, name, counting(getattr(machine, name), name))
+    ported = list(_small_ported(delta))
+    first = [trace_to_json(run(machine, pg, f.md + 1)) for pg in ported]
+    # through the instance's memo the machine is asked for each initial state
+    # once, and for the next state once per (state, realised view)
+    degrees = {(pg.graph.degree(v),) for pg in ported for v in range(pg.graph.n)}
+    assert sorted(key for name, key in asked if name == "init_state") == sorted(degrees)
+    assert any(name == "transition" for name, _ in asked)
+    assert all(n == 1 for (name, _), n in asked.items() if name != "emit")
+    # and answers a second pass over the same graphs without asking anything
     asked.clear()
-    computed.clear()
-    again = [trace_to_json(run(machine, pg, f.md + 1)) for pg in _small_ported(delta)]
+    again = [trace_to_json(run(machine, pg, f.md + 1)) for pg in ported]
     assert again == first
-    assert {name for name, _ in asked} == {"init_state"} and not computed
+    assert not asked
+
+
+@pytest.mark.parametrize("variant, delta, text", TABULATED)
+def test_decompile_after_runs_on_the_suite_asks_no_transition(variant, delta, text):
+    # runs on every suite graph meet every (state, realised view) the
+    # decompiler enumerates, and the memo they fill answers it
+    f, sig = parse(text), Signature(delta, variant)
+    suite = ModelSuite(default_decompile_suite(delta, node_bound=4), variant, delta)
+    machine = compile_formula(f, sig)
+    for pg in suite.ported:
+        assert run(machine, pg, f.md + 1).stopped
+    asked = []
+    body = machine.transition
+
+    def counted(state, view):
+        asked.append((state, view))
+        return body(state, view)
+
+    machine.transition = counted
+    got = decompile_details(machine, delta, f.md + 1, variant, suite=suite)
+    assert asked == []
+    fresh = decompile_details(compile_formula(f, sig), delta, f.md + 1, variant, suite=suite)
+    assert got.formula is fresh.formula and got.table == fresh.table == suite.table(f)
 
 
 @pytest.mark.parametrize("delta", [1, 2, 3])

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import are_isomorphic, complete_bipartite, is_consistent
 from portlogic.graphs import (
+    MATCHING_NODE_CAP,
     MAX_GRAPH_NODES,
     Graph,
     GraphError,
@@ -204,8 +205,10 @@ def test_has_one_factor_small():
 
 
 def test_has_one_factor_cap():
-    with pytest.raises(SearchBoundError, match="^30 nodes exceeds the brute-force cap 24$"):
-        has_one_factor(cycle(30))
+    assert MATCHING_NODE_CAP == 24 and has_one_factor(cycle(24))
+    for n in (25, 30):
+        with pytest.raises(SearchBoundError, match=f"^{n} nodes exceeds the brute-force cap 24$"):
+            has_one_factor(cycle(n))
 
 
 def test_no_one_factor_cubic_certificate():

@@ -115,9 +115,27 @@ def test_parse_bounds_nesting(opener, closer):
     assert f.size == (1 if opener == "(" else 201)
     with pytest.raises(FormulaSyntaxError, match="nested more than"):
         parse(opener * (MAX_NESTING + 1) + "q1" + closer * (MAX_NESTING + 1))
+    # siblings each open and close one level, so the depth never passes 1
+    one = parse(opener + "q1" + closer)
+    expected = one
+    for _ in range(MAX_NESTING):
+        expected = conj(expected, one)
+    assert parse(" & ".join([opener + "q1" + closer] * (MAX_NESTING + 1))) is expected
 
 
 def test_format_formula_refuses_trees_above_max_format_size():
+    # conjoining a formula with itself doubles its tree; negated, the chain
+    # of 2**20 - 1 nodes is a tree of exactly MAX_FORMAT_SIZE nodes, which prints
+    f = prop(1)
+    while 2 * f.size + 1 < MAX_FORMAT_SIZE:
+        f = conj(f, f)
+    f = neg(f)
+    assert f.size == MAX_FORMAT_SIZE
+    text = format_formula(f)
+    assert text.startswith("!(") and text.count("q1") == MAX_FORMAT_SIZE // 2
+    assert repr(f) == f"Formula({text})"
+    with pytest.raises(FormulaError, match=f"formula has {MAX_FORMAT_SIZE + 1} tree nodes"):
+        format_formula(neg(f))
     # hash-consing keeps the DAG small while the printed tree doubles
     f = prop(1)
     while f.size <= MAX_FORMAT_SIZE:
