@@ -430,20 +430,23 @@ def format_formula(formula: Formula) -> str:
 class Signature:
     """Degree bound plus the index-pair shape legal for a variant.
 
-    ``kind`` is the variant's ``Variant`` and ``legal`` the set of modality
-    indices the signature allows; both are derived once, at construction.
+    ``kind`` is the variant's ``Variant``; ``sides`` holds, for the incoming
+    and then the outgoing index, the ports ``range(1, delta + 1)`` when the
+    variant sees that port and ``STAR`` when it hides it.  Both are derived
+    once, at construction, and checking an index against them takes
+    constant time whatever the delta.
     """
 
     delta: int
     variant: str
     kind: Variant = field(init=False, repr=False, compare=False)
-    legal: frozenset = field(init=False, repr=False, compare=False)
+    sides: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", variant_of(self.variant))
         if self.delta < 1:
             raise SignatureError("delta must be at least 1")
-        object.__setattr__(self, "legal", frozenset(alphas_for(self.variant, self.delta)))
+        object.__setattr__(self, "sides", _sides(self.kind, self.delta))
 
     @property
     def allows_grading(self) -> bool:
@@ -452,14 +455,15 @@ class Signature:
         return not self.kind.in_visible
 
 
-def alphas_for(variant: str, delta: int) -> list[tuple]:
-    kind = variant_of(variant)
+def _sides(kind: Variant, delta: int) -> tuple:
     ports = range(1, delta + 1)
-    return [
-        (i, j)
-        for i in (ports if kind.in_visible else (STAR,))
-        for j in (ports if kind.out_visible else (STAR,))
-    ]
+    return (ports if kind.in_visible else STAR, ports if kind.out_visible else STAR)
+
+
+def alphas_for(variant: str, delta: int) -> list[tuple]:
+    """Every index legal for (variant, delta), incoming index first."""
+    sides = _sides(variant_of(variant), delta)
+    return list(itertools.product(*((STAR,) if side == STAR else side for side in sides)))
 
 
 def _node_problems(node: Formula, sig: Signature) -> list[str]:
@@ -473,7 +477,12 @@ def _node_problems(node: Formula, sig: Signature) -> list[str]:
         if node.index > sig.delta:
             problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
     elif isinstance(node, Dia):
-        if node.alpha not in sig.legal:
+        # a side is STAR or a range of ports; range membership is constant
+        # time for an int, but a linear scan for STAR
+        if not all(
+            x == STAR if side == STAR else x != STAR and x in side
+            for x, side in zip(node.alpha, sig.sides)
+        ):
             problems.append(
                 f"modality index {node.alpha} not legal for variant {sig.variant}"
                 f" with delta {sig.delta}"
@@ -496,27 +505,31 @@ def validate_signature(formula: Formula, sig: Signature) -> list[str]:
 class KripkeModel:
     """Worlds with indexed accessibility relations and a degree valuation.
 
-    ``relations`` maps each signature index to a sorted tuple of distinct
-    (v, w) pairs, w being an alpha-successor of v; every index legal for
-    (variant, delta) has an entry, empty when no pair carries it.  Each
-    world's valuation profile is computed once, here.  Immutable by
-    convention.
+    ``relations`` maps each index some pair carries to the sorted tuple of
+    its distinct (v, w) pairs, w being an alpha-successor of v, and
+    ``valuation`` each proposition some world satisfies to those worlds.
+    An index or proposition nothing carries has no entry: it has no
+    successors and no worlds, whatever the signature allows, so a model's
+    size follows its pairs and worlds, not delta.  Each world's valuation
+    profile is computed once, here.  Immutable by convention.
     """
 
     def __init__(self, size: int, delta: int, variant: str, relations: dict, valuation: dict):
+        variant_of(variant)  # refuses an unknown variant
         self.size = size
         self.delta = delta
         self.variant = variant
-        self.relations = {alpha: () for alpha in alphas_for(variant, delta)}
-        for alpha, pairs in relations.items():
-            self.relations[alpha] = tuple(sorted(set(pairs)))
-        self.valuation = {i: frozenset(ws) for i, ws in valuation.items()}
+        self.relations = {
+            alpha: tuple(sorted(set(pairs))) for alpha, pairs in relations.items() if pairs
+        }
+        self.valuation = {i: frozenset(ws) for i, ws in valuation.items() if ws}
         self._succ: dict[tuple, tuple] = {}
         for alpha, pairs in self.relations.items():
             lists: list[list[int]] = [[] for _ in range(size)]
             for v, w in pairs:
                 lists[v].append(w)
             self._succ[alpha] = tuple(tuple(ws) for ws in lists)
+        self._no_successors = ((),) * size
         self._signature: Signature | None = None
         self._profiles = tuple(
             frozenset(i for i, ws in self.valuation.items() if world in ws)
@@ -524,8 +537,9 @@ class KripkeModel:
         )
 
     def successor_table(self, alpha: tuple) -> tuple[tuple[int, ...], ...]:
-        """The alpha-successors of every world, indexed by world."""
-        return self._succ[alpha]
+        """The alpha-successors of every world, indexed by world; none for
+        an index no pair carries."""
+        return self._succ.get(alpha, self._no_successors)
 
     def sat_prop(self, index: int) -> frozenset[int]:
         return self.valuation.get(index, frozenset())
@@ -574,13 +588,13 @@ def kripke_model(pg: PortedGraph, variant: str, delta: int | None = None) -> Kri
         delta = max(1, g.max_degree())
     if g.max_degree() > delta:
         raise SignatureMismatchError("graph degree exceeds requested delta")
-    relations: dict[tuple, set] = {alpha: set() for alpha in alphas_for(variant, delta)}
+    relations: dict[tuple, set] = {}
     for (v, j), (u, i) in pg.numbering.items():
-        relations[kind.project(i, j)].add((u, v))
-    valuation = {
-        i: frozenset(v for v in range(g.n) if g.degree(v) == i)
-        for i in range(1, delta + 1)
-    }
+        relations.setdefault(kind.project(i, j), set()).add((u, v))
+    valuation: dict[int, list] = {}
+    for v in range(g.n):
+        if g.degree(v):
+            valuation.setdefault(g.degree(v), []).append(v)
     return KripkeModel(g.n, delta, variant, relations, valuation)
 
 

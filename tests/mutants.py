@@ -249,6 +249,26 @@ MUTANTS = (
         "    if formula.size >= MAX_FORMAT_SIZE:\n",
         ("tests/test_logic.py::test_format_formula_refuses_trees_above_max_format_size",),
     ),
+    Mutant(
+        "M20",
+        "successor_table raising for an index no pair carries",
+        "src/portlogic/logic.py",
+        "        return self._succ.get(alpha, self._no_successors)\n",
+        "        return self._succ[alpha]\n",
+        (
+            "tests/test_logic.py::test_kripke_model_answers_an_uncarried_index_with_no_successors",
+            "tests/test_compiler.py::test_compile_matches_eval_random_suite[++]",
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-1]",
+        ),
+    ),
+    Mutant(
+        "M21",
+        "the index check reading only the incoming side",
+        "src/portlogic/logic.py",
+        "            for x, side in zip(node.alpha, sig.sides)\n",
+        "            for x, side in zip(node.alpha[:1], sig.sides)\n",
+        ("tests/test_logic.py::test_signature_derives_its_variant_and_legal_indices",),
+    ),
 )
 
 

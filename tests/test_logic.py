@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -174,9 +175,19 @@ def test_parse_reads_back_printed_formulas_only_up_to_max_nesting():
 
 
 def test_signature_derives_its_variant_and_legal_indices():
+    for variant in VARIANTS:
+        for delta in range(1, 4):
+            sig = Signature(delta, variant)
+            assert sig.kind == variant_of(variant)
+            candidates = (STAR, *range(delta + 2))
+            accepted = [
+                (i, j)
+                for i in candidates
+                for j in candidates
+                if not validate_signature(dia((i, j), prop(1)), sig)
+            ]
+            assert accepted == alphas_for(variant, delta)
     sig = Signature(2, "-+")
-    assert sig.kind == variant_of("-+")
-    assert sig.legal == frozenset(alphas_for("-+", 2))
     # the derived fields stay out of equality, hashing and repr
     assert sig == Signature(2, "-+") and hash(sig) == hash(Signature(2, "-+"))
     assert repr(sig) == "Signature(delta=2, variant='-+')"
@@ -202,7 +213,14 @@ def test_signature_validation():
         Signature(3, "+*")
 
 
-@pytest.mark.parametrize("build", [lambda: Signature(0, "--"), lambda: variant_of("+*")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Signature(0, "--"),
+        lambda: variant_of("+*"),
+        lambda: KripkeModel(1, 1, "+*", {}, {}),
+    ],
+)
 def test_signature_errors_share_the_library_base(build):
     with pytest.raises(SignatureError) as caught:
         build()
@@ -315,12 +333,33 @@ def test_kripke_model_drops_duplicate_pairs():
     assert graded.block_index(0) == graded.block_index(2)
 
 
-def test_kripke_model_gives_every_legal_index_an_entry():
+def test_kripke_model_answers_an_uncarried_index_with_no_successors():
     model = KripkeModel(2, 2, "-+", {(STAR, 1): [(0, 1)]}, {1: {0, 1}})
-    assert set(model.relations) == set(alphas_for("-+", 2))
-    assert model.relations[(STAR, 2)] == ()
+    assert (STAR, 2) not in model.relations
+    assert model.successor_table((STAR, 2)) == ((), ())
     assert eval_formula(model, parse("<*,2>q1")) == frozenset()
     assert eval_formula(model, parse("<*,1>q1")) == frozenset({0})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_kripke_model_keeps_only_what_the_graph_carries(variant):
+    # a star with 40 leaves carries 80 arcs; 40 * 40 indices are legal under ++
+    g = star(40)
+    model = kripke_model(PortedGraph(g, random_port_numbering(g, 0)), variant)
+    assert len(model.relations) <= 2 * g.edge_count()
+    assert set(model.valuation) == {1, 40}
+
+
+def test_signature_checks_an_index_without_listing_the_legal_ones():
+    tracemalloc.start()
+    try:
+        sig = Signature(300, "++")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a 90,000-index set takes about 12 MB
+    assert not validate_signature(parse("<300,1>q1"), sig)
+    assert validate_signature(parse("<301,1>q1"), sig)
 
 
 def test_valuation_profile_is_each_worlds_propositions():
