@@ -2,11 +2,12 @@
 
 Refinement starts from the valuation profile and repeatedly splits blocks by
 the signature a world shows to the current partition: for each relation index
-the set of successor blocks (plain), or the successor count into each block
-(graded).  Each round numbers the worlds by the first occurrence of their
-signature, and the fixpoint's numbering is the ``Partition`` itself: one block
-label per world.  Models here have at most a few hundred worlds, so the naive
-refinement wins on simplicity and auditability over Paige-Tarjan.
+the world has successors under, the index's rank with the set of successor
+blocks (plain), or the successor count into each block (graded), so a round's
+work follows the arcs.  Each round numbers the worlds by the first occurrence
+of their signature, and the fixpoint's numbering is the ``Partition`` itself:
+one block label per world.  Models here have at most a few hundred worlds, so
+the naive refinement wins on simplicity and auditability over Paige-Tarjan.
 
 ``verify_bisimulation`` checks an explicitly given relation directly against
 the back-and-forth conditions.  Graded verification is restricted to
@@ -134,21 +135,26 @@ def _numbered(keys: list) -> list[int]:
 
 
 def _refine(model: KripkeModel, graded: bool) -> Partition:
-    tables = [model.successor_table(alpha) for alpha in sorted(model.relations, key=str)]
+    # each world's successors by the rank of each index it has any under
+    outs: list[dict[int, list[int]]] = [{} for _ in range(model.size)]
+    for rank, alpha in enumerate(sorted(model.relations, key=str)):
+        for v, w in model.relations[alpha]:
+            outs[v].setdefault(rank, []).append(w)
     current = _numbered([model.valuation_profile(v) for v in range(model.size)])
     while True:
         keys = []
-        for v in range(model.size):
+        for v, succs in enumerate(outs):
             parts = []
-            for succ in tables:
-                succ_blocks = [current[w] for w in succ[v]]
+            for rank, succ in succs.items():
+                succ_blocks = [current[w] for w in succ]
                 if graded:
                     counts: dict[int, int] = {}
                     for b in succ_blocks:
                         counts[b] = counts.get(b, 0) + 1
-                    parts.append(tuple(sorted(counts.items())))
+                    part = tuple(sorted(counts.items()))
                 else:
-                    parts.append(frozenset(succ_blocks))
+                    part = frozenset(succ_blocks)
+                parts.append((rank, part))
             keys.append((current[v], tuple(parts)))
         # Each key starts with the world's current block, so numbering the
         # same partition again reproduces ``current`` exactly.

@@ -9,12 +9,13 @@ broadcast), one of the six in ``CLASSES``.
 
 Execution follows the synchronous recursion: the message arriving at port
 (u, i) in round t+1 is emit(x_t(v), j) where (v, j) is the port wired to
-(u, i); the inbox is always padded to length delta with the null message, so
-set views may legitimately contain the null message.  Nodes whose state is a
-stopping state are absorbing: they emit the null message and never change
-state again (enforced here, not left to machine authors).  Every caller
-asks a broadcast machine for one message, on port 1 (``message_on``), and
-sends it on every port, so no run sees a broadcast machine's ports.
+(u, i).  A node of degree d hears d messages, padded to length delta with
+the null message where a transition is asked, so set views may contain the
+null message.  Nodes whose state is a stopping state are absorbing: they
+emit the null message and never change state again (enforced here, not
+left to machine authors).  Every caller asks a broadcast machine for one
+message, on port 1 (``message_on``), and sends it on every port, so no run
+sees a broadcast machine's ports.
 
 For multiset- and set-tagged machines the executor canonicalises the inbox
 into a fixed realisation of the declared view (sorted by message encoding,
@@ -25,16 +26,16 @@ transition can see the order or (for sets) the multiplicities the view hides.
 
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
 messages) equal under ``==`` must have equal ``canon`` encodings: the
-executor keeps a memo with, per degree d, the initial state, ``is_output``
-and the messages on ports 1..d per state, and the next state (with what it
-sends) per (state, inbox as received); and one view table, for all degrees,
-with the next state per (state, realised view), which only ``next_state``
-reads and fills.  It asks the machine only on a miss, and only then realises
-the inbox, encoding each message once per run through a ``functools.cache``
-of ``canon`` that the run builds and drops.  ``1 == True`` while their
-encodings differ, so a machine that tells them apart breaks this, and equal
-inboxes would no longer realise equally; ``check_class_conformance`` reports
-such pairs.
+executor keeps a memo of four tables, each for all degrees: the initial
+state per degree, the next state and what it sends per (state, inbox as
+heard), the messages on ports 1..d per (state, d) (``None`` once stopped),
+and the next state per (state, realised view), which only ``next_state``
+reads and fills.  It asks the machine only on a miss, and only then pads
+the inbox to delta and realises it, encoding each message once per run
+through a ``functools.cache`` of ``canon`` that the run builds and drops.
+``1 == True`` while their encodings differ, so a machine that tells them
+apart breaks this, and equal inboxes would no longer realise equally;
+``check_class_conformance`` reports such pairs.
 
 The memo is ``machine.run_memo`` when the machine offers one, and lives as
 long as the machine: ``compiler.CompiledMachine`` does, so every run of one
@@ -156,12 +157,13 @@ class Machine:
     one null message.  ``emit``, ``transition`` and ``is_output`` must be
     pure, and equal states (or messages) must have equal encodings, because
     the executor memoises them.  ``run_memo`` is that memo, the one cache of
-    the machine's answers: ``None`` (the default) gives each run a fresh
-    one, and a subclass that sets it to ``{}`` per instance has every run
-    and decompilation of the instance share it, for as long as the instance
-    lives.  Every caller hands ``transition`` the inbox ``canonical_inbox``
-    realises and asks through ``message_on``, which asks a broadcast machine
-    for one message, on port 1.  A vector-outbox machine's
+    the machine's answers (four tables, see ``machines``): ``None`` (the
+    default) gives each run a fresh one, and a subclass that sets it to
+    ``{}`` per instance has every run and decompilation of the instance
+    share it, for as long as it lives.  Every caller hands ``transition``
+    the inbox ``canonical_inbox`` realises from what a node hears, padded
+    to ``delta_max``, and asks through ``message_on``, which asks a
+    broadcast machine for one message, on port 1.  A vector-outbox machine's
     ``emit(state, port)`` must answer every port from 1 to ``delta_max``,
     also beyond the degree of the nodes that hold ``state``: ``run`` never
     asks there, but ``compiler.decompile_details`` does for every state it
@@ -315,11 +317,12 @@ def run(
     Returns the outputs and the stopping round on success; a timeout is a
     first-class result (``stopped=False``, outputs ``None``), not an error.
     Each round concatenates every node's messages into one flat outbox, and
-    each live node gathers its inbox from it through ``ported.wiring``.
-    Stopped nodes are never stepped again.  The memo (see the module
-    docstring) is ``machine.run_memo`` when the machine keeps one, and a
-    dict that lives for this call only otherwise; ``init_state`` is asked
-    once per degree per memo, and ``transition`` only through
+    each live node gathers the d messages it hears from it through
+    ``ported.wiring``, padded to delta only on a memo miss and in recorded
+    inboxes.  Stopped nodes are never stepped again.  The memo (see the
+    module docstring) is ``machine.run_memo`` when the machine keeps one,
+    and a dict that lives for this call only otherwise; ``init_state`` is
+    asked once per degree per memo, and ``transition`` only through
     ``next_state``.
     """
     if max_rounds < 0:
@@ -330,8 +333,7 @@ def run(
         raise DegreeError(
             f"graph degree {max(degrees)} exceeds machine delta {delta}"
         )
-    pad = sum(degrees)  # the flat outbox's last entry is NO_MESSAGE
-    gathers = [_gather(src + (pad,) * (delta - len(src))) for src in sources]
+    gathers = [_gather(src) for src in sources]
     is_output = machine.is_output
     kind = machine.tag.inbox
     if kind != VECTOR:
@@ -339,60 +341,49 @@ def run(
     memo = machine.run_memo
     if memo is None:
         memo = {}
-    # per degree d: (its initial state, {(state, inbox as received): (next
-    # state, what it sends)}, {state: its messages on ports 1..d, or None once
-    # stopped}); plain dicts, since a functools.cache wrapper per run costs
-    # more than most runs take
-    tables = {
-        d: memo.get(d) or memo.setdefault(d, (machine.init_state(d), {}, {}))
-        for d in set(degrees)
-    }
+    # plain dicts: a functools.cache wrapper per run costs more than most runs take
+    inits = memo.setdefault("inits", {})  # degree -> initial state
+    steps = memo.setdefault("steps", {})  # (state, inbox as heard) -> (next state, what it sends)
+    sends = memo.setdefault("sends", {})  # (state, d) -> messages on ports 1..d, None once stopped
 
     def send(s, d):
         """Messages on ports 1..d from state s, or None once s has stopped."""
-        sends = tables[d][2]
-        sent = sends.get(s, _MISSING)
+        sent = sends.get((s, d), _MISSING)
         if sent is _MISSING:
-            sent = sends[s] = (
+            sent = sends[s, d] = (
                 None if is_output(s) else [message_on(machine, s, j) for j in range(1, d + 1)]
             )
         return sent
 
-    def step(s, inbox, d):
+    def step(s, inbox):
         """s's next state on hearing inbox, and what that state sends."""
-        view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)
+        padded = inbox + (NO_MESSAGE,) * (delta - len(inbox))
+        view = padded if kind == VECTOR else canonical_inbox(kind, padded, key)
         nxt = next_state(machine, s, view)
-        found = tables[d][1][s, inbox] = (nxt, send(nxt, d))
+        found = steps[s, inbox] = (nxt, send(nxt, len(inbox)))
         return found
 
-    first = {d: send(table[0], d) for d, table in tables.items()}
-    states = [tables[d][0] for d in degrees]
-    live = []
-    outbox = []
-    for v, d in enumerate(degrees):
-        sent = first[d]
-        if sent is None:
-            outbox.append([NO_MESSAGE] * d)
-        else:
-            outbox.append(sent)
-            live.append(v)
-    lookups = [tables[d][1].get for d in degrees]
+    for d in set(degrees).difference(inits):
+        inits[d] = machine.init_state(d)
+    first = {d: send(inits[d], d) for d in set(degrees)}
+    states = [inits[d] for d in degrees]
+    outbox = [first[d] or [NO_MESSAGE] * d for d in degrees]
+    live = [v for v, d in enumerate(degrees) if first[d] is not None]
+    lookup = steps.get
     trace = Trace(states=[tuple(states)], messages=[] if record_messages else None)
     rounds = 0
     for t in range(1, max_rounds + 1):
         if not live:
             break
-        flat = [*chain.from_iterable(outbox), NO_MESSAGE]
+        flat = [*chain.from_iterable(outbox)]
         if record_messages:
-            trace.messages.append(tuple([gather(flat) for gather in gathers]))
+            heard = zip(gathers, degrees)
+            trace.messages.append(tuple([g(flat) + (NO_MESSAGE,) * (delta - d) for g, d in heard]))
         still = []
         for v in live:
             s = states[v]
             inbox = gathers[v](flat)
-            found = lookups[v]((s, inbox))
-            if found is None:
-                found = step(s, inbox, degrees[v])
-            states[v], sent = found
+            states[v], sent = lookup((s, inbox)) or step(s, inbox)
             if sent is None:
                 outbox[v] = [NO_MESSAGE] * degrees[v]
             else:

@@ -72,8 +72,8 @@ MUTANTS = (
         "M4",
         "run passing the raw inbox",
         "src/portlogic/machines.py",
-        "        view = inbox if kind == VECTOR else canonical_inbox(kind, inbox, key)\n",
-        "        view = inbox\n",
+        "        view = padded if kind == VECTOR else canonical_inbox(kind, padded, key)\n",
+        "        view = padded\n",
         (
             "tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",
             "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MV]",
@@ -184,10 +184,14 @@ MUTANTS = (
     ),
     Mutant(
         "M14",
-        "run's memo keyed without the degree",
+        "run's send table keyed without the degree",
         "src/portlogic/machines.py",
-        "        d: memo.get(d) or memo.setdefault(d, (machine.init_state(d), {}, {}))\n",
-        "        d: memo.get(0) or memo.setdefault(0, (machine.init_state(d), {}, {}))\n",
+        "        sent = sends.get((s, d), _MISSING)\n"
+        "        if sent is _MISSING:\n"
+        "            sent = sends[s, d] = (\n",
+        "        sent = sends.get(s, _MISSING)\n"
+        "        if sent is _MISSING:\n"
+        "            sent = sends[s] = (\n",
         (
             *(
                 "tests/test_machines.py::test_compiled_reruns_on_mixed_degrees_match_the_reference"
@@ -268,6 +272,41 @@ MUTANTS = (
         "            for x, side in zip(node.alpha, sig.sides)\n",
         "            for x, side in zip(node.alpha[:1], sig.sides)\n",
         ("tests/test_logic.py::test_signature_derives_its_variant_and_legal_indices",),
+    ),
+    Mutant(
+        "M22",
+        "run asking the machine on the inbox as heard, unpadded",
+        "src/portlogic/machines.py",
+        "        padded = inbox + (NO_MESSAGE,) * (delta - len(inbox))\n",
+        "        padded = inbox\n",
+        ("tests/test_machines.py::test_inbox_padded_to_delta",),
+    ),
+    Mutant(
+        "M23",
+        "a refinement key part without its index rank",
+        "src/portlogic/bisim.py",
+        "                parts.append((rank, part))\n",
+        "                parts.append(part)\n",
+        (
+            "tests/test_bisim.py::test_refinement_partitions_verify_and_are_maximal",
+            "tests/test_acceptance.py::test_criterion_8_bisimulation_soundness_maximality_transfer",
+        ),
+    ),
+    Mutant(
+        "M24",
+        "a nodes line of any length past one field read as the nodes line",
+        "src/portlogic/graphs.py",
+        "        if fields[0] == \"nodes\" and len(fields) == 2:\n",
+        "        if fields[0] == \"nodes\" and len(fields) >= 2:\n",
+        ("tests/test_graphs.py::test_graph_format_roundtrip",),
+    ),
+    Mutant(
+        "M25",
+        "the graded witness naming the differing world first",
+        "src/portlogic/bisim.py",
+        "(reference[0], v, alpha)",
+        "(v, reference[0], alpha)",
+        ("tests/test_bisim.py::test_verify_graded_requires_equivalence",),
     ),
 )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -187,8 +188,10 @@ def test_verify_graded_requires_equivalence():
     # opposite nodes share both neighbours, so merging just them verifies
     assert verify_bisimulation(model, None, [(0, 2)], graded=True)
     # adjacent nodes do not: their successor counts hit different singletons
-    res = verify_bisimulation(model, None, [(0, 1)], graded=True)
-    assert not res.ok and res.clause == "B2*/B3*"
+    # the witness names the block's reference world first, then the one that differs
+    assert verify_bisimulation(model, None, [(0, 1)], graded=True) == VerifyResult(
+        False, "B2*/B3*", (0, 1, ("*", "*"))
+    )
     # and a relation that is not closed under transitivity is rejected outright
     with pytest.raises(NonEquivalenceError):
         verify_bisimulation(model, None, [(0, 1), (1, 2)], graded=True)
@@ -214,6 +217,22 @@ def test_refinement_partitions_verify_and_are_maximal():
                 for b in range(a + 1, len(part.blocks)):
                     merged = part.merge(a, b)
                     assert not verify_bisimulation(model, None, merged.as_pairs())
+
+
+@pytest.mark.parametrize("refine", [coarsest_bisimulation, coarsest_graded_bisimulation])
+def test_refinement_work_follows_the_arcs(refine):
+    # a star with 300 leaves carries 600 indices, one arc each; plain keys
+    # with a part for every index, most of them empty, peak at about 40 MB here
+    g = star(300)
+    model = kripke_model(PortedGraph(g, random_port_numbering(g, 0)), "++")
+    tracemalloc.start()
+    try:
+        part = refine(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(part.blocks) == 301
+    assert peak < 4_000_000
 
 
 def test_formula_transfer_within_blocks():

@@ -296,6 +296,9 @@ def test_graph_format_roundtrip():
         parse_graph("e 0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph("nodes 2\nxyz\n")
+    # a nodes line of more than one field is not a nodes line
+    with pytest.raises(GraphFormatError, match="^line 1: unrecognised line"):
+        parse_graph("nodes 2 3\n")
 
 
 def test_ported_format_roundtrip_and_validation():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from portlogic.graphs import (
     cycle,
     numbering_from_orders,
     path,
+    random_port_numbering,
     star,
 )
 from portlogic.logic import STAR, VARIANTS, Signature, dia, neg, prop
@@ -195,6 +197,21 @@ def test_inbox_padded_to_delta():
     g = path(2)
     run(probe, PortedGraph(g, consistent_port_numbering(g, 0)), 3)
     assert seen["inbox"] == ("x", NO_MESSAGE, NO_MESSAGE, NO_MESSAGE)
+
+
+def test_run_work_follows_the_arcs():
+    # a leaf hears one message; gathering every inbox padded to delta makes
+    # a round cost n * delta on a star, a peak of about 33 MB here
+    g = star(2000)
+    pg = PortedGraph(g, random_port_numbering(g, 0))
+    tracemalloc.start()
+    try:
+        result = run(problems.odd_odd_machine(2000), pg, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stopped
+    assert peak < 4_000_000
 
 
 def test_determinism_byte_for_byte():
