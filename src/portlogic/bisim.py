@@ -136,10 +136,10 @@ def _numbered(keys: list) -> list[int]:
 
 def _refine(model: KripkeModel, graded: bool) -> Partition:
     # each world's successors by the rank of each index it has any under
-    outs: list[dict[int, list[int]]] = [{} for _ in range(model.size)]
-    for rank, alpha in enumerate(sorted(model.relations, key=str)):
-        for v, w in model.relations[alpha]:
-            outs[v].setdefault(rank, []).append(w)
+    outs: list[dict[int, tuple[int, ...]]] = [{} for _ in range(model.size)]
+    for rank, alpha in enumerate(sorted(model.successors, key=str)):
+        for v, succ in model.successors[alpha].items():
+            outs[v][rank] = succ
     current = _numbered([model.valuation_profile(v) for v in range(model.size)])
     while True:
         keys = []
@@ -212,10 +212,10 @@ def verify_bisimulation(
     for v, w in pairs:
         if not (0 <= v < model.size and 0 <= w < second.size):
             raise RelationRangeError(f"pair {(v, w)} names a world outside its model")
-    union, offsets = (model, [0]) if other is None else disjoint_union([model, other])
+    union, offsets = disjoint_union([model] if other is None else [model, other])
     offset = offsets[-1]
     lifted = [(v, w + offset) for v, w in pairs]
-    tables = [(alpha, union.successor_table(alpha)) for alpha in sorted(union.relations, key=str)]
+    tables = [(alpha, union.successors[alpha]) for alpha in sorted(union.successors, key=str)]
 
     if not graded:
         zset = set(lifted)
@@ -228,7 +228,7 @@ def verify_bisimulation(
             if union.valuation_profile(v) != union.valuation_profile(w):
                 return VerifyResult(False, "B1", (v, w))
             for alpha, succ in tables:
-                succ_v, succ_w = succ[v], succ[w]
+                succ_v, succ_w = succ.get(v, ()), succ.get(w, ())
                 for s in succ_v:
                     if image[s].isdisjoint(succ_w):
                         return VerifyResult(False, "B2", (v, w, alpha, s))
@@ -276,7 +276,7 @@ def verify_bisimulation(
             reference = None
             for v in members:
                 counts: dict[int, int] = {}
-                for w in succ[v]:
+                for w in succ.get(v, ()):
                     b = block_of[w]
                     counts[b] = counts.get(b, 0) + 1
                 signature = tuple(sorted(counts.items()))

@@ -303,12 +303,11 @@ class ModelSuite:
         """(world bit, successor mask) of each world with an alpha-successor."""
         pairs = []
         for model, offset in zip(self.models, self.offsets):
-            for v, succ in enumerate(model.successor_table(alpha)):
+            for v, succ in model.successors.get(alpha, {}).items():
                 acc = 0
                 for w in succ:
                     acc |= 1 << (offset + w)
-                if acc:
-                    pairs.append((1 << (offset + v), acc))
+                pairs.append((1 << (offset + v), acc))
         return pairs
 
     def diamond_mask(self, alpha: tuple, grade: int, sub_mask: int) -> int:

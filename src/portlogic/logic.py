@@ -505,13 +505,15 @@ def validate_signature(formula: Formula, sig: Signature) -> list[str]:
 class KripkeModel:
     """Worlds with indexed accessibility relations and a degree valuation.
 
-    ``relations`` maps each index some pair carries to the sorted tuple of
-    its distinct (v, w) pairs, w being an alpha-successor of v, and
-    ``valuation`` each proposition some world satisfies to those worlds.
-    An index or proposition nothing carries has no entry: it has no
-    successors and no worlds, whatever the signature allows, so a model's
-    size follows its pairs and worlds, not delta.  Each world's valuation
-    profile is computed once, here.  Immutable by convention.
+    The constructor takes each relation as (v, w) pairs, w being an
+    alpha-successor of v, and keeps it once: ``successors`` maps each index
+    some pair carries to ``{world: successors}`` for the worlds with any
+    successor under it, worlds ascending and each successor tuple sorted and
+    distinct.  ``valuation`` maps each proposition some world satisfies to
+    those worlds.  An index or proposition nothing carries has no entry: it
+    has no successors and no worlds, whatever the signature allows, so a
+    model's size follows its pairs and worlds, not delta.  Each world's
+    valuation profile is computed once, here.  Immutable by convention.
     """
 
     def __init__(self, size: int, delta: int, variant: str, relations: dict, valuation: dict):
@@ -519,27 +521,19 @@ class KripkeModel:
         self.size = size
         self.delta = delta
         self.variant = variant
-        self.relations = {
-            alpha: tuple(sorted(set(pairs))) for alpha, pairs in relations.items() if pairs
-        }
+        self.successors: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        for alpha, pairs in relations.items():
+            if pairs:
+                succ: dict[int, list[int]] = {}
+                for v, w in sorted(set(pairs)):
+                    succ.setdefault(v, []).append(w)
+                self.successors[alpha] = {v: tuple(ws) for v, ws in succ.items()}
         self.valuation = {i: frozenset(ws) for i, ws in valuation.items() if ws}
-        self._succ: dict[tuple, tuple] = {}
-        for alpha, pairs in self.relations.items():
-            lists: list[list[int]] = [[] for _ in range(size)]
-            for v, w in pairs:
-                lists[v].append(w)
-            self._succ[alpha] = tuple(tuple(ws) for ws in lists)
-        self._no_successors = ((),) * size
         self._signature: Signature | None = None
         self._profiles = tuple(
             frozenset(i for i, ws in self.valuation.items() if world in ws)
             for world in range(size)
         )
-
-    def successor_table(self, alpha: tuple) -> tuple[tuple[int, ...], ...]:
-        """The alpha-successors of every world, indexed by world; none for
-        an index no pair carries."""
-        return self._succ.get(alpha, self._no_successors)
 
     def sat_prop(self, index: int) -> frozenset[int]:
         return self.valuation.get(index, frozenset())
@@ -558,18 +552,23 @@ class KripkeModel:
 
 def disjoint_union(models: Iterable[KripkeModel]) -> tuple[KripkeModel, list[int]]:
     """The models side by side in one model, and the offset of each: world w
-    of the k-th model is world ``offsets[k] + w`` of the union."""
+    of the k-th model is world ``offsets[k] + w`` of the union.  A single
+    model is its own union."""
     models = list(models)
     signatures = {(m.delta, m.variant) for m in models}
     if len(signatures) != 1:
         raise SignatureMismatchError("a union needs one or more models of one delta and variant")
+    if len(models) == 1:
+        return models[0], [0]
     ((delta, variant),) = signatures
     *offsets, size = itertools.accumulate((m.size for m in models), initial=0)
     relations: dict[tuple, list] = {}
     valuation: dict[int, list] = {}
     for m, offset in zip(models, offsets):
-        for alpha, pairs in m.relations.items():
-            relations.setdefault(alpha, []).extend((v + offset, w + offset) for v, w in pairs)
+        for alpha, succ in m.successors.items():
+            relations.setdefault(alpha, []).extend(
+                (v + offset, w + offset) for v, ws in succ.items() for w in ws
+            )
         for i, ws in m.valuation.items():
             valuation.setdefault(i, []).extend(w + offset for w in ws)
     return KripkeModel(size, delta, variant, relations, valuation), offsets
@@ -639,12 +638,12 @@ def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:
             memo[key] = worlds - memo[id(node.sub)]
         else:
             target = memo[id(node.sub)]
-            table = model.successor_table(node.alpha)
+            succ = model.successors.get(node.alpha, {}).items()
             if node.grade == 1:
-                memo[key] = frozenset(v for v in worlds if not target.isdisjoint(table[v]))
+                memo[key] = frozenset(v for v, ws in succ if not target.isdisjoint(ws))
             else:
                 memo[key] = frozenset(
-                    v for v in worlds if sum(w in target for w in table[v]) >= node.grade
+                    v for v, ws in succ if sum(w in target for w in ws) >= node.grade
                 )
     if problems:
         raise SignatureMismatchError("; ".join(problems))

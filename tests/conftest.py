@@ -174,8 +174,8 @@ def naive_holds(model: KripkeModel, world: int, formula) -> bool:
         return not naive_holds(model, world, formula.sub)
     if isinstance(formula, Dia):
         count = 0
-        for a, b in model.relations.get(formula.alpha, ()):
-            if a == world and naive_holds(model, b, formula.sub):
+        for b in model.successors.get(formula.alpha, {}).get(world, ()):
+            if naive_holds(model, b, formula.sub):
                 count += 1
         return count >= formula.grade
     raise TypeError(formula)
@@ -297,8 +297,8 @@ def model_to_json(model: KripkeModel) -> dict:
         "delta": model.delta,
         "variant": model.variant,
         "relations": {
-            f"({alpha[0]},{alpha[1]})": [list(pair) for pair in pairs]
-            for alpha, pairs in sorted(model.relations.items(), key=lambda kv: str(kv[0]))
+            f"({alpha[0]},{alpha[1]})": [[v, w] for v, ws in succ.items() for w in ws]
+            for alpha, succ in sorted(model.successors.items(), key=lambda kv: str(kv[0]))
         },
         "valuation": {
             f"q{i}": sorted(ws) for i, ws in sorted(model.valuation.items())

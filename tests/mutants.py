@@ -255,14 +255,13 @@ MUTANTS = (
     ),
     Mutant(
         "M20",
-        "successor_table raising for an index no pair carries",
+        "eval_formula raising for an index no pair carries",
         "src/portlogic/logic.py",
-        "        return self._succ.get(alpha, self._no_successors)\n",
-        "        return self._succ[alpha]\n",
+        "            succ = model.successors.get(node.alpha, {}).items()\n",
+        "            succ = model.successors[node.alpha].items()\n",
         (
             "tests/test_logic.py::test_kripke_model_answers_an_uncarried_index_with_no_successors",
             "tests/test_compiler.py::test_compile_matches_eval_random_suite[++]",
-            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-1]",
         ),
     ),
     Mutant(
@@ -307,6 +306,22 @@ MUTANTS = (
         "(reference[0], v, alpha)",
         "(v, reference[0], alpha)",
         ("tests/test_bisim.py::test_verify_graded_requires_equivalence",),
+    ),
+    Mutant(
+        "M26",
+        "a model keeping a pair listed twice as two successors",
+        "src/portlogic/logic.py",
+        "                for v, w in sorted(set(pairs)):\n",
+        "                for v, w in sorted(pairs):\n",
+        ("tests/test_logic.py::test_kripke_model_drops_duplicate_pairs",),
+    ),
+    Mutant(
+        "M27",
+        "the union of one model built as a second model",
+        "src/portlogic/logic.py",
+        "    if len(models) == 1:\n        return models[0], [0]\n",
+        "",
+        ("tests/test_logic.py::test_disjoint_union_of_one_model_is_that_model",),
     ),
 )
 

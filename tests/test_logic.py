@@ -249,7 +249,8 @@ def test_kripke_model_star_variant_is_edge_relation():
     for g in (star(3), cycle(4), path(4)):
         pg = PortedGraph(g, consistent_port_numbering(g, 1))
         model = kripke_model(pg, "--")
-        pairs = set(model.relations[(STAR, STAR)])
+        succ = model.successors[(STAR, STAR)]
+        pairs = {(v, w) for v, ws in succ.items() for w in ws}
         assert pairs == set(g.arcs())
         assert len(pairs) == 2 * g.edge_count()
 
@@ -258,7 +259,7 @@ def test_kripke_model_single_edge_by_hand():
     g = path(2)
     p = PortNumbering({(0, 1): (1, 1), (1, 1): (0, 1)})
     model = kripke_model(PortedGraph(g, p), "++", 1)
-    assert set(model.relations[(1, 1)]) == {(0, 1), (1, 0)}
+    assert model.successors[(1, 1)] == {0: (1,), 1: (0,)}
 
 
 def test_valuation_marks_degrees():
@@ -309,7 +310,7 @@ def test_eval_agrees_with_naive_recursion(variant):
 
 
 def test_eval_supports_hand_built_models():
-    # models need not come from graphs; eval only needs relations + valuation
+    # models need not come from graphs; eval only needs successors + valuation
     model = KripkeModel(
         3,
         2,
@@ -324,8 +325,7 @@ def test_eval_supports_hand_built_models():
 def test_kripke_model_drops_duplicate_pairs():
     # (0, 1) listed twice is one successor: no second q1-successor for a grade
     model = KripkeModel(3, 2, "--", {(STAR, STAR): [(0, 1), (0, 1), (2, 1)]}, {1: {0, 1, 2}})
-    assert model.relations[(STAR, STAR)] == ((0, 1), (2, 1))
-    assert model.successor_table((STAR, STAR))[0] == (1,)
+    assert model.successors[(STAR, STAR)] == {0: (1,), 2: (1,)}
     assert eval_formula(model, parse("<*,*;2>q1")) == frozenset()
     assert eval_formula(model, parse("<*,*>q1")) == frozenset({0, 2})
     # graded refinement counts one successor for both 0 and 2
@@ -335,8 +335,7 @@ def test_kripke_model_drops_duplicate_pairs():
 
 def test_kripke_model_answers_an_uncarried_index_with_no_successors():
     model = KripkeModel(2, 2, "-+", {(STAR, 1): [(0, 1)]}, {1: {0, 1}})
-    assert (STAR, 2) not in model.relations
-    assert model.successor_table((STAR, 2)) == ((), ())
+    assert (STAR, 2) not in model.successors
     assert eval_formula(model, parse("<*,2>q1")) == frozenset()
     assert eval_formula(model, parse("<*,1>q1")) == frozenset({0})
 
@@ -346,7 +345,7 @@ def test_kripke_model_keeps_only_what_the_graph_carries(variant):
     # a star with 40 leaves carries 80 arcs; 40 * 40 indices are legal under ++
     g = star(40)
     model = kripke_model(PortedGraph(g, random_port_numbering(g, 0)), variant)
-    assert len(model.relations) <= 2 * g.edge_count()
+    assert len(model.successors) <= 2 * g.edge_count()
     assert set(model.valuation) == {1, 40}
 
 
@@ -402,6 +401,12 @@ def test_disjoint_union_offsets():
     union, offsets = disjoint_union([m1, m2])
     assert union.size == 6 and offsets == [0, 3]
     assert eval_formula(union, parse("q2")) == frozenset({0, 3, 4, 5})
+
+
+def test_disjoint_union_of_one_model_is_that_model():
+    model = KripkeModel(2, 2, "-+", {(STAR, 1): [(0, 1)]}, {1: {0, 1}})
+    union, offsets = disjoint_union([model])
+    assert union is model and offsets == [0]
 
 
 def test_disjoint_union_of_many_models_nests_pairwise():
