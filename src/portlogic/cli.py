@@ -169,7 +169,7 @@ def cmd_compile(args) -> int:
             "class": machine.tag.code,
             "modal_depth": formula.md,
             "stopping_round": formula.md + 1,
-            "closure_size": len(machine.closure.formulas),
+            "closure_size": len(machine.closure),
             "conformance": bool(report.ok),
         },
     )

@@ -7,28 +7,29 @@ inbox.  A visible outgoing port means messages tagged with their port
 (vector outbox), a hidden one broadcast messages.
 
 Forward direction: a formula becomes a machine whose states are truth
-assignments over the subformula closure, three-valued with U for "not yet
-determined".  A subformula of modal depth d becomes determined exactly after
-round d, and the machine stops at round md+1 with the root's truth value as
-output.  The message sent on a port carries the assignment restricted to the
-targets of the diamonds whose outgoing index is the one the signature shows
-there (the port, or "*" when it is hidden), tagged with the port when it is
-visible.
+assignments over the subformula closure (one tuple, sorted by modal depth
+once), three-valued with U for "not yet determined".  A subformula of modal
+depth d becomes determined exactly after round d, and the machine stops at
+round md+1 with the root's truth value as output.  The message sent on a
+port carries the assignment restricted to the targets of the diamonds whose
+outgoing index is the one the signature shows there (the port, or "*" when
+it is hidden), tagged with the port when it is visible.
 
 Reverse direction: a finite-horizon binary-output machine becomes a formula
 built from three families per round: state formulas ("the node is in state z
 after round t"), send formulas ("the node sends message m in round t"), and
 receive formulas (diamonds over send formulas).  State formulas are canonical
 DNF over the previous level: one term per (state, inbox) pair, and a stopped
-state keeps its formula, as a run keeps a stopped node.  One
-enumerator builds the inboxes, slot by slot.  A slot maps the number of
-messages placed so far to its options, each a pin formula with the messages
-it places.  A visible incoming port is one slot per port, with a null pin
-(expressed negatively, so padding and explicit nulls coincide) and one pin
-per message.  A hidden incoming port is one slot per (message, outgoing
-index), whose options place that message 0..delta-placed times, pinned by
-exact counts.  The senders of a message are grouped by outgoing port when it
-is visible and all together (under "*") when it is hidden.
+state keeps its formula, as a run keeps a stopped node.  One enumerator
+builds the inboxes, slot by slot, and hands each to ``machines.realise``, as
+a run does.  A slot maps the number of messages placed so far to its
+options, each a pin formula with the messages it places.  A visible incoming
+port is one slot per port, with a null pin (expressed negatively, so padding
+and explicit nulls coincide) and one pin per message.  A hidden incoming
+port is one slot per (message, outgoing index), whose options place that
+message 0..delta-placed times, pinned by exact counts.  The senders of a
+message are grouped by outgoing port when it is visible and all together
+(under "*") when it is hidden.
 
 The reverse direction is evaluated against a fixed suite of ported-graph
 models.  Formulas are deduplicated semantically (truth table over the suite,
@@ -68,12 +69,10 @@ from .logic import (
     validate_signature,
     _node_problems,
 )
-from .machines import CLASSES, NO_MESSAGE, Machine, canonical_inbox, message_on, next_state
+from .machines import CLASSES, NO_MESSAGE, Machine, message_on, next_state, realise
 from .smallgraphs import all_graphs
 
 __all__ = [
-    "Closure",
-    "closure",
     "CompiledMachine",
     "compile_formula",
     "decompile_details",
@@ -115,40 +114,6 @@ class DecompileBudgetError(DecompileError):
 
 
 # ---------------------------------------------------------------------------
-# Subformula closure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Closure:
-    """Subformulas in dependency order plus the message domains.
-
-    ``domains`` maps each outgoing index the signature shows (a port, or
-    "*" when the outgoing port is hidden) to the targets of the diamonds
-    carrying that index, in closure order.
-    """
-
-    formulas: tuple[Formula, ...]
-    domains: dict[int | str, tuple[Formula, ...]]
-
-
-def closure(formula: Formula, sig: Signature) -> Closure:
-    """Subformula closure with children before parents, sorted by depth.
-
-    ``formula`` must satisfy ``sig``.
-    """
-    order = sorted(subformulas(formula), key=lambda f: f.md)
-    rank = {id(f): k for k, f in enumerate(order)}
-    shown = range(1, sig.delta + 1) if sig.kind.out_visible else (STAR,)
-    targets: dict[int | str, set[int]] = {j: set() for j in shown}
-    for f in order:
-        if isinstance(f, Dia):
-            targets[f.alpha[1]].add(rank[id(f.sub)])
-    domains = {j: tuple(order[k] for k in sorted(ranks)) for j, ranks in targets.items()}
-    return Closure(tuple(order), domains)
-
-
-# ---------------------------------------------------------------------------
 # Formula -> machine
 # ---------------------------------------------------------------------------
 
@@ -165,10 +130,13 @@ def _connective(node: tuple, g) -> int:
 class CompiledMachine(Machine):
     """Truth-assignment machine evaluating one formula on ported graphs.
 
-    States are trit tuples over the closure (0, 1, or U); stopping states are
-    the plain ints 0 and 1.  Messages are the trit restriction to the
-    receiving-relevant subformulas, tagged with the outgoing port for the
-    variants whose diamonds see it, and the null message acts as the all-zero
+    ``closure`` is the formula's subformulas sorted by modal depth, so
+    children precede parents.  States are trit tuples over it (0, 1, or U);
+    stopping states are the plain ints 0 and 1.  The message on an outgoing
+    index the signature shows (a port, or "*" when the outgoing port is
+    hidden) is the trit restriction to the closure positions of the targets
+    of the diamonds carrying that index, tagged with the port for the
+    variants whose diamonds see it; the null message acts as the all-zero
     restriction tagged with port 1.
 
     Its ``run_memo`` is an instance dict, so the executor's memo (see
@@ -181,19 +149,19 @@ class CompiledMachine(Machine):
         problems = validate_signature(formula, sig)
         if problems:
             raise CompileError("; ".join(problems))
-        self.formula = formula
-        self.sig = sig
         self.kind = sig.kind
         self.delta_max = sig.delta
-        self.closure = closure(formula, sig)
-        order = self.closure.formulas
-        index = {id(f): k for k, f in enumerate(order)}
+        self.closure = tuple(sorted(subformulas(formula), key=lambda f: f.md))
+        index = {id(f): k for k, f in enumerate(self.closure)}
         self._root = index[id(formula)]
-        self._domains = {
-            j: tuple(index[id(f)] for f in targets) for j, targets in self.closure.domains.items()
-        }
+        shown = range(1, sig.delta + 1) if sig.kind.out_visible else (STAR,)
+        targets: dict[int | str, set[int]] = {j: set() for j in shown}
+        for f in self.closure:
+            if isinstance(f, Dia):
+                targets[f.alpha[1]].add(index[id(f.sub)])
+        self._domains = {j: tuple(sorted(ks)) for j, ks in targets.items()}
         self._nodes = []
-        for f in order:
+        for f in self.closure:
             if isinstance(f, Prop):
                 self._nodes.append(("q", f.index))
             elif isinstance(f, And):
@@ -204,7 +172,7 @@ class CompiledMachine(Machine):
                 sub = index[id(f.sub)]
                 pos = self._domains[f.alpha[1]].index(sub)
                 self._nodes.append(("<>", f.alpha, f.grade, sub, pos))
-        row = (sig.variant, any(isinstance(f, Dia) and f.grade > 1 for f in order))
+        row = (sig.variant, any(isinstance(f, Dia) and f.grade > 1 for f in self.closure))
         self.tag = next(t for t in CLASSES.values() if (t.variant, t.graded) == row)
         self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
@@ -524,8 +492,7 @@ class _Decompiler:
         def recurse(idx: int, table: int, parts: list[Formula], placed: tuple):
             self._charge()
             if idx == len(slots):
-                inbox = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))
-                realised = canonical_inbox(machine.tag.inbox, inbox, self.code)
+                realised = realise(machine, placed, self.code)
                 terms.append((next_state(machine, entry.state, realised), parts, table))
                 return
             for formula, pin_table, messages in slots[idx](len(placed)):

@@ -9,19 +9,20 @@ broadcast), one of the six in ``CLASSES``.
 
 Execution follows the synchronous recursion: the message arriving at port
 (u, i) in round t+1 is emit(x_t(v), j) where (v, j) is the port wired to
-(u, i).  A node of degree d hears d messages, padded to length delta with
-the null message where a transition is asked, so set views may contain the
-null message.  Nodes whose state is a stopping state are absorbing: they
-emit the null message and never change state again (enforced here, not
-left to machine authors).  Every caller asks a broadcast machine for one
+(u, i).  A node of degree d hears d messages; ``realise`` pads them to
+length delta with the null message where a transition is asked, so set
+views may contain the null message.  Nodes whose state is a stopping state
+are absorbing: they emit the null message and never change state again
+(enforced here, not left to machine authors).  Every caller asks a broadcast machine for one
 message, on port 1 (``message_on``), and sends it on every port, so no run
 sees a broadcast machine's ports.
 
-For multiset- and set-tagged machines the executor canonicalises the inbox
-into a fixed realisation of the declared view (sorted by message encoding,
-with set views deduplicated) before calling transition, so executions are
-deterministic and respect the discipline.  The class tag is thus enforced by
-construction: every caller hands ``transition`` that realisation, so no
+For multiset- and set-tagged machines ``realise`` canonicalises the padded
+inbox into a fixed realisation of the declared view (sorted by message
+encoding, with set views deduplicated) before transition is called, so
+executions are deterministic and respect the discipline.  The class tag is
+thus enforced by construction: the executor, the ``simulate`` wrappers and
+the decompiler all build a transition's inbox through ``realise``, so no
 transition can see the order or (for sets) the multiplicities the view hides.
 
 ``emit``, ``transition`` and ``is_output`` must be pure, and states (or
@@ -30,9 +31,9 @@ executor keeps a memo of four tables, each for all degrees: the initial
 state per degree, the next state and what it sends per (state, inbox as
 heard), the messages on ports 1..d per (state, d) (``None`` once stopped),
 and the next state per (state, realised view), which only ``next_state``
-reads and fills.  It asks the machine only on a miss, and only then pads
-the inbox to delta and realises it, encoding each message once per run
-through a ``functools.cache`` of ``canon`` that the run builds and drops.
+reads and fills.  It asks the machine only on a miss, and only then
+``realise``s the inbox, encoding each message once per run through a
+``functools.cache`` of ``canon`` that the run builds and drops.
 ``1 == True`` while their encodings differ, so a machine that tells them
 apart breaks this, and equal inboxes would no longer realise equally;
 ``check_class_conformance`` reports such pairs.
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .encoding import canon
 from .graphs import Graph, PortedGraph, PortlogicError, star, cycle, path, complete
@@ -74,6 +75,7 @@ __all__ = [
     "ClassTagError",
     "MaxRoundsError",
     "canonical_inbox",
+    "realise",
     "message_on",
     "next_state",
     "run",
@@ -161,9 +163,9 @@ class Machine:
     default) gives each run a fresh one, and a subclass that sets it to
     ``{}`` per instance has every run and decompilation of the instance
     share it, for as long as it lives.  Every caller hands ``transition``
-    the inbox ``canonical_inbox`` realises from what a node hears, padded
-    to ``delta_max``, and asks through ``message_on``, which asks a
-    broadcast machine for one message, on port 1.  A vector-outbox machine's
+    the inbox ``realise`` builds from what a node hears, and asks through
+    ``message_on``, which asks a broadcast machine for one message, on
+    port 1.  A vector-outbox machine's
     ``emit(state, port)`` must answer every port from 1 to ``delta_max``,
     also beyond the degree of the nodes that hold ``state``: ``run`` never
     asks there, but ``compiler.decompile_details`` does for every state it
@@ -234,11 +236,10 @@ class SimpleMachine(Machine):
 def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = canon) -> tuple:
     """Fixed-length realisation of inbox discipline ``kind``'s view.
 
-    This is the one realisation every transition receives, from the
-    executor, the class-collapsing wrappers and the decompiler alike.
-    Multiset: the inbox sorted by message encoding.  Set: distinct messages
-    sorted, padded back to full length by repeating the last one (this keeps
-    the set of entries unchanged).  Vector: untouched.  ``key`` is the
+    This is the one realisation every transition receives, through
+    ``realise``.  Multiset: the inbox sorted by message encoding.  Set:
+    distinct messages sorted, padded back to full length by repeating the
+    last one (this keeps the set of entries unchanged).  Vector: untouched.  ``key`` is the
     message encoding; callers that encode the same messages again and again
     pass ``functools.cache(canon)``.
     """
@@ -251,6 +252,14 @@ def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = ca
         seen.setdefault(key(m), m)
     distinct = tuple(seen[code] for code in sorted(seen))
     return distinct + distinct[-1:] * (len(inbox) - len(distinct))
+
+
+def realise(machine: Machine, heard: Sequence, key: Callable[[object], bytes]) -> tuple:
+    """The inbox ``machine.transition`` receives on hearing ``heard``:
+    padded to ``delta_max`` with ``NO_MESSAGE``, then realised in the view
+    of the machine's inbox discipline, ``key`` encoding the messages."""
+    padded = tuple(heard) + (NO_MESSAGE,) * (machine.delta_max - len(heard))
+    return canonical_inbox(machine.tag.inbox, padded, key)
 
 
 def message_on(machine: Machine, state, port: int):
@@ -318,8 +327,8 @@ def run(
     first-class result (``stopped=False``, outputs ``None``), not an error.
     Each round concatenates every node's messages into one flat outbox, and
     each live node gathers the d messages it hears from it through
-    ``ported.wiring``, padded to delta only on a memo miss and in recorded
-    inboxes.  Stopped nodes are never stepped again.  The memo (see the
+    ``ported.wiring``, and ``realise``s them only on a memo miss; a
+    recorded inbox is padded to delta but not realised.  Stopped nodes are never stepped again.  The memo (see the
     module docstring) is ``machine.run_memo`` when the machine keeps one,
     and a dict that lives for this call only otherwise; ``init_state`` is
     asked once per degree per memo, and ``transition`` only through
@@ -335,9 +344,7 @@ def run(
         )
     gathers = [_gather(src) for src in sources]
     is_output = machine.is_output
-    kind = machine.tag.inbox
-    if kind != VECTOR:
-        key = cache(canon)
+    key = canon if machine.tag.inbox == VECTOR else cache(canon)
     memo = machine.run_memo
     if memo is None:
         memo = {}
@@ -357,9 +364,7 @@ def run(
 
     def step(s, inbox):
         """s's next state on hearing inbox, and what that state sends."""
-        padded = inbox + (NO_MESSAGE,) * (delta - len(inbox))
-        view = padded if kind == VECTOR else canonical_inbox(kind, padded, key)
-        nxt = next_state(machine, s, view)
+        nxt = next_state(machine, s, realise(machine, inbox, key))
         found = steps[s, inbox] = (nxt, send(nxt, len(inbox)))
         return found
 

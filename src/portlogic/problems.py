@@ -63,12 +63,8 @@ def _star_center(g: Graph) -> int | None:
     """Centre of a k-star with k > 1, else None."""
     if g.n < 3 or g.edge_count() != g.n - 1:
         return None
-    centers = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(centers) != 1:
-        return None
-    if any(g.degree(v) != 1 for v in range(g.n) if v != centers[0]):
-        return None
-    return centers[0]
+    # n - 1 edges all meet a node of degree n - 1: it is the one centre, the rest are leaves
+    return next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
 
 
 def leaf_election() -> GraphProblem:

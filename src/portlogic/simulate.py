@@ -28,11 +28,10 @@ Certificates are hash-consed: a certificate is represented by a structural
 digest, so equality tests are exact while messages stay small.  Histories are
 kept verbatim (no compression), and the ``canon`` encoding of each history
 message may take at most ``HISTORY_BYTE_BUDGET`` bytes.  Every wrapper hands
-its base machine the inbox ``machines.canonical_inbox`` realises for the
-base's discipline, as the executor would, in one step (``_Simulation._step``),
-encoding each payload once per wrapper instance through its own
-``functools.cache`` of ``canon``; the history wrappers sort histories
-through the same cache.
+its base machine the inbox ``machines.realise`` builds for the base, as the
+executor does, in one step (``_Simulation._step``), encoding each payload
+once per wrapper instance through its own ``functools.cache`` of ``canon``;
+the history wrappers sort histories through the same cache.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from .machines import (
     VECTOR,
     ClassTag,
     Machine,
-    canonical_inbox,
     message_on,
+    realise,
 )
 
 __all__ = [
@@ -105,9 +104,8 @@ class _Simulation(Machine):
         return ("sim", sim, *fields)
 
     def _step(self, sim, payloads: list, *fields):
-        """One base round on ``payloads``, padded and realised as ``run`` would."""
-        padded = tuple(payloads) + (NO_MESSAGE,) * (self.delta_max - len(payloads))
-        realised = canonical_inbox(self.base.tag.inbox, padded, self._key)
+        """One base round on ``payloads``, realised as ``run`` would."""
+        realised = realise(self.base, payloads, self._key)
         return self._simulating(self.base.transition(sim, realised), *fields)
 
     def is_output(self, state) -> bool:

@@ -70,10 +70,10 @@ MUTANTS = (
     ),
     Mutant(
         "M4",
-        "run passing the raw inbox",
+        "run passing the padded inbox unrealised",
         "src/portlogic/machines.py",
-        "        view = padded if kind == VECTOR else canonical_inbox(kind, padded, key)\n",
-        "        view = padded\n",
+        "        nxt = next_state(machine, s, realise(machine, inbox, key))\n",
+        "        nxt = next_state(machine, s, inbox + (NO_MESSAGE,) * (delta - len(inbox)))\n",
         (
             "tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",
             "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[MV]",
@@ -86,8 +86,8 @@ MUTANTS = (
         "M5",
         "_Simulation._step skipping the realisation",
         "src/portlogic/simulate.py",
-        "        realised = canonical_inbox(self.base.tag.inbox, padded, self._key)\n",
-        "        realised = padded\n",
+        "        realised = realise(self.base, payloads, self._key)\n",
+        "        realised = tuple(payloads) + (NO_MESSAGE,) * (self.delta_max - len(payloads))\n",
         (
             "tests/test_simulate.py::test_wrapper_encodes_each_payload_once"
             "[set_from_multiset-odd_odd_machine]",
@@ -105,9 +105,12 @@ MUTANTS = (
         "M6",
         "the decompiler's _enumerate skipping the realisation",
         "src/portlogic/compiler.py",
-        "                realised = canonical_inbox(machine.tag.inbox, inbox, self.code)\n",
-        "                realised = inbox\n",
-        ("tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",),
+        "                realised = realise(machine, placed, self.code)\n",
+        "                realised = placed + (NO_MESSAGE,) * (machine.delta_max - len(placed))\n",
+        (
+            "tests/test_compiler.py::test_decompile_gives_set_machines_their_set_view",
+            "tests/test_compiler.py::test_decompile_hands_every_transition_a_realised_inbox[set]",
+        ),
     ),
     Mutant(
         "M7",
@@ -276,8 +279,8 @@ MUTANTS = (
         "M22",
         "run asking the machine on the inbox as heard, unpadded",
         "src/portlogic/machines.py",
-        "        padded = inbox + (NO_MESSAGE,) * (delta - len(inbox))\n",
-        "        padded = inbox\n",
+        "        nxt = next_state(machine, s, realise(machine, inbox, key))\n",
+        "        nxt = next_state(machine, s, canonical_inbox(machine.tag.inbox, inbox, key))\n",
         ("tests/test_machines.py::test_inbox_padded_to_delta",),
     ),
     Mutant(
@@ -322,6 +325,32 @@ MUTANTS = (
         "    if len(models) == 1:\n        return models[0], [0]\n",
         "",
         ("tests/test_logic.py::test_disjoint_union_of_one_model_is_that_model",),
+    ),
+    Mutant(
+        "M28",
+        "realise padding the inbox without realising it",
+        "src/portlogic/machines.py",
+        "    return canonical_inbox(machine.tag.inbox, padded, key)\n",
+        "    return padded\n",
+        (
+            "tests/test_machines.py::test_realised_inboxes_hide_the_incoming_numbering[SV]",
+            "tests/test_machines.py::test_wrappers_hand_their_base_the_realised_view"
+            "[set_from_multiset-MV]",
+            "tests/test_simulate.py::test_wrapper_encodes_each_payload_once"
+            "[set_from_multiset-odd_odd_machine]",
+            "tests/test_compiler.py::test_decompile_hands_every_transition_a_realised_inbox[set]",
+        ),
+    ),
+    Mutant(
+        "M29",
+        "a compiled machine's message domains keyed by the incoming index",
+        "src/portlogic/compiler.py",
+        "                targets[f.alpha[1]].add(index[id(f.sub)])\n",
+        "                targets[f.alpha[0]].add(index[id(f.sub)])\n",
+        (
+            "tests/test_compiler.py::test_closure_port_indexed",
+            "tests/test_compiler.py::test_compile_matches_eval_random_suite[++]",
+        ),
     ),
 )
 

@@ -14,8 +14,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from portlogic.cli import SEPARATIONS, WRAPPERS, main
-from portlogic.graphs import format_graph, format_ported, PortedGraph, consistent_port_numbering, star
-from portlogic.machines import CLASSES, SET, VECTOR, ClassTag, SimpleMachine
+from portlogic.compiler import compile_formula
+from portlogic.graphs import (
+    PortedGraph,
+    consistent_port_numbering,
+    cycle,
+    format_graph,
+    format_ported,
+    parse_ported,
+    random_port_numbering,
+    star,
+)
+from portlogic.logic import Signature, parse
+from portlogic.machines import CLASSES, SET, VECTOR, ClassTag, SimpleMachine, run, trace_to_json
 from portlogic.problems import MACHINES
 
 
@@ -43,6 +54,10 @@ def malformed(tmp_path):
     (tmp_path / "range.pn").write_text("nodes 2\np 0 1 1 2\np 1 1 0 1\n")
     (tmp_path / "latin1.g").write_bytes(b"nodes 2\n# caf\xe9\ne 0 1\n")
     (tmp_path / "latin1.pn").write_bytes(b"nodes 2\n# caf\xe9\np 0 1 1 1\np 1 1 0 1\n")
+    (tmp_path / "nodes_twice.g").write_text("nodes 2\nnodes 2\ne 0 1\n")
+    (tmp_path / "no_nodes.g").write_text("# no nodes line\n")
+    (tmp_path / "port_twice.pn").write_text("nodes 2\np 0 1 1 1\np 0 1 1 1\np 1 1 0 1\n")
+    (tmp_path / "edge_range.g").write_text("nodes 2\ne 0 5\n")
     return str(tmp_path)
 
 
@@ -204,6 +219,41 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert parse_json(out)["satisfying_worlds"] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "flags, numbering",
+    [([], random_port_numbering), (["--consistent"], consistent_port_numbering)],
+    ids=["random", "consistent"],
+)
+def test_run_trace_is_the_trace_of_the_same_library_run(flags, numbering, tmp_path, capsys):
+    g = cycle(5)
+    target = tmp_path / "cycle5.g"
+    target.write_text(format_graph(g))
+    code, out = run_cli(
+        ["run", "--graph", str(target), "--formula", "<1,2>q2", "--variant", "++",
+         "--trace", "--json", *flags],
+        capsys,
+    )
+    assert code == 0
+    machine = compile_formula(parse("<1,2>q2"), Signature(2, "++"))
+    traces = {
+        fn: trace_to_json(run(machine, PortedGraph(g, fn(g, 0)), 64, record_messages=True))
+        for fn in (random_port_numbering, consistent_port_numbering)
+    }
+    # on cycle(5) under seed 0 the two numberings give different traces
+    assert traces[random_port_numbering] != traces[consistent_port_numbering]
+    assert parse_json(out)["trace"] == traces[numbering]
+
+
+def test_gen_random_numbering_parses_back(capsys):
+    code, out = run_cli(
+        ["gen", "--family", "cycle", "--k", "5", "--numbering", "random", "--seed", "3"], capsys
+    )
+    assert code == 0
+    pg = parse_ported(out)
+    assert sorted(pg.graph.edges()) == sorted(cycle(5).edges())
+    assert pg.numbering.items() == random_port_numbering(cycle(5), 3).items()
+
+
 def test_gen_symmetric_numbering_of_a_long_cycle(tmp_path, capsys):
     out_path = tmp_path / "c2000.pn"
     code, _ = run_cli(
@@ -331,6 +381,12 @@ def test_missing_variant_is_reported(star3_pn, capsys):
         ["bisim", "--graph", "{tmp}/latin1.g", "--variant", "--"],
         ["verify", "--graph", "{tmp}/latin1.pn"],
         ["verify", "--graph", "{tmp}/range.pn"],
+        ["run", "--graph", "{tmp}/nodes_twice.g", "--machine", "odd_odd"],
+        ["bisim", "--graph", "{tmp}/no_nodes.g", "--variant", "--"],
+        ["verify", "--graph", "{tmp}/port_twice.pn"],
+        ["run", "--graph", "{tmp}/edge_range.g", "--machine", "odd_odd"],
+        ["check", "--graph", "{g}", "--formula", "<a,1>q1", "--variant", "++"],
+        ["check", "--graph", "{g}", "--formula", "q0", "--variant", "++"],
     ],
     ids=["formula-syntax", "graph", "matching", "degree", "signature-delta",
          "decompile-delta-0", "decompile-delta-negative", "node-cap", "decompile-node-bound-0",
@@ -338,7 +394,9 @@ def test_missing_variant_is_reported(star3_pn, capsys):
          "run-max-rounds-negative", "run-delta-0", "check-delta-0", "verify-delta-0",
          "deep-negation", "deep-diamonds", "deep-parentheses",
          "run-nodes-not-int", "bisim-edge-not-int", "verify-port-not-int",
-         "run-not-utf8", "bisim-not-utf8", "verify-not-utf8", "verify-numbering-range"],
+         "run-not-utf8", "bisim-not-utf8", "verify-not-utf8", "verify-numbering-range",
+         "run-nodes-line-twice", "bisim-no-nodes-line", "verify-port-mapped-twice",
+         "run-edge-out-of-range", "index-not-a-number", "proposition-0"],
 )
 def test_library_errors_exit_2_with_one_line(argv, star3_g, star3_pn, malformed, capsys):
     code = main([

@@ -20,7 +20,6 @@ from portlogic.compiler import (
     DecompileBudgetError,
     DecompileError,
     ModelSuite,
-    closure,
     compile_formula,
     decompile_details,
     default_decompile_suite,
@@ -54,6 +53,7 @@ from portlogic.machines import (
     VECTOR,
     ClassTag,
     SimpleMachine,
+    canonical_inbox,
     check_class_conformance,
     run,
     trace_to_json,
@@ -64,24 +64,31 @@ from portlogic.smallgraphs import all_graphs
 
 
 def test_closure_of_atom():
-    c = closure(parse("q1"), Signature(2, "++"))
-    assert c.formulas == (prop(1),)
-    assert c.domains == {1: (), 2: ()}
+    machine = compile_formula(parse("q1"), Signature(2, "++"))
+    assert machine.closure == (prop(1),)
+    state = machine.init_state(1)
+    assert machine.emit(state, 1) == ("f", 1, ())
+    assert machine.emit(state, 2) == ("f", 2, ())
 
 
 def test_closure_port_indexed():
-    c = closure(parse("<1,2>q1"), Signature(2, "++"))
-    assert c.domains[2] == (prop(1),)
-    assert not c.domains[1]
+    # the payload on port j holds the targets of the diamonds with outgoing index j
+    machine = compile_formula(parse("<1,2>q1"), Signature(2, "++"))
+    assert machine.closure == (prop(1), parse("<1,2>q1"))
+    state = machine.init_state(1)
+    assert machine.emit(state, 2) == ("f", 2, (1,))
+    assert machine.emit(state, 1) == ("f", 1, ())
 
 
 def test_closure_mixed():
-    c = closure(parse("!(<*,*>q1 & q2)"), Signature(2, "--"))
-    assert len(c.formulas) == 5
-    assert c.domains == {"*": (prop(1),)}
+    machine = compile_formula(parse("!(<*,*>q1 & q2)"), Signature(2, "--"))
+    assert len(machine.closure) == 5
     # children precede parents
-    order = {id(f): k for k, f in enumerate(c.formulas)}
+    order = {id(f): k for k, f in enumerate(machine.closure)}
     assert order[id(prop(1))] < order[id(parse("<*,*>q1"))]
+    # a hidden outgoing port: one untagged payload, the trit of q1
+    assert machine.emit(machine.init_state(1), 1) == ("f", (1,))
+    assert machine.emit(machine.init_state(2), 2) == ("f", (0,))
 
 
 def test_compile_rejects_bad_signature():
@@ -157,7 +164,7 @@ def test_staged_definedness_invariant():
     f = parse("!(<1,1><2,2>q1 & q2)")
     sig = Signature(2, "++")
     machine = compile_formula(f, sig)
-    depths = [node.md for node in machine.closure.formulas]
+    depths = [node.md for node in machine.closure]
     g = cycle(4)
     for p in sweep(g, cap=12, samples=4, seed=1):
         result = run(machine, PortedGraph(g, p), 6, record_messages=True)
@@ -354,6 +361,29 @@ def test_decompile_gives_set_machines_their_set_view():
     pg = PortedGraph(g, random_port_numbering(g, 0))
     formula = decompile_details(machine, 3, 1, "--", suite=ModelSuite([pg], "--", 3)).formula
     assert set(eval_formula(kripke_model(pg, "--", 3), formula)) == _ones(run(machine, pg, 4))
+
+
+@pytest.mark.parametrize("kind", [MULTISET, SET])
+def test_decompile_hands_every_transition_a_realised_inbox(kind):
+    # a realised inbox has delta entries, and realising it again changes nothing
+    seen = []
+
+    def transition(state, inbox):
+        seen.append(inbox)
+        return int("b" in inbox)
+
+    machine = SimpleMachine(
+        3,
+        ClassTag(kind, BROADCAST),
+        init=lambda d: ("s", d),
+        emit=lambda s, i: "a" if s[1] == 1 else "b",
+        transition=transition,
+        is_output=lambda s: isinstance(s, int),
+        outputs=frozenset({0, 1}),
+    )
+    decompile_details(machine, 3, 1, "--", node_bound=3)
+    assert seen
+    assert all(len(inbox) == 3 and canonical_inbox(kind, inbox) == inbox for inbox in seen)
 
 
 @pytest.mark.parametrize("variant", ["--", "++"])

@@ -42,6 +42,14 @@ def test_leaf_election_verifier_on_stars():
     assert problem.check(path(2), {0: 0, 1: 0})
 
 
+def test_leaf_election_applies_exactly_to_stars():
+    # a graph whose degrees are k ones and one k is the star with k leaves
+    applies = leaf_election().applies
+    degrees = [sorted(map(g.degree, range(g.n))) for g in all_graphs(6) if applies(g)]
+    assert degrees == [[1] * k + [k] for k in range(2, 6)]
+    assert not applies(star(1))
+
+
 def test_leaf_election_machine_exhaustive_on_stars():
     problem = leaf_election()
     for k in (2, 3, 4):

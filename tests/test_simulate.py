@@ -10,7 +10,7 @@ from conftest import (
     random_multiset_machine,
     sweep,
 )
-from portlogic import simulate
+from portlogic import machines, simulate
 from portlogic.encoding import canon
 from portlogic.graphs import (
     PortedGraph,
@@ -257,7 +257,7 @@ def test_wrapper_encodes_each_payload_once(wrap, base, monkeypatch):
             realising.pop()
 
     monkeypatch.setattr(simulate, "canon", counted)
-    monkeypatch.setattr(simulate, "canonical_inbox", spy)
+    monkeypatch.setattr(machines, "canonical_inbox", spy)
     wrapped = wrap(base(3))
     for gi, g in enumerate(all_graphs(4)):
         assert run(wrapped, PortedGraph(g, consistent_port_numbering(g, gi)), 32).stopped
