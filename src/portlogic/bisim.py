@@ -118,8 +118,6 @@ class Partition:
 
     def merge(self, a: int, b: int) -> "Partition":
         """Partition with blocks a and b merged (for maximality checks)."""
-        if a == b:
-            return self
         indices = range(len(self.blocks))  # negatives and IndexError as in blocks[a]
         a, b = indices[a], indices[b]
         return Partition(tuple(_numbered([a if k == b else k for k in self.labels])))

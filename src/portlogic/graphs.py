@@ -315,9 +315,10 @@ def consistent_port_numbering(g: Graph, seed: int = 0) -> PortNumbering:
     return numbering_from_orders(out_order, in_port)
 
 
-def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: set[int]) -> bool:
-    """Depth-first search for an augmenting path from ``root``, flipped on
-    success.  Iterative, so the path length is not bounded by the recursion
+def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: set[int]) -> None:
+    """Depth-first search for an augmenting path from ``root``, flipped into
+    ``match``; a regular bipartite graph always has one, so it returns
+    nothing.  Iterative, so the path length is not bounded by the recursion
     limit; each vertex scans its neighbours in ``adj`` iteration order.
     """
     path = [root]  # left vertices of the current path
@@ -332,7 +333,7 @@ def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: s
                 for u, w in reversed(list(zip(path, via + [v]))):
                     match[w] = u
                     match[u] = w
-                return True
+                return
             via.append(v)
             path.append(match[v])
             scans.append(iter(adj[match[v]]))
@@ -342,7 +343,6 @@ def _augment(adj: dict[int, set[int]], root: int, match: dict[int, int], seen: s
             path.pop()
             if via:
                 via.pop()
-    return False
 
 
 def symmetric_port_numbering(g: Graph) -> PortNumbering:

@@ -181,24 +181,12 @@ class Machine:
     name: str = ""
     run_memo: dict | None = None
 
-    def init_state(self, degree: int):
-        raise NotImplementedError
-
-    def emit(self, state, port: int):
-        raise NotImplementedError
-
-    def transition(self, state, inbox: tuple):
-        raise NotImplementedError
-
-    def is_output(self, state) -> bool:
-        raise NotImplementedError
-
     def output_value(self, state):
         return state
 
 
 class SimpleMachine(Machine):
-    """Machine assembled from callables; convenient for tests and demos."""
+    """Machine whose methods are the callables it is given; for tests and demos."""
 
     def __init__(
         self,
@@ -213,24 +201,12 @@ class SimpleMachine(Machine):
     ):
         self.delta_max = delta_max
         self.tag = tag
-        self._init = init
-        self._emit = emit
-        self._transition = transition
-        self._is_output = is_output
+        self.init_state = init
+        self.emit = emit
+        self.transition = transition
+        self.is_output = is_output
         self.outputs = outputs
         self.name = name
-
-    def init_state(self, degree: int):
-        return self._init(degree)
-
-    def emit(self, state, port: int):
-        return self._emit(state, port)
-
-    def transition(self, state, inbox: tuple):
-        return self._transition(state, inbox)
-
-    def is_output(self, state) -> bool:
-        return self._is_output(state)
 
 
 def canonical_inbox(kind: str, inbox: tuple, key: Callable[[object], bytes] = canon) -> tuple:

@@ -215,9 +215,7 @@ class _SymmetryBreakMachine(Machine):
     def emit(self, state, port: int):
         if state[0] == "start":
             return ("pn", port)
-        if state[0] == "typed":
-            return ("type", state[2])
-        return NO_MESSAGE
+        return ("type", state[2])
 
     def transition(self, state, inbox: tuple):
         if state[0] == "start":

@@ -1,5 +1,5 @@
 """Mutation runner: each row breaks one snippet of ``src`` and names the tests
-that must fail on it.
+that must fail on it; and a line census of Tier 1.
 
 Run it with ``python tests/mutants.py`` (pytest does not collect this file).
 The runner first runs every row's tests on an unmutated copy of ``src``,
@@ -10,20 +10,33 @@ its tests fails, *survived* when one of them passes, and *stale* when its old
 snippet does not occur exactly once in its file.  The tests run with
 ``PYTHONHASHSEED=0``, so set iteration order cannot decide a row.  The exit
 status is 0 only when every row is killed.
+
+``python tests/mutants.py --lines`` is the line census instead.  It runs the
+Tier-1 suite in-process with ``PYTHONHASHSEED=0`` under ``sys.settrace``,
+started before ``portlogic`` is imported and tracing only frames in
+``src/portlogic``, and prints the lines of each module that never ran.  The
+lines it checks are those of every code object nested in the module
+(``co_lines``), less each code object's first line and the lines that hold
+only a docstring.  Its exit status is 1 when some line never ran; tests that
+fail under tracing (timing tests may) are reported but do not decide it.
+It takes minutes, so it is not a CI step.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "portlogic"
 
 
 class Mutant(NamedTuple):
@@ -406,6 +419,78 @@ def mutate(mutant: Mutant, scratch: Path) -> Path | None:
     return src
 
 
+def code_lines(source: str) -> set[int]:
+    """The lines the census checks in ``source``: those of every code object
+    nested in the module (function and class bodies; the module's own lines
+    run on import), less each code object's first line (its ``def`` or
+    ``class`` line, or a decorator's) and the lines that hold only a docstring."""
+    lines: set[int] = set()
+    codes = [compile(source, "<census>", "exec")]
+    while codes:
+        nested = [const for const in codes.pop().co_consts if isinstance(const, types.CodeType)]
+        for code in nested:
+            lines.update(
+                line for _, _, line in code.co_lines() if line not in (None, code.co_firstlineno)
+            )
+        codes.extend(nested)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def line_census() -> int:
+    """Run Tier 1 traced and print the never-run lines of ``src/portlogic``."""
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        return subprocess.run([sys.executable, __file__, "--lines"], env=env, check=False).returncode
+    import pytest
+
+    prefix = f"{PACKAGE}{os.sep}"
+    ran: set[tuple[str, int]] = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename.startswith(prefix) else None
+
+    sys.path.insert(0, str(ROOT / "src"))
+    # as in the Tier-1 command, for the tests that start python -m portlogic.cli
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    os.chdir(ROOT)
+    sys.settrace(trace_calls)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
+    finally:
+        sys.settrace(None)
+    import portlogic
+
+    if Path(portlogic.__file__).parent != PACKAGE:
+        print(f"error: portlogic was imported from {portlogic.__file__}, not {PACKAGE}")
+        return 1
+    if status != 0:
+        print(f"pytest exited {int(status)} under tracing; its failures do not decide the census")
+    total = 0
+    for module in sorted(PACKAGE.glob("*.py")):
+        source = module.read_text(encoding="utf-8")
+        missed = sorted(line for line in code_lines(source) if (str(module), line) not in ran)
+        total += len(missed)
+        if missed:
+            text = source.splitlines()
+            print(f"{module.relative_to(ROOT)}: {len(missed)} never-run lines")
+            for line in missed:
+                print(f"  {line:4d}  {text[line - 1].strip()}")
+    print(f"{total} never-run lines in {PACKAGE.relative_to(ROOT)}")
+    return 1 if total else 0
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="portlogic-mutants-") as tmp:
         scratch = Path(tmp)
@@ -442,4 +527,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(line_census() if sys.argv[1:] == ["--lines"] else main())

@@ -108,8 +108,11 @@ def test_partition_helpers():
     assert part.refines(merged)
     assert not merged.refines(part)
     assert part.to_json() == [[0, 2], [1], [3]]
+    assert part.merge(1, 1) == part
     with pytest.raises(IndexError):
         part.merge(0, 3)
+    with pytest.raises(IndexError):
+        part.merge(5, 5)
 
 
 def test_merge_is_symmetric():
@@ -325,6 +328,7 @@ def test_impossibility_inconclusive_when_not_bisimilar():
         g, [0, 1], leaf_election(), "vb", consistent_port_numbering(g, 0)
     )
     assert isinstance(result, Inconclusive)
+    assert result.to_json() == {"inconclusive": "nodes of X are not mutually bisimilar"}
 
 
 def test_impossibility_inconclusive_when_solution_constant_on_x():
@@ -333,7 +337,10 @@ def test_impossibility_inconclusive_when_solution_constant_on_x():
         g, [0, 1], odd_odd(), "sb", consistent_port_numbering(g, 0)
     )
     assert isinstance(result, Inconclusive)
-    assert result.witness is not None
+    assert result.to_json() == {
+        "inconclusive": "a valid solution is constant on X",
+        "witness": {"0": 0, "1": 0},
+    }
 
 
 def test_impossibility_decides_applies_once():

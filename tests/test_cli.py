@@ -254,6 +254,13 @@ def test_gen_random_numbering_parses_back(capsys):
     assert pg.numbering.items() == random_port_numbering(cycle(5), 3).items()
 
 
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["portlogic", "gen", "--family", "star"])
+    code, out = run_cli(None, capsys)
+    assert (code, out) == run_cli(["gen", "--family", "star"], capsys)
+    assert code == 0 and out
+
+
 def test_gen_symmetric_numbering_of_a_long_cycle(tmp_path, capsys):
     out_path = tmp_path / "c2000.pn"
     code, _ = run_cli(

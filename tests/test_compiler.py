@@ -455,6 +455,30 @@ def test_decompile_refuses_a_negative_horizon(horizon, message):
         decompile_details(odd_odd_machine(2), 2, horizon, "--", node_bound=2)
 
 
+def _stopping_on_init(init):
+    return SimpleMachine(
+        3,
+        ClassTag(MULTISET, BROADCAST),
+        init=init,
+        emit=lambda s, i: "m",
+        transition=lambda s, inbox: s,
+        is_output=lambda s: isinstance(s, int),
+    )
+
+
+def test_decompile_skips_a_running_state_no_suite_world_holds():
+    # only degree-3 nodes keep running, and no graph of at most 3 nodes has one
+    suite = ModelSuite(default_decompile_suite(3, node_bound=3), "--", 3)
+    machine = _stopping_on_init(lambda d: 1 if d <= 2 else ("run", d))
+    assert decompile_details(machine, 3, 0, "--", suite=suite).table == suite.full_mask
+
+
+def test_decompile_refuses_an_output_other_than_0_or_1():
+    machine = _stopping_on_init(lambda d: 2)
+    with pytest.raises(DecompileError, match="^decompilation needs a binary-output machine$"):
+        decompile_details(machine, 3, 0, "--", node_bound=3)
+
+
 @pytest.mark.parametrize("suite", [{"node_bound": 0}, {"node_bound": -2},
                                    {"suite": ModelSuite([], "--", 2)}],
                          ids=["node-bound-0", "node-bound-negative", "no-graphs"])

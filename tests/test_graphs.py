@@ -228,6 +228,9 @@ def test_generators():
         star(0)
     with pytest.raises(GraphError):
         cycle(2)
+    with pytest.raises(GraphError, match="^path needs at least one node$"):
+        path(0)
+    assert Graph(0, ()).is_connected()
 
 
 def test_graph_invariants_enforced():
@@ -235,6 +238,8 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(GraphError):
         Graph(2, ((1,), ()))  # asymmetric adjacency
+    with pytest.raises(GraphError, match="^adjacency length must equal node count$"):
+        Graph(2, ((1,),))
     for adjacency, message in [
         (((1,), ()), "asymmetric adjacency between 0 and 1"),
         (((0,),), "loop at node 0"),
@@ -383,6 +388,13 @@ def test_numberings_are_equal_exactly_when_their_maps_are():
     for p, q in itertools.product(seen, repeat=2):
         same = p.items() == q.items()
         assert (p == q) is same and (p != q) is not same
+
+
+def test_numbering_is_immutable_and_shows_its_size():
+    p = consistent_port_numbering(cycle(3), 0)
+    with pytest.raises(AttributeError, match="^PortNumbering is immutable$"):
+        p.extra = 1
+    assert repr(p) == "PortNumbering(6 ports)"
 
 
 def test_all_graphs_enumeration_counts():

@@ -76,6 +76,23 @@ def test_preprocess_c4_distinct_at_every_node_all_numberings():
         assert indistinct_nodes(pg, preamble_trace(wrapped, pg).messages[-1]) == 0
 
 
+def test_set_from_multiset_without_a_preamble_runs_as_its_base():
+    # at delta 0 the preamble has 2 * 0 rounds: the wrapper starts simulating
+    base = odd_odd_machine(0)
+    pg = PortedGraph(path(1), consistent_port_numbering(path(1), 0))
+    want = run(base, pg, 8)
+    got = run(set_from_multiset(base), pg, 8)
+    assert got.stopped and (got.rounds, got.outputs) == (want.rounds, want.outputs)
+
+
+def test_history_wrapper_refuses_a_history_that_extends_no_recorded_one():
+    # exact-mode inboxes may hand the wrapper what no run of it would
+    wrapped = multiset_from_vector(odd_odd_machine(1))
+    state = wrapped.init_state(1)
+    with pytest.raises(WrapperError, match="^history reconstruction lost track of a neighbour$"):
+        wrapped.transition(state, (("hist", ("x", "y")),))
+
+
 def test_indistinguishable_pairs_strengthen_two_rounds_earlier():
     # on every small ported graph: a pair of order k in round t >= 4 was a
     # pair of order k+1 in round t-2, where the order of u's triple at v
