@@ -32,7 +32,9 @@ message are grouped by outgoing port when it is visible and all together
 (under "*") when it is hidden.
 
 The reverse direction is evaluated against a fixed suite of ported-graph
-models.  Formulas are deduplicated semantically (truth table over the suite,
+models, held as their disjoint union (``logic.disjoint_union``), which
+preserves modal truth: a table over the union is the models' tables side by
+side.  Formulas are deduplicated semantically (truth table over the suite,
 keyed together with modal depth so depth bookkeeping survives), and DNF terms
 that are unsatisfiable on the whole suite are dropped; the resulting formula
 agrees with the machine on every model of the suite, which is the scale this
@@ -54,6 +56,7 @@ from .logic import (
     And,
     Dia,
     Formula,
+    KripkeModel,
     Not,
     Prop,
     Signature,
@@ -62,6 +65,7 @@ from .logic import (
     conj_all,
     dia,
     disj_all,
+    disjoint_union,
     kripke_model,
     neg,
     prop,
@@ -174,7 +178,6 @@ class CompiledMachine(Machine):
                 self._nodes.append(("<>", f.alpha, f.grade, sub, pos))
         row = (sig.variant, any(isinstance(f, Dia) and f.grade > 1 for f in self.closure))
         self.tag = next(t for t in CLASSES.values() if (t.variant, t.graded) == row)
-        self.outputs = frozenset({0, 1})
         self.name = f"compiled[{sig.variant}]"
         self.run_memo = {}
 
@@ -232,51 +235,39 @@ def compile_formula(formula: Formula, sig: Signature) -> CompiledMachine:
 
 
 class ModelSuite:
-    """A family of ported-graph models with shared truth-table machinery.
+    """Ported-graph models as their disjoint union, with truth tables over it.
 
-    Worlds of all models are packed into one bit position space, so a truth
-    table is a single int and Boolean combination of tables is int
-    arithmetic.  For the lifetime of the suite, ``functools.cache`` keeps
+    ``union, offsets`` is ``logic.disjoint_union(models)``, or the 0-world
+    union for no graphs.  Union world w is bit w of a truth table, so a table
+    is a single int and Boolean combination of tables is int arithmetic.  For
+    the lifetime of the suite, ``functools.cache`` keeps each degree's table,
     each alpha's (world bit, successor mask) pairs for the worlds with a
     successor, and each diamond's table per (alpha, grade, sub table).
     """
 
     def __init__(self, ported: Sequence[PortedGraph], variant: str, delta: int):
-        self.variant = variant
-        self.delta = delta
         self.sig = Signature(delta, variant)
         self.ported = list(ported)
         self.models = [kripke_model(pg, variant, delta) for pg in self.ported]
-        self.offsets = []
-        total = 0
-        for model in self.models:
-            self.offsets.append(total)
-            total += model.size
-        self.total_worlds = total
-        self.full_mask = (1 << total) - 1 if total else 0
-        self._degree_masks: dict[int, int] = {}
-        for pg, offset in zip(self.ported, self.offsets):
-            for v in range(pg.graph.n):
-                d = pg.graph.degree(v)
-                self._degree_masks[d] = self._degree_masks.get(d, 0) | (
-                    1 << (offset + v)
-                )
+        empty = KripkeModel(0, delta, variant, {}, {}), []
+        self.union, self.offsets = disjoint_union(self.models) if self.models else empty
+        self.full_mask = (1 << self.union.size) - 1
+        self.degree_mask = cache(self.degree_mask)
         self._successor_masks = cache(self._successor_masks)
         self.diamond_mask = cache(self.diamond_mask)
 
     def degree_mask(self, degree: int) -> int:
-        return self._degree_masks.get(degree, 0)
+        """Degree 0 has no proposition: its worlds are outside the other degrees'
+        tables, which are disjoint, so their sum is their union."""
+        if degree:
+            return sum(1 << w for w in self.union.sat_prop(degree))
+        others = sum(self.degree_mask(d) for d in range(1, self.sig.delta + 1))
+        return self.full_mask & ~others
 
     def _successor_masks(self, alpha: tuple) -> list[tuple[int, int]]:
         """(world bit, successor mask) of each world with an alpha-successor."""
-        pairs = []
-        for model, offset in zip(self.models, self.offsets):
-            for v, succ in model.successors.get(alpha, {}).items():
-                acc = 0
-                for w in succ:
-                    acc |= 1 << (offset + w)
-                pairs.append((1 << (offset + v), acc))
-        return pairs
+        succ = self.union.successors.get(alpha, {})
+        return [(1 << v, sum(1 << w for w in ws)) for v, ws in succ.items()]
 
     def diamond_mask(self, alpha: tuple, grade: int, sub_mask: int) -> int:
         out = 0
@@ -561,9 +552,9 @@ def decompile_details(
         raise DecompileError(f"variant {variant} hides a port that class {machine.tag.code} sees")
     if suite is None:
         suite = ModelSuite(default_decompile_suite(delta, node_bound), variant, delta)
-    if suite.variant != variant or suite.delta != delta:
+    if suite.sig != sig:
         raise DecompileError("suite was built for a different signature")
-    if not suite.total_worlds:
+    if not suite.union.size:
         raise DecompileError("the decompile suite has no worlds")
     worker = _Decompiler(machine, sig, horizon, suite)
     return worker.build()

@@ -177,7 +177,6 @@ class Machine:
 
     delta_max: int
     tag: ClassTag
-    outputs: frozenset | None = None
     name: str = ""
     run_memo: dict | None = None
 
@@ -186,7 +185,8 @@ class Machine:
 
 
 class SimpleMachine(Machine):
-    """Machine whose methods are the callables it is given; for tests and demos."""
+    """Machine whose methods are the callables it is given; for tests and demos.
+    Nothing in the library reads an output set, so ``outputs`` is ignored."""
 
     def __init__(
         self,
@@ -205,7 +205,6 @@ class SimpleMachine(Machine):
         self.emit = emit
         self.transition = transition
         self.is_output = is_output
-        self.outputs = outputs
         self.name = name
 
 

@@ -96,7 +96,6 @@ class _LeafElectionMachine(Machine):
     def __init__(self, delta_max: int):
         self.delta_max = delta_max
         self.tag = ClassTag(SET, VECTOR)
-        self.outputs = frozenset({0, 1})
         self.name = "leaf_election"
 
     def init_state(self, degree: int):
@@ -142,7 +141,6 @@ class _OddOddMachine(Machine):
     def __init__(self, delta_max: int):
         self.delta_max = delta_max
         self.tag = ClassTag(MULTISET, BROADCAST)
-        self.outputs = frozenset({0, 1})
         self.name = "odd_odd"
 
     def init_state(self, degree: int):
@@ -206,7 +204,6 @@ class _SymmetryBreakMachine(Machine):
     def __init__(self, delta_max: int):
         self.delta_max = delta_max
         self.tag = ClassTag(VECTOR, VECTOR)
-        self.outputs = frozenset({0, 1})
         self.name = "symmetry_break"
 
     def init_state(self, degree: int):

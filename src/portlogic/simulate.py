@@ -93,7 +93,6 @@ class _Simulation(Machine):
     def __init__(self, base: Machine, tag: ClassTag, kind: str):
         self.base = base
         self.delta_max = base.delta_max
-        self.outputs = base.outputs
         self.name = f"{kind}({base.name})"
         self.tag = tag
         self._key = cache(canon)  # the payload encoding, memoised per instance

@@ -365,6 +365,18 @@ MUTANTS = (
             "tests/test_compiler.py::test_compile_matches_eval_random_suite[++]",
         ),
     ),
+    Mutant(
+        "M30",
+        "the suite's degree-0 table without its worlds",
+        "src/portlogic/compiler.py",
+        "        return self.full_mask & ~others\n",
+        "        return 0\n",
+        (
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[++-1]",
+            "tests/test_compiler.py::test_diamond_mask_matches_a_per_world_recount[---3]",
+            "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
+        ),
+    ),
 )
 
 

@@ -290,7 +290,18 @@ def test_diamond_mask_matches_a_per_world_recount(variant, delta):
     suite = ModelSuite(default_decompile_suite(delta, node_bound=4), variant, delta)
     rng = random.Random(delta)
     subs = [suite.degree_mask(d) for d in range(delta + 1)] + [suite.full_mask, 0]
-    subs += [rng.getrandbits(suite.total_worlds) for _ in range(4)]
+    subs += [rng.getrandbits(suite.union.size) for _ in range(4)]
+
+    # the layout and the degree tables, recounted from the graphs themselves
+    sizes = [pg.graph.n for pg in suite.ported]
+    assert suite.offsets == [sum(sizes[:k]) for k in range(len(sizes))]
+    for d in range(delta + 1):
+        expected = 0
+        for pg, offset in zip(suite.ported, suite.offsets):
+            for v in range(pg.graph.n):
+                if pg.graph.degree(v) == d:
+                    expected |= 1 << (offset + v)
+        assert suite.degree_mask(d) == expected
 
     def recount(alpha, grade, sub):
         out = 0
