@@ -53,9 +53,6 @@ __all__ = [
     "MAX_CANDIDATES",
 ]
 
-# the classes whose invariance is plain bisimulation, by lower-case code
-CLASS_VARIANTS = {code.lower(): tag.variant for code, tag in CLASSES.items() if not tag.graded}
-
 # X-constant candidate solutions impossibility_check may enumerate
 # (outputs ** (nodes - |X| + 1))
 MAX_CANDIDATES = 1 << 20
@@ -293,7 +290,6 @@ class Refutation:
 
     problem: str
     machine_class: str
-    variant: str
     x_nodes: tuple[int, ...]
     partition: Partition
     audited_candidates: int  # X-constant candidates audited, every one invalid
@@ -302,7 +298,7 @@ class Refutation:
     def to_json(self) -> dict:
         return {
             "refuted_class": self.machine_class,
-            "variant": self.variant,
+            "variant": self.model.variant,
             "problem": self.problem,
             "x_nodes": list(self.x_nodes),
             "partition": self.partition.to_json(),
@@ -331,7 +327,10 @@ def impossibility_check(
 ):
     """Bisimulation refutation for ``problem`` in ``machine_class`` on (g, p).
 
-    Builds the Kripke variant the class can observe, tests the X nodes
+    ``machine_class`` is a ``machines.CLASSES`` code whose logic is plain
+    bisimulation: VV, SV, VB or SB.  Any other code, the graded MV and MB
+    or a lower-case one, raises ``ImpossibilityInputError``.  Builds the
+    Kripke model of the class's ``variant``, tests the X nodes
     mutually bisimilar via refinement, and audits by exhaustive enumeration
     that no candidate solution constant on X is valid.  A candidate has one
     value shared by X, placed at X's least node, and one value per other
@@ -344,13 +343,14 @@ def impossibility_check(
     candidates.  Returns a ``Refutation`` certificate or an ``Inconclusive``
     with the failing hypothesis.
     """
-    if machine_class not in CLASS_VARIANTS:
-        raise ImpossibilityInputError(f"machine class must be one of {sorted(CLASS_VARIANTS)}")
+    tag = CLASSES.get(machine_class)
+    if tag is None or tag.graded:
+        plain = sorted(code for code, t in CLASSES.items() if not t.graded)
+        raise ImpossibilityInputError(f"machine class must be one of {plain}")
     xs = tuple(sorted(set(x_nodes)))
     if not xs or any(not 0 <= v < g.n for v in xs):
         raise ImpossibilityInputError("X must be a nonempty set of graph nodes")
-    variant = CLASS_VARIANTS[machine_class]
-    model = kripke_model(PortedGraph(g, p), variant)
+    model = kripke_model(PortedGraph(g, p), tag.variant)
     partition = coarsest_bisimulation(model)
     if len({partition.block_index(v) for v in xs}) != 1:
         return Inconclusive("nodes of X are not mutually bisimilar")
@@ -375,7 +375,6 @@ def impossibility_check(
     return Refutation(
         problem=problem.name,
         machine_class=machine_class,
-        variant=variant,
         x_nodes=xs,
         partition=partition,
         audited_candidates=total,

@@ -53,6 +53,19 @@ from .machines import check_class_conformance, trace_to_json
 EXIT_VALIDATION = 2
 EXIT_TIMEOUT = 3
 
+NUMBERINGS: dict[str, Callable[[Graph, int], PortNumbering]] = {
+    "random": random_port_numbering,
+    "consistent": consistent_port_numbering,
+    "symmetric": lambda g, seed: symmetric_port_numbering(g),
+}
+
+FAMILIES: dict[str, Callable[[int], Graph]] = {
+    "star": star,
+    "cycle": cycle,
+    "no_one_factor_cubic": lambda k: no_one_factor_cubic(),
+    "parity_union": lambda k: problems_mod.parity_union()[0],
+}
+
 WRAPPERS = {
     "set_from_multiset": simulate_mod.set_from_multiset,
     "multiset_from_vector": simulate_mod.multiset_from_vector,
@@ -71,9 +84,8 @@ def _load_ported(name: str, args) -> PortedGraph:
         g = load_graph(name)
     except (OSError, GraphError) as exc:
         raise CliError(f"cannot load graph: {exc}") from exc
-    if getattr(args, "consistent", False):
-        return PortedGraph(g, consistent_port_numbering(g, args.seed))
-    return PortedGraph(g, random_port_numbering(g, args.seed))
+    numbering = NUMBERINGS["consistent" if getattr(args, "consistent", False) else "random"]
+    return PortedGraph(g, numbering(g, args.seed))
 
 
 def _delta(args, pg: PortedGraph) -> int:
@@ -189,7 +201,7 @@ def cmd_decompile(args) -> int:
         args,
         {
             "inputs": {
-                "machine": getattr(args, "machine", None),
+                "machine": args.machine,
                 "variant": args.variant,
                 "delta": delta,
                 "horizon": args.horizon,
@@ -227,7 +239,9 @@ class Separation:
     """A problem solved on one graph by a machine and refuted in a weaker class.
 
     ``machine`` keys ``problems.MACHINES`` and ``problem`` names a factory in
-    ``portlogic.problems``; both are looked up when the demo runs.
+    ``portlogic.problems``, and the problem it builds by the same name; both
+    are looked up when the demo runs.  ``refuted_class`` is a
+    ``machines.CLASSES`` code.
     """
 
     instance: Callable[[], tuple]  # (graph, *X)
@@ -247,15 +261,15 @@ def _cubic_instance():
 SEPARATIONS = {
     "star": Separation(
         lambda: (star(3), 1, 2, 3), "leaf_election", "leaf_election",
-        random_port_numbering, 5, "vb", consistent_port_numbering,
+        random_port_numbering, 5, "VB", consistent_port_numbering,
     ),
     "parity": Separation(
         problems_mod.parity_union, "odd_odd", "odd_odd",
-        random_port_numbering, 5, "sb", consistent_port_numbering,
+        random_port_numbering, 5, "SB", consistent_port_numbering,
     ),
     "regular": Separation(
         _cubic_instance, "symmetry_break", "nonconstant_on_unmatchable",
-        consistent_port_numbering, 3, "vv", lambda g, seed: symmetric_port_numbering(g),
+        consistent_port_numbering, 3, "VV", NUMBERINGS["symmetric"],
     ),
 }
 
@@ -304,23 +318,11 @@ def cmd_separate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    families = {
-        "star": lambda: star(args.k),
-        "cycle": lambda: cycle(args.k),
-        "no_one_factor_cubic": no_one_factor_cubic,
-        "parity_union": lambda: problems_mod.parity_union()[0],
-    }
-    g = families[args.family]()
+    g = FAMILIES[args.family](args.k)
     if args.numbering == "none":
         text = format_graph(g)
     else:
-        if args.numbering == "random":
-            p = random_port_numbering(g, args.seed)
-        elif args.numbering == "consistent":
-            p = consistent_port_numbering(g, args.seed)
-        else:
-            p = symmetric_port_numbering(g)
-        text = format_ported(PortedGraph(g, p))
+        text = format_ported(PortedGraph(g, NUMBERINGS[args.numbering](g, args.seed)))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -419,13 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("gen", help="emit a generator graph as .g/.pn text")
-    p.add_argument("--family", choices=["star", "cycle", "no_one_factor_cubic", "parity_union"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--k", type=int, default=3, help="size parameter for star/cycle")
-    p.add_argument(
-        "--numbering",
-        choices=["none", "random", "consistent", "symmetric"],
-        default="none",
-    )
+    p.add_argument("--numbering", choices=["none", *NUMBERINGS], default="none")
     p.add_argument("--out", help="output file (stdout if omitted)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)

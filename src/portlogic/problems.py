@@ -23,15 +23,7 @@ from .graphs import (
     disjoint_union,
     has_one_factor,
 )
-from .machines import (
-    BROADCAST,
-    MULTISET,
-    SET,
-    VECTOR,
-    ClassTag,
-    Machine,
-    NO_MESSAGE,
-)
+from .machines import CLASSES, Machine, NO_MESSAGE
 
 __all__ = [
     "GraphProblem",
@@ -59,6 +51,17 @@ class GraphProblem:
         return not self.applies(g) or self.verifier(g, solution)
 
 
+class _TwoPhaseMachine(Machine):
+    """A machine of this module: it stops after two rounds, in its int
+    output; each subclass declares its class ``tag`` and its ``name``."""
+
+    def __init__(self, delta_max: int):
+        self.delta_max = delta_max
+
+    def is_output(self, state) -> bool:
+        return isinstance(state, int)
+
+
 def _star_center(g: Graph) -> int | None:
     """Centre of a k-star with k > 1, else None."""
     if g.n < 3 or g.edge_count() != g.n - 1:
@@ -84,7 +87,7 @@ def leaf_election() -> GraphProblem:
     return GraphProblem("leaf_election", (0, 1), applies, verifier)
 
 
-class _LeafElectionMachine(Machine):
+class _LeafElectionMachine(_TwoPhaseMachine):
     """Send each port its own index; a leaf that got message 1 wins.
 
     Two rounds: the decision is fixed after the exchange and published as the
@@ -93,10 +96,8 @@ class _LeafElectionMachine(Machine):
     deterministic, which the problem permits.
     """
 
-    def __init__(self, delta_max: int):
-        self.delta_max = delta_max
-        self.tag = ClassTag(SET, VECTOR)
-        self.name = "leaf_election"
+    tag = CLASSES["SV"]
+    name = "leaf_election"
 
     def init_state(self, degree: int):
         return ("start", degree)
@@ -113,9 +114,6 @@ class _LeafElectionMachine(Machine):
             win = degree == 1 and received == {("port", 1)}
             return ("decided", 1 if win else 0)
         return state[1]
-
-    def is_output(self, state) -> bool:
-        return isinstance(state, int)
 
 
 def leaf_election_machine(delta_max: int) -> Machine:
@@ -135,13 +133,11 @@ def odd_odd() -> GraphProblem:
     return GraphProblem("odd_odd", (0, 1), lambda g: True, verifier)
 
 
-class _OddOddMachine(Machine):
+class _OddOddMachine(_TwoPhaseMachine):
     """Broadcast own degree parity, then count odd parities mod 2 (2 rounds)."""
 
-    def __init__(self, delta_max: int):
-        self.delta_max = delta_max
-        self.tag = ClassTag(MULTISET, BROADCAST)
-        self.name = "odd_odd"
+    tag = CLASSES["MB"]
+    name = "odd_odd"
 
     def init_state(self, degree: int):
         return ("start", degree % 2)
@@ -156,9 +152,6 @@ class _OddOddMachine(Machine):
             odd = sum(1 for m in inbox if m == ("parity", 1))
             return ("decided", odd % 2)
         return state[1]
-
-    def is_output(self, state) -> bool:
-        return isinstance(state, int)
 
 
 def odd_odd_machine(delta_max: int) -> Machine:
@@ -193,7 +186,7 @@ def parity_union() -> tuple[Graph, int, int]:
     return union, u, w + offset
 
 
-class _SymmetryBreakMachine(Machine):
+class _SymmetryBreakMachine(_TwoPhaseMachine):
     """Exchange port numbers, then local types; locally maximal types win.
 
     Correct under consistent numberings: the value arriving on port i is then
@@ -201,10 +194,8 @@ class _SymmetryBreakMachine(Machine):
     order on types is lexicographic on the zero-padded tuple.
     """
 
-    def __init__(self, delta_max: int):
-        self.delta_max = delta_max
-        self.tag = ClassTag(VECTOR, VECTOR)
-        self.name = "symmetry_break"
+    tag = CLASSES["VV"]
+    name = "symmetry_break"
 
     def init_state(self, degree: int):
         return ("start", degree)
@@ -224,9 +215,6 @@ class _SymmetryBreakMachine(Machine):
         degree, own = state[1], state[2]
         types = [inbox[i][1] for i in range(degree)]
         return 1 if all(t <= own for t in types) else 0
-
-    def is_output(self, state) -> bool:
-        return isinstance(state, int)
 
 
 def symmetry_break_machine(delta_max: int) -> Machine:
@@ -249,7 +237,9 @@ def nonconstant_on_unmatchable() -> GraphProblem:
     def verifier(g: Graph, solution: Mapping[int, object]) -> bool:
         return len({solution[v] for v in range(g.n)}) > 1
 
-    return GraphProblem("nonconstant", (0, 1), is_unmatchable_odd_regular, verifier)
+    return GraphProblem(
+        "nonconstant_on_unmatchable", (0, 1), is_unmatchable_odd_regular, verifier
+    )
 
 
 MACHINES: dict[str, Callable[[int], Machine]] = {

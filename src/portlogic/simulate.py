@@ -43,10 +43,10 @@ from .encoding import canon, digest
 from .graphs import PortlogicError
 from .machines import (
     BROADCAST,
+    CLASSES,
     MULTISET,
     NO_MESSAGE,
     SET,
-    VECTOR,
     ClassTag,
     Machine,
     message_on,
@@ -124,7 +124,7 @@ class _SetFromMultiset(_Simulation):
     def __init__(self, base: Machine):
         if base.tag.inbox not in (MULTISET, SET):
             raise WrapperError("set_from_multiset needs a multiset-invariant machine")
-        super().__init__(base, ClassTag(SET, VECTOR), "set_from_multiset")
+        super().__init__(base, CLASSES["SV"], "set_from_multiset")
         self._preamble = 2 * base.delta_max
 
     def init_state(self, degree: int):
@@ -170,7 +170,7 @@ class _HistoryWrapper(_Simulation):
 
     def __init__(self, base: Machine, broadcast: bool):
         kind = "bcast_multiset_from_broadcast" if broadcast else "multiset_from_vector"
-        super().__init__(base, ClassTag(MULTISET, BROADCAST if broadcast else VECTOR), kind)
+        super().__init__(base, CLASSES["MB" if broadcast else "MV"], kind)
         self.broadcast = broadcast
 
     def init_state(self, degree: int):

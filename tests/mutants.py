@@ -377,6 +377,17 @@ MUTANTS = (
             "tests/test_golden.py::test_decompiled_formulas_are_byte_identical",
         ),
     ),
+    Mutant(
+        "M31",
+        "impossibility_check accepting the graded classes",
+        "src/portlogic/bisim.py",
+        "    if tag is None or tag.graded:\n",
+        "    if tag is None:\n",
+        (
+            "tests/test_bisim.py::test_impossibility_refuses_the_graded_classes[MV]",
+            "tests/test_bisim.py::test_impossibility_refuses_the_graded_classes[MB]",
+        ),
+    ),
 )
 
 

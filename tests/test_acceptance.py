@@ -303,9 +303,9 @@ def test_criterion_4_multiset_from_vector_collapse():
 @pytest.mark.parametrize(
     "demo,expected_class",
     [
-        ("star", "vb"),
-        ("parity", "sb"),
-        ("regular", "vv"),
+        ("star", "VB"),
+        ("parity", "SB"),
+        ("regular", "VV"),
     ],
 )
 def test_criterion_5_separation_certificates(demo, expected_class):

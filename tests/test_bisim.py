@@ -8,7 +8,6 @@ import pytest
 
 from conftest import cached_model, full_audit, random_formula, sweep
 from portlogic.bisim import (
-    CLASS_VARIANTS,
     EnumerationBudgetError,
     ImpossibilityInputError,
     Inconclusive,
@@ -37,6 +36,7 @@ from portlogic.graphs import (
 from portlogic import logic, problems
 from portlogic.cli import SEPARATIONS
 from portlogic.logic import Signature, eval_formula, kripke_model
+from portlogic.machines import CLASSES
 from portlogic.problems import (
     leaf_election,
     nonconstant_on_unmatchable,
@@ -295,10 +295,10 @@ def test_symmetric_numbering_induces_diagonal_bisimilar_model():
 def test_impossibility_star_vb():
     g = star(3)
     result = impossibility_check(
-        g, [1, 2, 3], leaf_election(), "vb", consistent_port_numbering(g, 0)
+        g, [1, 2, 3], leaf_election(), "VB", consistent_port_numbering(g, 0)
     )
     assert isinstance(result, Refutation)
-    assert result.variant == "+-"
+    assert result.model.variant == "+-"
     assert result.audited_candidates == 4
     assert verify_bisimulation(result.model, None, result.partition.as_pairs())
 
@@ -306,7 +306,7 @@ def test_impossibility_star_vb():
 def test_impossibility_parity_sb():
     union, u, w = parity_union()
     result = impossibility_check(
-        union, [u, w], odd_odd(), "sb", consistent_port_numbering(union, 0)
+        union, [u, w], odd_odd(), "SB", consistent_port_numbering(union, 0)
     )
     assert isinstance(result, Refutation)
     assert result.audited_candidates == 1024  # 11 nodes, 2 of them in X
@@ -315,17 +315,17 @@ def test_impossibility_parity_sb():
 def test_impossibility_regular_vv():
     g = no_one_factor_cubic()
     result = impossibility_check(
-        g, range(g.n), nonconstant_on_unmatchable(), "vv", symmetric_port_numbering(g)
+        g, range(g.n), nonconstant_on_unmatchable(), "VV", symmetric_port_numbering(g)
     )
     assert isinstance(result, Refutation)
     assert len(result.partition.blocks) == 1
-    assert result.to_json()["refuted_class"] == "vv"
+    assert result.to_json()["refuted_class"] == "VV"
 
 
 def test_impossibility_inconclusive_when_not_bisimilar():
     g = star(3)
     result = impossibility_check(
-        g, [0, 1], leaf_election(), "vb", consistent_port_numbering(g, 0)
+        g, [0, 1], leaf_election(), "VB", consistent_port_numbering(g, 0)
     )
     assert isinstance(result, Inconclusive)
     assert result.to_json() == {"inconclusive": "nodes of X are not mutually bisimilar"}
@@ -334,7 +334,7 @@ def test_impossibility_inconclusive_when_not_bisimilar():
 def test_impossibility_inconclusive_when_solution_constant_on_x():
     g = cycle(4)  # odd_odd's unique solution is all zeros here
     result = impossibility_check(
-        g, [0, 1], odd_odd(), "sb", consistent_port_numbering(g, 0)
+        g, [0, 1], odd_odd(), "SB", consistent_port_numbering(g, 0)
     )
     assert isinstance(result, Inconclusive)
     assert result.to_json() == {
@@ -357,7 +357,7 @@ def test_impossibility_decides_applies_once():
 
     spy = dataclasses.replace(problem, applies=applies, verifier=verifier)
     g = cycle(4)  # not a star: every candidate is valid, the first constant on X
-    result = impossibility_check(g, [0, 1], spy, "sb", consistent_port_numbering(g, 0))
+    result = impossibility_check(g, [0, 1], spy, "SB", consistent_port_numbering(g, 0))
     assert result == Inconclusive("a valid solution is constant on X", {0: 0, 1: 0})
     assert calls == {"applies": 1, "verifier": 0}
 
@@ -368,8 +368,8 @@ def test_impossibility_budget(monkeypatch):
     p = symmetric_port_numbering(g)
     message = "^32768 candidate solutions exceed the budget 1000$"
     with pytest.raises(EnumerationBudgetError, match=message):
-        impossibility_check(g, [0, 1], nonconstant_on_unmatchable(), "vv", p)
-    result = impossibility_check(g, range(g.n), nonconstant_on_unmatchable(), "vv", p)
+        impossibility_check(g, [0, 1], nonconstant_on_unmatchable(), "VV", p)
+    result = impossibility_check(g, range(g.n), nonconstant_on_unmatchable(), "VV", p)
     assert result.audited_candidates == 2
 
 
@@ -398,8 +398,10 @@ def test_impossibility_agrees_with_the_full_audit():
     outcomes = set()
     for gi, g in enumerate(all_graphs(4)):
         for p in (consistent_port_numbering(g, gi), random_port_numbering(g, gi)):
-            for machine_class, variant in CLASS_VARIANTS.items():
-                blocks = coarsest_bisimulation(kripke_model(PortedGraph(g, p), variant)).blocks
+            for machine_class, tag in CLASSES.items():
+                if tag.graded:
+                    continue
+                blocks = coarsest_bisimulation(kripke_model(PortedGraph(g, p), tag.variant)).blocks
                 for x_nodes in sorted({x for b in blocks for x in (b, b[:1], b[:2])}):
                     for problem in tried:
                         outcomes.add(_audit_outcome(g, x_nodes, problem, machine_class, p))
@@ -413,9 +415,11 @@ def test_impossibility_agrees_with_the_full_audit():
 
 def test_impossibility_rejects_unknown_class():
     g = star(2)
-    with pytest.raises(ImpossibilityInputError) as caught:
-        impossibility_check(g, [1], leaf_election(), "mv", consistent_port_numbering(g, 0))
-    assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
+    for machine_class in ("vb", "XX"):  # codes are the CLASSES keys, upper case
+        with pytest.raises(ImpossibilityInputError) as caught:
+            impossibility_check(g, [1], leaf_election(), machine_class, consistent_port_numbering(g, 0))
+        assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
+        assert str(caught.value) == "machine class must be one of ['SB', 'SV', 'VB', 'VV']"
 
 
 def _sv_solved_instance(name: str):
@@ -429,11 +433,11 @@ def _sv_solved_instance(name: str):
 @pytest.mark.parametrize("instance", ["star", "parity"])
 def test_impossibility_accepts_sv_and_finds_no_refutation_where_it_solves(instance):
     g, x_nodes, problem = _sv_solved_instance(instance)
-    result = impossibility_check(g, x_nodes, problem, "sv", consistent_port_numbering(g, 0))
+    result = impossibility_check(g, x_nodes, problem, "SV", consistent_port_numbering(g, 0))
     assert result == Inconclusive("nodes of X are not mutually bisimilar")
 
 
-@pytest.mark.parametrize("machine_class", ["mv", "mb"])
+@pytest.mark.parametrize("machine_class", ["MV", "MB"])
 def test_impossibility_refuses_the_graded_classes(machine_class):
     g = star(3)
     with pytest.raises(ImpossibilityInputError):
@@ -443,7 +447,7 @@ def test_impossibility_refuses_the_graded_classes(machine_class):
 def test_impossibility_rejects_empty_x():
     g = star(2)
     with pytest.raises(ImpossibilityInputError) as caught:
-        impossibility_check(g, [], leaf_election(), "vb", consistent_port_numbering(g, 0))
+        impossibility_check(g, [], leaf_election(), "VB", consistent_port_numbering(g, 0))
     assert isinstance(caught.value, PortlogicError) and isinstance(caught.value, ValueError)
 
 
@@ -451,7 +455,7 @@ def test_impossibility_rejects_empty_x():
 def test_impossibility_rejects_x_outside_the_graph(xs):
     g = star(2)  # nodes 0, 1, 2
     with pytest.raises(ImpossibilityInputError, match="X must be a nonempty set of graph nodes"):
-        impossibility_check(g, xs, leaf_election(), "vb", consistent_port_numbering(g, 0))
+        impossibility_check(g, xs, leaf_election(), "VB", consistent_port_numbering(g, 0))
 
 
 # ---------------------------------------------------------------------------

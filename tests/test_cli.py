@@ -316,10 +316,21 @@ def test_separate_demos(demo, capsys):
     assert doc["certificate"]["reverified"] is True
 
 
+@pytest.mark.parametrize("demo", sorted(SEPARATIONS))
+def test_separate_names_classes_by_their_codes_and_the_problem_by_its_factory(demo, capsys):
+    code, out = run_cli(["separate", demo, "--json"], capsys)
+    assert code == 0
+    doc = parse_json(out)
+    certificate = doc["certificate"]
+    assert doc["refuted_class"] in CLASSES and certificate["refuted_class"] in CLASSES
+    assert doc["solved_in"].removesuffix(" (assuming consistency)") in CLASSES
+    assert certificate["problem"] == SEPARATIONS[demo].problem
+
+
 def test_separate_reports_an_inconclusive_certificate_as_not_ok(monkeypatch, capsys):
     # the leaves of a consistently numbered star differ under ++, so the
-    # impossibility check cannot refute vv there
-    star_row = dataclasses.replace(SEPARATIONS["star"], refuted_class="vv")
+    # impossibility check cannot refute VV there
+    star_row = dataclasses.replace(SEPARATIONS["star"], refuted_class="VV")
     monkeypatch.setitem(SEPARATIONS, "star", star_row)
     code, out = run_cli(["separate", "star", "--json"], capsys)
     assert code == 1

@@ -21,6 +21,16 @@ recipe of ``test_separate_reports_are_byte_identical``, with
 ``"audited_candidates": 2 ** (n - |X| + 1)`` (4 for star, 1024 for parity
 and 2 for regular; n nodes, X the demo's X, 2 outputs), then dumped and
 hashed by that recipe.
+
+They were re-derived again at commit 2dd3eb6, when a report began to name
+its classes by their ``machines.CLASSES`` codes and its problem by its
+factory: each report of that commit, made by the same recipe, with both
+``"refuted_class"`` values (the report's and its certificate's) upper-cased
+(``"vb"`` to ``"VB"``, ``"sb"`` to ``"SB"``, ``"vv"`` to ``"VV"``) and the
+``regular`` certificate's ``"problem": "nonconstant"`` renamed to
+``"nonconstant_on_unmatchable"``, then dumped and hashed by that recipe.
+Nothing else in the reports moved: hashing the new reports directly gives
+the same three values.
 """
 
 import hashlib
@@ -76,9 +86,9 @@ DECOMPILE_HASH = "30562a3e82a9696385eda4480ca80415a900ec10c860770da4126e72dcf667
 SYMMETRIC_HASH = "aecc654a2c23ad0299955ee0274ba032f7728a842dadc3c89ed8b0be8d46158f"
 
 SEPARATE_HASHES = {
-    "star": "be3f165d78f45951edc6f9cc9617e9c360865473f4eb44c6489b5823973ca5db",
-    "parity": "43eae2269a272b48e233a6d46e39dd6aa72e8f8e1780c93a40bc5c9d6f31c6cc",
-    "regular": "de925003544b1c1f705baf1ddd45572201ff2418ae39edd6b036067fdad051d4",
+    "star": "594a10a985c51d31004fc45ebac545db9e2b96a754662ca1b8fdf896bb526824",
+    "parity": "5d1c274f750856caefecd57d3408d1fe8bd5f078ef814821c565900a1b78eb3e",
+    "regular": "8a05039f1dded9afd3f9838aaad573f61d7b54d9c221304d1a89959e80861b47",
 }
 
 
