@@ -471,6 +471,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(rest)
     args.started = time.perf_counter()
     if variant is not None:
+        if "variant" not in vars(args):
+            print(f"error: {args.command} takes no --variant", file=sys.stderr)
+            return EXIT_VALIDATION
         if variant not in VARIANTS:
             print(
                 f"error: --variant must be one of {', '.join(VARIANTS)}",

@@ -1,10 +1,12 @@
 """Compilation between modal formulas and local algorithms.
 
-Both directions read the ``logic.Signature`` and branch only on its
-variant's two visibility bits (``Signature.kind``).  A visible incoming port
-means a positional (vector) inbox, a hidden one a counted (multiset or set)
-inbox.  A visible outgoing port means messages tagged with their port
-(vector outbox), a hidden one broadcast messages.
+Both directions read the variant only through the ``logic.Signature``, the
+one reading of a variant code: they branch on its two visibility bits
+(``in_visible``, ``out_visible``) and take the index values a side may take
+from ``sides``.  A visible incoming port means a positional (vector) inbox, a
+hidden one a counted (multiset or set) inbox.  A visible outgoing port means
+messages tagged with their port (vector outbox), a hidden one broadcast
+messages.
 
 Forward direction: a formula becomes a machine whose states are truth
 assignments over the subformula closure (one tuple, sorted by modal depth
@@ -153,13 +155,12 @@ class CompiledMachine(Machine):
         problems = validate_signature(formula, sig)
         if problems:
             raise CompileError("; ".join(problems))
-        self.kind = sig.kind
+        self.sig = sig
         self.delta_max = sig.delta
         self.closure = tuple(sorted(subformulas(formula), key=lambda f: f.md))
         index = {id(f): k for k, f in enumerate(self.closure)}
         self._root = index[id(formula)]
-        shown = range(1, sig.delta + 1) if sig.kind.out_visible else (STAR,)
-        targets: dict[int | str, set[int]] = {j: set() for j in shown}
+        targets: dict[int | str, set[int]] = {j: set() for j in sig.sides[1]}
         for f in self.closure:
             if isinstance(f, Dia):
                 targets[f.alpha[1]].add(index[id(f.sub)])
@@ -191,7 +192,7 @@ class CompiledMachine(Machine):
         return tuple(g)
 
     def emit(self, state, port: int):
-        if self.kind.out_visible:
+        if self.sig.out_visible:
             return ("f", port, tuple(state[k] for k in self._domains[port]))
         return ("f", tuple(state[k] for k in self._domains[STAR]))
 
@@ -199,7 +200,7 @@ class CompiledMachine(Machine):
         if state[self._root] != U:
             return state[self._root]
         g = list(state)
-        in_visible, out_visible = self.kind.in_visible, self.kind.out_visible
+        in_visible, out_visible = self.sig.in_visible, self.sig.out_visible
         for k, node in enumerate(self._nodes):
             if g[k] != U:
                 continue
@@ -246,11 +247,11 @@ class ModelSuite:
     """
 
     def __init__(self, ported: Sequence[PortedGraph], variant: str, delta: int):
-        self.sig = Signature(delta, variant)
         self.ported = list(ported)
         self.models = [kripke_model(pg, variant, delta) for pg in self.ported]
         empty = KripkeModel(0, delta, variant, {}, {}), []
         self.union, self.offsets = disjoint_union(self.models) if self.models else empty
+        self.sig = self.union.signature()
         self.full_mask = (1 << self.union.size) - 1
         self.degree_mask = cache(self.degree_mask)
         self._successor_masks = cache(self._successor_masks)
@@ -335,11 +336,11 @@ def _disjoin(pairs: list[tuple[Formula, int]]) -> tuple[Formula, int]:
 
 
 class _Decompiler:
-    def __init__(self, machine: Machine, sig: Signature, horizon: int, suite: ModelSuite):
+    def __init__(self, machine: Machine, horizon: int, suite: ModelSuite):
         self.machine = machine
-        self.delta = sig.delta
+        self.sig = suite.sig
+        self.delta = self.sig.delta
         self.horizon = horizon
-        self.kind = sig.kind
         self.suite = suite
         self.visits = 0
         # (modal depth, suite table) -> the first formula met with both
@@ -391,12 +392,11 @@ class _Decompiler:
         """Distinct non-null messages sent from live states: code -> (message,
         senders by shown outgoing index).  A stopped state sends nothing."""
         machine = self.machine
-        shown = range(1, self.delta + 1) if self.kind.out_visible else (STAR,)
         pool: dict[bytes, tuple] = {}
         for entry in live:
             if machine.is_output(entry.state):
                 continue
-            for j in shown:
+            for j in self.sig.sides[1]:
                 m = message_on(machine, entry.state, 1 if j == STAR else j)
                 if m != NO_MESSAGE:
                     pool.setdefault(self.code(m), (m, {}))[1].setdefault(j, []).append(entry)
@@ -419,8 +419,8 @@ class _Decompiler:
     # (pin formula, pin table, messages the option places).
 
     def _slots(self, pool: dict) -> list:
-        if self.kind.in_visible:
-            return [self._port_slot(i, pool) for i in range(1, self.delta + 1)]
+        if self.sig.in_visible:
+            return [self._port_slot(i, pool) for i in self.sig.sides[0]]
         grades = {}
         for code, (_, senders) in pool.items():
             for j, group in sorted(senders.items()):
@@ -547,8 +547,8 @@ def decompile_details(
         raise DecompileError("horizon must be at least 0")
     if delta > machine.delta_max:
         raise DecompileError("delta exceeds the machine's declared bound")
-    sig = Signature(delta, variant)
-    if any(seen == "+" and shown == "-" for seen, shown in zip(machine.tag.variant, variant)):
+    sig, seen = Signature(delta, variant), Signature(delta, machine.tag.variant)
+    if seen.in_visible > sig.in_visible or seen.out_visible > sig.out_visible:
         raise DecompileError(f"variant {variant} hides a port that class {machine.tag.code} sees")
     if suite is None:
         suite = ModelSuite(default_decompile_suite(delta, node_bound), variant, delta)
@@ -556,6 +556,6 @@ def decompile_details(
         raise DecompileError("suite was built for a different signature")
     if not suite.union.size:
         raise DecompileError("the decompile suite has no worlds")
-    worker = _Decompiler(machine, sig, horizon, suite)
+    worker = _Decompiler(machine, horizon, suite)
     return worker.build()
 

@@ -1,14 +1,16 @@
 """Modal formulas, their concrete syntax, and Kripke models of ported graphs.
 
 Formulas range over degree propositions q1..qD and diamonds indexed by port
-pairs.  A signature variant is two visibility bits (``Variant``): does a
-diamond index see the incoming port, and does it see the outgoing port?
-``Variant.project`` maps a port pair to the index the variant sees, writing
-"*" for a hidden port.  The public API names the variants by the codes "++",
-"-+", "+-", "--" (incoming bit first); ``variant_of`` looks a code up.  A
-diamond may carry a grade k >= 1 (count at least k successors); grade 1 is
-the plain diamond, and grades above 1 are only legal when the incoming port
-is hidden, since a visible one pins down at most one successor.
+pairs.  A signature variant is two visibility bits: does a diamond index see
+the incoming port, and does it see the outgoing port?  The public API names
+the variants by the codes "++", "-+", "+-", "--" (incoming bit first), and a
+``Signature`` is the one reading of a code: it derives the two bits, the
+index values each side may take, and ``project``, which maps a port pair to
+the index the variant sees, writing "*" for a hidden port.  Every model
+shares one ``Signature`` per (delta, variant).  A diamond may carry a grade
+k >= 1 (count at least k successors); grade 1 is the plain diamond, and
+grades above 1 are only legal when the incoming port is hidden, since a
+visible one pins down at most one successor.
 
 Concrete grammar (whitespace insignificant)::
 
@@ -63,8 +65,6 @@ __all__ = [
     "SignatureError",
     "validate_signature",
     "VARIANTS",
-    "Variant",
-    "variant_of",
     "alphas_for",
     "KripkeModel",
     "kripke_model",
@@ -74,29 +74,6 @@ __all__ = [
 
 STAR = "*"
 VARIANTS = ("++", "-+", "+-", "--")
-
-
-@dataclass(frozen=True)
-class Variant:
-    """Which ports a diamond index sees: the incoming one, the outgoing one."""
-
-    in_visible: bool
-    out_visible: bool
-
-    def project(self, i, j) -> tuple:
-        """Index under which this variant sees the port pair (i, j)."""
-        return (i if self.in_visible else STAR, j if self.out_visible else STAR)
-
-
-_BY_CODE = {code: Variant(code[0] == "+", code[1] == "+") for code in VARIANTS}
-
-
-def variant_of(code: str) -> Variant:
-    """The ``Variant`` written as ``code``, one of ``VARIANTS``."""
-    variant = _BY_CODE.get(code)
-    if variant is None:
-        raise SignatureError(f"unknown variant {code!r}")
-    return variant
 
 
 class FormulaError(PortlogicError, ValueError):
@@ -428,42 +405,55 @@ def format_formula(formula: Formula) -> str:
 
 @dataclass(frozen=True)
 class Signature:
-    """Degree bound plus the index-pair shape legal for a variant.
+    """Degree bound plus a variant code, one of ``VARIANTS``: the one reading
+    of a code.
 
-    ``kind`` is the variant's ``Variant``; ``sides`` holds, for the incoming
-    and then the outgoing index, the ports ``range(1, delta + 1)`` when the
-    variant sees that port and ``STAR`` when it hides it.  Both are derived
-    once, at construction, and checking an index against them takes
+    ``in_visible`` and ``out_visible`` say whether a diamond index sees the
+    incoming and the outgoing port; ``sides`` holds, for the incoming and
+    then the outgoing index, the values it may take: ``range(1, delta + 1)``
+    for a visible port and ``(STAR,)`` for a hidden one.  All three are
+    derived once, at construction, and checking an index against them takes
     constant time whatever the delta.
     """
 
     delta: int
     variant: str
-    kind: Variant = field(init=False, repr=False, compare=False)
+    in_visible: bool = field(init=False, repr=False, compare=False)
+    out_visible: bool = field(init=False, repr=False, compare=False)
     sides: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", variant_of(self.variant))
+        if self.variant not in VARIANTS:
+            raise SignatureError(f"unknown variant {self.variant!r}")
         if self.delta < 1:
             raise SignatureError("delta must be at least 1")
-        object.__setattr__(self, "sides", _sides(self.kind, self.delta))
+        in_visible, out_visible = (bit == "+" for bit in self.variant)
+        ports = range(1, self.delta + 1)
+        object.__setattr__(self, "in_visible", in_visible)
+        object.__setattr__(self, "out_visible", out_visible)
+        object.__setattr__(
+            self, "sides", (ports if in_visible else (STAR,), ports if out_visible else (STAR,))
+        )
 
     @property
     def allows_grading(self) -> bool:
         # Fixing the incoming port pins down at most one successor, so graded
         # diamonds only make sense when the incoming index is unconstrained.
-        return not self.kind.in_visible
+        return not self.in_visible
+
+    def project(self, i, j) -> tuple:
+        """Index under which this variant sees the port pair (i, j)."""
+        return (i if self.in_visible else STAR, j if self.out_visible else STAR)
 
 
-def _sides(kind: Variant, delta: int) -> tuple:
-    ports = range(1, delta + 1)
-    return (ports if kind.in_visible else STAR, ports if kind.out_visible else STAR)
+# One Signature per (delta, variant), shared by every model as formula nodes
+# are hash-consed; called positionally, like the node caches.
+_signature = cache(Signature)
 
 
 def alphas_for(variant: str, delta: int) -> list[tuple]:
     """Every index legal for (variant, delta), incoming index first."""
-    sides = _sides(variant_of(variant), delta)
-    return list(itertools.product(*((STAR,) if side == STAR else side for side in sides)))
+    return list(itertools.product(*_signature(delta, variant).sides))
 
 
 def _node_problems(node: Formula, sig: Signature) -> list[str]:
@@ -477,10 +467,10 @@ def _node_problems(node: Formula, sig: Signature) -> list[str]:
         if node.index > sig.delta:
             problems.append(f"proposition q{node.index} exceeds delta {sig.delta}")
     elif isinstance(node, Dia):
-        # a side is STAR or a range of ports; range membership is constant
-        # time for an int, but a linear scan for STAR
+        # STAR is matched first: range membership is constant time for an
+        # int, but a linear scan for STAR
         if not all(
-            x == STAR if side == STAR else x != STAR and x in side
+            side == (STAR,) if x == STAR else x in side
             for x, side in zip(node.alpha, sig.sides)
         ):
             problems.append(
@@ -513,11 +503,13 @@ class KripkeModel:
     those worlds.  An index or proposition nothing carries has no entry: it
     has no successors and no worlds, whatever the signature allows, so a
     model's size follows its pairs and worlds, not delta.  Each world's
-    valuation profile is computed once, here.  Immutable by convention.
+    valuation profile is computed once, here, and the model's ``Signature``
+    is looked up here too, so an unknown variant or a delta below 1 is
+    refused at construction.  Immutable by convention.
     """
 
     def __init__(self, size: int, delta: int, variant: str, relations: dict, valuation: dict):
-        variant_of(variant)  # refuses an unknown variant
+        self._signature = _signature(delta, variant)
         self.size = size
         self.delta = delta
         self.variant = variant
@@ -529,7 +521,6 @@ class KripkeModel:
                     succ.setdefault(v, []).append(w)
                 self.successors[alpha] = {v: tuple(ws) for v, ws in succ.items()}
         self.valuation = {i: frozenset(ws) for i, ws in valuation.items() if ws}
-        self._signature: Signature | None = None
         self._profiles = tuple(
             frozenset(i for i, ws in self.valuation.items() if world in ws)
             for world in range(size)
@@ -539,10 +530,7 @@ class KripkeModel:
         return self.valuation.get(index, frozenset())
 
     def signature(self) -> Signature:
-        """The model's ``Signature``, built on first use: a model of delta 0
-        constructs, and only asking for its signature raises."""
-        if self._signature is None:
-            self._signature = Signature(self.delta, self.variant)
+        """The ``Signature`` every model of this (delta, variant) shares."""
         return self._signature
 
     def valuation_profile(self, world: int) -> frozenset[int]:
@@ -581,20 +569,18 @@ def kripke_model(pg: PortedGraph, variant: str, delta: int | None = None) -> Kri
     port i; variants with a star take unions over the hidden index.  The
     valuation marks node degrees.
     """
-    kind = variant_of(variant)
     g = pg.graph
-    if delta is None:
-        delta = max(1, g.max_degree())
-    if g.max_degree() > delta:
+    sig = _signature(max(1, g.max_degree()) if delta is None else delta, variant)
+    if g.max_degree() > sig.delta:
         raise SignatureMismatchError("graph degree exceeds requested delta")
     relations: dict[tuple, set] = {}
     for (v, j), (u, i) in pg.numbering.items():
-        relations.setdefault(kind.project(i, j), set()).add((u, v))
+        relations.setdefault(sig.project(i, j), set()).add((u, v))
     valuation: dict[int, list] = {}
     for v in range(g.n):
         if g.degree(v):
             valuation.setdefault(g.degree(v), []).append(v)
-    return KripkeModel(g.n, delta, variant, relations, valuation)
+    return KripkeModel(g.n, sig.delta, variant, relations, valuation)
 
 
 def eval_formula(model: KripkeModel, formula: Formula) -> frozenset[int]:

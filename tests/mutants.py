@@ -388,6 +388,14 @@ MUTANTS = (
             "tests/test_bisim.py::test_impossibility_refuses_the_graded_classes[MB]",
         ),
     ),
+    Mutant(
+        "M32",
+        "a signature writing the visible incoming side as hidden",
+        "src/portlogic/logic.py",
+        "(ports if in_visible else (STAR,), ",
+        "((STAR,), ",
+        ("tests/test_logic.py::test_signature_derives_its_variant_and_legal_indices",),
+    ),
 )
 
 

@@ -365,6 +365,17 @@ def test_missing_variant_is_reported(star3_pn, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("code", ["--", "xx"])
+@pytest.mark.parametrize(
+    "command", [["separate", "star"], ["gen", "--family", "star", "--k", "2"]], ids=["separate", "gen"]
+)
+def test_variant_is_refused_by_a_command_that_takes_none(command, code, capsys):
+    assert main([*command, "--variant", code]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {command[0]} takes no --variant"]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -592,7 +592,7 @@ def test_decompile_keeps_a_stopped_state_without_enumerating_it(seed, monkeypatc
     g = path(2)
     stop = run(machine, PortedGraph(g, consistent_port_numbering(g)), 4).rounds
     suite = ModelSuite(default_decompile_suite(2), "-+", 2)
-    worker = compiler._Decompiler(machine, Signature(2, "-+"), stop, suite)
+    worker = compiler._Decompiler(machine, stop, suite)
     formula = worker.build().formula
     monkeypatch.setattr("portlogic.compiler.MAX_VISITS", worker.visits)
     for horizon in range(stop, 5):

@@ -49,7 +49,6 @@ from portlogic.logic import (
     subformulas,
     true_,
     validate_signature,
-    variant_of,
 )
 from portlogic.smallgraphs import all_graphs
 
@@ -178,7 +177,14 @@ def test_signature_derives_its_variant_and_legal_indices():
     for variant in VARIANTS:
         for delta in range(1, 4):
             sig = Signature(delta, variant)
-            assert sig.kind == variant_of(variant)
+            assert (sig.in_visible, sig.out_visible) == (variant[0] == "+", variant[1] == "+")
+            ports = range(1, delta + 1)
+            expected = {
+                "++": [(i, j) for i in ports for j in ports],
+                "-+": [(STAR, j) for j in ports],
+                "+-": [(i, STAR) for i in ports],
+                "--": [(STAR, STAR)],
+            }[variant]
             candidates = (STAR, *range(delta + 2))
             accepted = [
                 (i, j)
@@ -186,20 +192,27 @@ def test_signature_derives_its_variant_and_legal_indices():
                 for j in candidates
                 if not validate_signature(dia((i, j), prop(1)), sig)
             ]
-            assert accepted == alphas_for(variant, delta)
+            assert accepted == expected
+            assert alphas_for(variant, delta) == expected
     sig = Signature(2, "-+")
     # the derived fields stay out of equality, hashing and repr
     assert sig == Signature(2, "-+") and hash(sig) == hash(Signature(2, "-+"))
     assert repr(sig) == "Signature(delta=2, variant='-+')"
 
 
-def test_model_signature_is_built_once_and_only_on_use():
+def test_models_share_one_signature_per_delta_and_variant():
     g = path(1)
-    model = kripke_model(PortedGraph(g, consistent_port_numbering(g, 0)), "--", 0)
-    with pytest.raises(SignatureError):
-        eval_formula(model, parse("q1"))
-    model = kripke_model(PortedGraph(g, consistent_port_numbering(g, 0)), "--", 1)
-    assert model.signature() is model.signature()
+    with pytest.raises(SignatureError, match="^delta must be at least 1$"):
+        kripke_model(PortedGraph(g, consistent_port_numbering(g, 0)), "--", 0)
+    h = cycle(4)
+    first = kripke_model(PortedGraph(g, consistent_port_numbering(g, 0)), "-+", 2)
+    second = kripke_model(PortedGraph(h, random_port_numbering(h, 1)), "-+", 2)
+    assert first.signature() is second.signature() == Signature(2, "-+")
+    # a hand-built model and a defaulted delta (max degree 2) share it too
+    assert KripkeModel(0, 2, "-+", {}, {}).signature() is first.signature()
+    assert kripke_model(PortedGraph(h, consistent_port_numbering(h, 0)), "-+").signature() is (
+        first.signature()
+    )
 
 
 def test_signature_validation():
@@ -217,8 +230,12 @@ def test_signature_validation():
     "build",
     [
         lambda: Signature(0, "--"),
-        lambda: variant_of("+*"),
+        lambda: Signature(1, "+*"),
         lambda: KripkeModel(1, 1, "+*", {}, {}),
+        lambda: alphas_for("+*", 2),
+        lambda: alphas_for("--", 0),
+        lambda: KripkeModel(1, 0, "--", {}, {}),
+        lambda: kripke_model(PortedGraph(path(2), consistent_port_numbering(path(2), 0)), "+*"),
     ],
 )
 def test_signature_errors_share_the_library_base(build):
